@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,25 +90,38 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise ValidationError(f"{path} is not valid JSON: {e}") from e
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report a missing key, wrong type or bad number in ``what`` as a
+    :class:`ValidationError` instead of a traceback."""
+    try:
+        yield
+    except (ArithmeticError, KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"malformed {what}: {type(e).__name__}: {e}") from e
 
 
 def load_poset(path: str) -> Poset:
     doc = _load_json(path)
-    if "grid" in doc:
-        g = doc["grid"]
-        return grid_poset(int(g["n"]), g.get("order", "product"))
-    if "labels" not in doc or "covers" not in doc:
-        raise ValidationError("poset JSON needs 'labels'+'covers' or 'grid'")
-    labels = [_labelize(x) for x in doc["labels"]]
-    covers = [(_labelize(a), _labelize(b)) for a, b in doc["covers"]]
-    return build_poset(labels, covers)
+    with _malformed(f"poset {path}"):
+        if "grid" in doc:
+            g = doc["grid"]
+            return grid_poset(int(g["n"]), g.get("order", "product"))
+        if "labels" not in doc or "covers" not in doc:
+            raise ValidationError("poset JSON needs 'labels'+'covers' or 'grid'")
+        labels = [_labelize(x) for x in doc["labels"]]
+        covers = [(_labelize(a), _labelize(b)) for a, b in doc["covers"]]
+        return build_poset(labels, covers)
 
 
 def parse_map_spec(spec) -> MonotoneMap1D:
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
+    if not isinstance(spec, dict):
+        raise ValidationError(f"map spec must be an object, got {spec!r}")
+    kind = spec.get("kind")
+    with _malformed(f"{kind!r} map spec"):
         if kind == "identity":
             return MonotoneMap1D.identity()
         if kind == "power":
@@ -118,8 +132,7 @@ def parse_map_spec(spec) -> MonotoneMap1D:
             )
         if kind == "const":
             return MonotoneMap1D.constant(float(spec["alpha"]))
-        raise ValidationError(f"unknown map kind {kind!r}")
-    raise ValidationError(f"map spec must be an object, got {spec!r}")
+    raise ValidationError(f"unknown map kind {kind!r}")
 
 
 def load_map(arg: str) -> MonotoneMap1D:
@@ -127,42 +140,45 @@ def load_map(arg: str) -> MonotoneMap1D:
     path to a map-spec JSON file."""
     if arg in ("id", "identity"):
         return MonotoneMap1D.identity()
-    if arg.startswith("power:"):
-        return MonotoneMap1D.power(float(arg.split(":", 1)[1]))
-    if arg.startswith("const:"):
-        return MonotoneMap1D.constant(float(arg.split(":", 1)[1]))
-    if arg.startswith("pwl:"):
-        pts = []
-        for chunk in arg.split(":", 1)[1].split(";"):
-            x, y = chunk.split(",")
-            pts.append((float(x), float(y)))
-        return MonotoneMap1D.piecewise_linear(pts)
+    with _malformed(f"map {arg!r}"):
+        if arg.startswith("power:"):
+            return MonotoneMap1D.power(float(arg.split(":", 1)[1]))
+        if arg.startswith("const:"):
+            return MonotoneMap1D.constant(float(arg.split(":", 1)[1]))
+        if arg.startswith("pwl:"):
+            pts = []
+            for chunk in arg.split(":", 1)[1].split(";"):
+                x, y = chunk.split(",")
+                pts.append((float(x), float(y)))
+            return MonotoneMap1D.piecewise_linear(pts)
     return parse_map_spec(_load_json(arg))
 
 
 def load_scale(path: str) -> ValueScale:
     doc = _load_json(path)
-    if "values" in doc:
-        vals = []
-        for v in doc["values"]:
-            vals.append(Fraction(v) if isinstance(v, str) else v)
-        return ValueScale(vals)
-    if "from_m" in doc:
-        sub = doc["from_m"]
-        m = (
-            load_map(sub["m"])
-            if isinstance(sub["m"], str)
-            else parse_map_spec(sub["m"])
-        )
-        return scale_from_m(m, int(sub["n"]))
+    with _malformed(f"scale {path}"):
+        if "values" in doc:
+            vals = []
+            for v in doc["values"]:
+                vals.append(Fraction(v) if isinstance(v, str) else v)
+            return ValueScale(vals)
+        if "from_m" in doc:
+            sub = doc["from_m"]
+            m = (
+                load_map(sub["m"])
+                if isinstance(sub["m"], str)
+                else parse_map_spec(sub["m"])
+            )
+            return scale_from_m(m, int(sub["n"]))
     raise ValidationError("scale JSON needs 'values' or 'from_m'")
 
 
 def load_query(path: str, poset: Poset) -> QuerySet:
     doc = _load_json(path)
-    if "query" not in doc:
-        raise ValidationError("query JSON needs a 'query' list")
-    return QuerySet(poset, [_labelize(x) for x in doc["query"]])
+    with _malformed(f"query {path}"):
+        if "query" not in doc:
+            raise ValidationError("query JSON needs a 'query' list")
+        return QuerySet(poset, [_labelize(x) for x in doc["query"]])
 
 
 def load_samples(path: str) -> EmpiricalRV:

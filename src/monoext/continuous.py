@@ -227,9 +227,9 @@ def grid_experiment(alpha: float, n: int, k: int) -> GridExperiment:
     continuum target alpha/2.  ``k`` is the level-count of the refinement
     scheme and must divide n.
     """
-    fa = Fraction(alpha)
-    if not 0 < fa <= 1:
+    if not (math.isfinite(alpha) and 0 < alpha <= 1):
         raise InvalidGrid("alpha must lie in (0, 1]")
+    fa = Fraction(alpha)
     if n < 2:
         raise InvalidGrid("n must be at least 2")
     if k < 1 or n % k != 0:
@@ -247,13 +247,14 @@ def grid_experiment(alpha: float, n: int, k: int) -> GridExperiment:
             val[i - 1][j - 1] = base + (j - 1) * (n - s) + (i - s)
 
     seen = sorted(v for col in val for v in col)
-    assert seen == list(range(1, n * n + 1)), "grid filling is not a bijection"
+    if seen != list(range(1, n * n + 1)):
+        raise MembershipViolation("grid filling is not a bijection")
     for i in range(n):
         for j in range(n):
-            if i + 1 < n:
-                assert val[i][j] < val[i + 1][j], "grid filling not monotone in x"
-            if j + 1 < n:
-                assert val[i][j] < val[i][j + 1], "grid filling not monotone in y"
+            if i + 1 < n and val[i][j] >= val[i + 1][j]:
+                raise MembershipViolation("grid filling not monotone in x")
+            if j + 1 < n and val[i][j] >= val[i][j + 1]:
+                raise MembershipViolation("grid filling not monotone in y")
 
     column_total = sum(val[s - 1][j] for j in range(n))
     discrete_sum = Fraction(column_total, n**3)

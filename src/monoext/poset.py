@@ -244,6 +244,20 @@ def up_set(poset: Poset, alpha: Label) -> ElementSet:
     return ElementSet(poset, poset.up[poset.index(alpha)])
 
 
+def _query_below(poset: Poset, query: QuerySet) -> list:
+    """Per query position p, the bitmask of query positions strictly below p."""
+    idxs = query.indices
+    out = []
+    for i in idxs:
+        down = poset.down[i]
+        m = 0
+        for q, j in enumerate(idxs):
+            if j != i and down >> j & 1:
+                m |= 1 << q
+        out.append(m)
+    return out
+
+
 def admissible_permutations(
     poset: Poset, query: QuerySet, cap: int = DEFAULT_CAP
 ) -> Iterator[tuple]:
@@ -259,13 +273,7 @@ def admissible_permutations(
     """
     idxs = query.indices
     n = len(idxs)
-    strictly_below = []
-    for p in range(n):
-        m = 0
-        for q in range(n):
-            if q != p and poset.leq_idx(idxs[q], idxs[p]):
-                m |= 1 << q
-        strictly_below.append(m)
+    strictly_below = _query_below(poset, query)
     order = sorted(range(n), key=lambda p: idxs[p])
     chosen = [0] * n
     count = 0

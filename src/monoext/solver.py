@@ -3,8 +3,8 @@
 Given a poset, a strictly increasing value scale of the same size, and a
 query set B, the minimum and maximum of ``sum(f(b) for b in B)`` over all
 monotone bijections f are computed from a closed-form conditional value
-per admissible ordering of B, optimized by branch-and-bound.  All
-arithmetic is exact rational.
+per admissible ordering of B, optimized by dynamic programming over
+the order ideals of the query.  All arithmetic is exact rational.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .func1d import MonotoneMap1D
-from .poset import DEFAULT_CAP, Poset, QuerySet
+from .poset import DEFAULT_CAP, Poset, QuerySet, _query_below
 from .values import BoundResult, MonotoneBijection, ValueScale
 
 
@@ -55,6 +55,10 @@ def conditional_min(
     """
     _check_scale(poset, scale)
     _validate_ordering(poset, query, perm)
+    return _ordered_min(poset, scale, query, perm)
+
+
+def _ordered_min(poset: Poset, scale: ValueScale, query: QuerySet, perm):
     idxs = query.indices
     total = Fraction(0)
     mask = 0
@@ -69,20 +73,15 @@ def conditional_max(
 ) -> Fraction:
     """Maximum of the query sum over bijections realizing ordering ``perm``.
 
-    Dual of :func:`conditional_min`: position k (counting from the top of
-    the ordering) contributes the value of rank N - |union of up-sets of
-    the last k ordered elements| + 1.
+    The negated :func:`conditional_min` of the order-reversed instance
+    (:func:`reverse_reduce`) under the reversed ordering: position k,
+    counting from the top of the ordering, contributes the value of rank
+    N - |union of up-sets of the last k ordered elements| + 1.
     """
     _check_scale(poset, scale)
     _validate_ordering(poset, query, perm)
-    idxs = query.indices
-    n_total = poset.n
-    total = Fraction(0)
-    mask = 0
-    for p in reversed(perm):
-        mask |= poset.up[idxs[p]]
-        total += scale.value(n_total - mask.bit_count() + 1)
-    return total
+    rposet, rscale, rquery = reverse_reduce(poset, scale, query)
+    return -_ordered_min(rposet, rscale, rquery, tuple(reversed(perm)))
 
 
 def solve_min(
@@ -90,12 +89,16 @@ def solve_min(
 ) -> BoundResult:
     """Global minimum of the query sum over all monotone bijections.
 
-    Branch-and-bound over admissible orderings in lexicographic order;
-    a branch is cut when its exact partial sum plus an optimistic
-    completion (down-set unions grow by at least one element per step)
-    cannot beat the incumbent.  Ties keep the first optimum found, so the
-    reported ordering is the lexicographically least optimal one.  ``cap``
-    bounds the number of complete orderings evaluated.
+    Dynamic programming over the order ideals (down-closed subsets) of the
+    subposet induced on the query.  The cost still to come after placing a
+    set of query elements depends only on that set, through the size of
+    the union of their down-sets, so each ideal is solved once.  A forward
+    pass enumerates the ideals layer by layer, a backward pass computes
+    the exact optimal cost-to-go of each, and the ordering is rebuilt by
+    taking, at every step, the first element in canonical order that
+    keeps the optimum.  The reported ordering is therefore the
+    lexicographically least optimal one.  ``cap`` bounds the number of
+    ideals (DP states).
     """
     _check_scale(poset, scale)
     if len(query) == 0:
@@ -103,49 +106,55 @@ def solve_min(
     xi = scale.values
     idxs = query.indices
     n = len(idxs)
-    strictly_below = []
-    for p in range(n):
-        m = 0
-        for q in range(n):
-            if q != p and poset.leq_idx(idxs[q], idxs[p]):
-                m |= 1 << q
-        strictly_below.append(m)
+    below = _query_below(poset, query)
+    downs = [poset.down[i] for i in idxs]
     order = sorted(range(n), key=lambda p: idxs[p])
-    chosen = [0] * n
-    best_val = None
-    best_perm = None
-    leaves = 0
 
-    def explore(depth: int, used: int, mask: int, partial: Fraction) -> None:
-        nonlocal best_val, best_perm, leaves
-        if depth == n:
-            leaves += 1
-            if leaves > cap:
-                raise CapExceeded(cap)
-            if best_val is None or partial < best_val:
-                best_val = partial
-                best_perm = tuple(chosen)
-            return
-        if best_val is not None:
-            size = mask.bit_count()
-            optimistic = partial
-            for r in range(1, n - depth + 1):
-                optimistic += xi[size + r - 1]
-            if optimistic >= best_val:
-                return
+    def successors(used: int):
         for p in order:
-            if used >> p & 1 or strictly_below[p] & ~used:
-                continue
-            chosen[depth] = p
-            new_mask = mask | poset.down[idxs[p]]
-            explore(
-                depth + 1,
-                used | 1 << p,
-                new_mask,
-                partial + xi[new_mask.bit_count() - 1],
-            )
+            if not used >> p & 1 and not below[p] & ~used:
+                yield p, used | 1 << p
 
-    explore(0, 0, 0, Fraction(0))
+    # Forward: ideal -> size of the union of its down-sets, inserted layer
+    # by layer; the unions themselves are kept for one layer only.
+    size = {0: 0}
+    layer = {0: 0}
+    for _ in range(n):
+        nxt = {}
+        for used, mask in layer.items():
+            for p, t in successors(used):
+                if t not in nxt:
+                    nxt[t] = mask | downs[p]
+                    if len(size) + len(nxt) > cap:
+                        raise CapExceeded(cap)
+        for t, mask in nxt.items():
+            size[t] = mask.bit_count()
+        layer = nxt
+
+    # Backward: entering ideal t costs xi[size - 1]; ``enter[t]`` adds the
+    # optimal cost of every later step.  Reversed insertion order visits
+    # each ideal after all of its successors.
+    full = (1 << n) - 1
+    enter = {}
+    for used in reversed(size):
+        if used == full:
+            rest = Fraction(0)
+        else:
+            rest = min(enter[t] for _, t in successors(used))
+        enter[used] = xi[size[used] - 1] + rest if used else rest
+    best_val = enter[0]
+
+    perm = []
+    used = 0
+    rest = best_val
+    for _ in range(n):
+        for p, t in successors(used):
+            if enter[t] == rest:
+                break
+        perm.append(p)
+        used = t
+        rest -= xi[size[t] - 1]
+    best_perm = tuple(perm)
     witness = build_witness(poset, scale, query, best_perm, "min")
     per_node = tuple(witness.value(query.labels[p]) for p in best_perm)
     return BoundResult(best_val, best_perm, witness, per_node)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from monoext import errors
 from monoext.cli import main
 
 GRID_POSET = {"grid": {"n": 2, "order": "product"}}
@@ -30,6 +31,21 @@ def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def solve_argv(tmp_path, poset, query):
+    """``solve`` arguments for an explicit poset, the scale 1..N and a query."""
+    docs = {
+        "poset": poset,
+        "scale": {"values": list(range(1, len(poset["labels"]) + 1))},
+        "query": {"query": query},
+    }
+    argv = ["solve"]
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{name}", str(path)]
+    return argv
 
 
 class TestSolve:
@@ -58,6 +74,32 @@ class TestSolve:
         argv = ["solve", "--poset", fixtures["poset"], "--scale", fixtures["scale"],
                 "--query", fixtures["query"], "--witness"]
         assert run_cli(argv) == run_cli(argv)
+
+    def test_deep_chain_query(self, tmp_path):
+        n = 1500
+        argv = solve_argv(
+            tmp_path,
+            {"labels": list(range(n)), "covers": [[i, i + 1] for i in range(n - 1)]},
+            list(range(n)),
+        )
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["min"]["objective"] == payload["max"]["objective"] == (
+            f"{n * (n + 1) // 2}/1"
+        )
+
+    def test_cap_bounds_dp_states(self, tmp_path):
+        # A 10-element antichain query has 2**10 = 1024 order ideals.
+        argv = solve_argv(
+            tmp_path, {"labels": list(range(10)), "covers": []}, list(range(10))
+        )
+        code, _, err = run_cli(argv + ["--cap", "100"])
+        assert code == 3
+        error = json.loads(err)["error"]
+        assert error["type"] == "CapExceeded"
+        assert error["cap"] == 100
+        assert run_cli(argv + ["--cap", "1024"])[0] == 0
 
 
 class TestOracle:
@@ -166,6 +208,37 @@ class TestErrorsAndConfig:
              "--scale", fixtures["scale"], "--query", fixtures["query"]]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grid-exp", "--alpha", "nan", "--n", "20", "--k", "10"],
+            ["cont-bound", "--m", "power:abc", "--t", "id"],
+            ["cont-bound", "--m", "pwl:0,0;bad", "--t", "id"],
+        ],
+        ids=["alpha-nan", "power-abc", "pwl-bad-point"],
+    )
+    def test_malformed_argument_is_validation_error(self, argv):
+        code, _, err = run_cli(argv)
+        assert code == 2
+        assert issubclass(
+            getattr(errors, json.loads(err)["error"]["type"]), errors.ValidationError
+        )
+
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"labels": ["a", "b", "c"], "covers": [["a", "b", "c"]]}', '{"grid": {}}'],
+        ids=["cover-not-a-pair", "grid-without-n"],
+    )
+    def test_malformed_poset_is_validation_error(self, fixtures, tmp_path, doc):
+        bad = tmp_path / "poset.json"
+        bad.write_text(doc)
+        code, _, err = run_cli(
+            ["solve", "--poset", str(bad), "--scale", fixtures["scale"],
+             "--query", fixtures["query"]]
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "ValidationError"
 
     def test_bad_env_seed(self, fixtures, monkeypatch):
         monkeypatch.setenv("MONOEXT_SEED", "not-a-number")

@@ -129,6 +129,20 @@ def test_conditional_values_bracket_solutions(instance):
 
 
 @given(poset_instances())
+@settings(max_examples=80, deadline=None)
+def test_min_ordering_is_first_minimizer_in_enumeration_order(instance):
+    poset, scale, query = instance
+    best_val = best_perm = None
+    for perm in admissible_permutations(poset, query):
+        v = conditional_min(poset, scale, query, perm)
+        if best_val is None or v < best_val:
+            best_val, best_perm = v, perm
+    res = solve_min(poset, scale, query)
+    assert res.objective == best_val
+    assert res.witness_perm == best_perm
+
+
+@given(poset_instances())
 @settings(max_examples=60, deadline=None)
 def test_duality_through_reversal(instance):
     poset, scale, query = instance

@@ -20,6 +20,7 @@ from monoext import (
     solve_min,
 )
 from monoext.errors import (
+    CapExceeded,
     EmptyQuery,
     InvalidPermutation,
     NotAChain,
@@ -128,6 +129,33 @@ class TestSolve:
                 for a, b in zip(res.per_node_values, res.per_node_values[1:])
             )
             assert res.objective == sum(res.per_node_values)
+
+    def test_deep_chain_query(self):
+        # Deeper than the interpreter's default recursion limit.
+        n = 1500
+        p = build_poset(range(n), [(i, i + 1) for i in range(n - 1)])
+        s = ValueScale(Fraction(i, 7) for i in range(1, n + 1))
+        q = QuerySet(p, range(n - 1, -1, -1))
+        mn, mx = chain_bounds(p, s, q)
+        res_min = solve_min(p, s, q)
+        res_max = solve_max(p, s, q)
+        assert res_min.objective == mn
+        assert res_max.objective == mx
+        assert res_min.witness_perm == tuple(range(n - 1, -1, -1))
+        assert res_max.witness_perm == res_min.witness_perm
+
+    def test_cap_counts_order_ideals(self):
+        # A 3-element antichain query has 2**3 = 8 order ideals.
+        p = build_poset(["a", "b", "c"], [])
+        s = ValueScale([1, 2, 3])
+        q = QuerySet(p, ["a", "b", "c"])
+        assert solve_min(p, s, q, cap=8).objective == 6
+        assert solve_max(p, s, q, cap=8).objective == 6
+        with pytest.raises(CapExceeded) as exc:
+            solve_min(p, s, q, cap=7)
+        assert exc.value.cap == 7
+        with pytest.raises(CapExceeded):
+            solve_max(p, s, q, cap=7)
 
 
 class TestBuildWitness:
