@@ -16,9 +16,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import selftest as _selftest
 from .continuous import (
-    eval_extremal_surface,
+    _surface_grid,
     grid_experiment,
     line_integral_bound,
     line_integral_on_surface,
@@ -48,7 +50,6 @@ class RunConfig:
     tol: float = 1e-9
     cap: int = DEFAULT_CAP
     seed: int = 0
-    format: str = "json"
     verbosity: int = 0
 
     def validate(self) -> "RunConfig":
@@ -206,7 +207,7 @@ def _bound_result_json(res: BoundResult, include_witness: bool) -> dict:
     return out
 
 
-def _emit(payload: dict, config: RunConfig, stream) -> None:
+def _emit(payload: dict, stream) -> None:
     print(json.dumps(payload, sort_keys=True), file=stream)
 
 
@@ -268,7 +269,7 @@ def _make_config(args) -> RunConfig:
     config = RunConfig()
     if args.config:
         doc = _load_json(args.config)
-        for key in ("tol", "cap", "seed", "format", "verbosity"):
+        for key in ("tol", "cap", "seed", "verbosity"):
             if key in doc:
                 setattr(config, key, doc[key])
     env_seed = os.environ.get("MONOEXT_SEED")
@@ -301,7 +302,7 @@ def _cmd_solve(args, config, stdout) -> int:
         )
     if args.mode != "both":
         payload = payload[args.mode]
-    _emit(payload, config, stdout)
+    _emit(payload, stdout)
     return 0
 
 
@@ -315,13 +316,13 @@ def _cmd_oracle(args, config, stdout) -> int:
         "max": _bound_result_json(bmax, args.witness),
         "count": count,
     }
-    _emit(payload, config, stdout)
+    _emit(payload, stdout)
     return 0
 
 
 def _cmd_grid_exp(args, config, stdout) -> int:
     record = grid_experiment(args.alpha, args.n, args.k)
-    _emit(record.as_dict(), config, stdout)
+    _emit(record.as_dict(), stdout)
     return 0
 
 
@@ -332,7 +333,7 @@ def _cmd_cont_bound(args, config, stdout) -> int:
         "bound": line_integral_bound(m, t, config.tol),
         "surface_integral": line_integral_on_surface(m, t, config.tol),
     }
-    _emit(payload, config, stdout)
+    _emit(payload, stdout)
     return 0
 
 
@@ -341,14 +342,14 @@ def _cmd_cont_extremal(args, config, stdout) -> int:
     t = load_map(args.t)
     if args.grid < 2:
         raise ValidationError("--grid must be at least 2")
+    centers = (np.arange(args.grid) + 0.5) / args.grid
+    grid = _surface_grid(m, t, centers, centers)
+    coords = [repr(c) for c in centers.tolist()]
     with open(args.out, "w") as fh:
         fh.write("x,y,value\n")
-        for i in range(args.grid):
-            x = (i + 0.5) / args.grid
-            for j in range(args.grid):
-                y = (j + 0.5) / args.grid
-                fh.write(f"{x!r},{y!r},{eval_extremal_surface(m, t, x, y)!r}\n")
-    report = verify_membership(m, t, args.grid)
+        for x, row in zip(coords, grid.tolist()):
+            fh.write("".join([f"{x},{y},{v!r}\n" for y, v in zip(coords, row)]))
+    report = verify_membership(m, t, args.grid, surface=grid)
     _emit(
         {
             "out": args.out,
@@ -360,7 +361,6 @@ def _cmd_cont_extremal(args, config, stdout) -> int:
                 "budget": report.budget,
             },
         },
-        config,
         stdout,
     )
     return 0
@@ -372,7 +372,7 @@ def _cmd_proc_bound(args, config, stdout) -> int:
     payload = {"bound": expectation_bound(m, tau, config.tol)}
     if args.simplified:
         payload["simplified"] = _frac(simplified_bound(tau))
-    _emit(payload, config, stdout)
+    _emit(payload, stdout)
     return 0
 
 
@@ -397,7 +397,7 @@ def _cmd_proc_sim(args, config, stdout) -> int:
             "worst_level": report.worst_level,
             "budget": report.budget,
         }
-    _emit(payload, config, stdout)
+    _emit(payload, stdout)
     return 0
 
 
@@ -433,11 +433,10 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         return _COMMANDS[args.command](args, config, stdout)
     except CapExceeded as e:
         _emit({"error": {"type": "CapExceeded", "message": str(e), "cap": e.cap}},
-              RunConfig(), stderr)
+              stderr)
         return CAP_EXIT
     except MonoextError as e:
-        _emit({"error": {"type": type(e).__name__, "message": str(e)}},
-              RunConfig(), stderr)
+        _emit({"error": {"type": type(e).__name__, "message": str(e)}}, stderr)
         return VALIDATION_EXIT
 
 

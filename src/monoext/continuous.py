@@ -19,11 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidGrid, MembershipViolation, OutOfDomain
-from .func1d import MonotoneMap1D, _clamp_unit, integrate
+from .func1d import MonotoneMap1D, _clamp_unit, _level_set_deviation, integrate
 from .poset import grid_poset, QuerySet
 from .solver import chain_bounds, scale_from_m
-
-REGION_TOL = 1e-12
 
 
 def _require_bijection(m: MonotoneMap1D) -> None:
@@ -45,24 +43,6 @@ def line_integral_bound(
     )
 
 
-def _path_lower_inverse(t: MonotoneMap1D, x: float, tol: float = REGION_TOL) -> float:
-    """Least s with t(s) >= x, by monotone bisection; assumes x <= t(1).
-
-    For x1 <= x2 the returned values are ordered, because the surviving
-    bisection intervals stay ordered step by step.
-    """
-    if t.eval(0.0) >= x:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if t.eval(mid) >= x:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def eval_extremal_surface(
     m: MonotoneMap1D, t: MonotoneMap1D, x: float, y: float
 ) -> float:
@@ -72,15 +52,12 @@ def eval_extremal_surface(
     indexed by the least s whose rectangle [0, t(s)] x [0, s] contains it,
     i.e. s = max(y, min{s : t(s) >= x}), and the value is m^{-1}(t(s)*s).
     Right of it the surface climbs linearly in y from m^{-1}(t(1)) to 1.
+    This is the one-point case of the grid evaluator, so it returns exactly
+    the values :func:`verify_membership` checks.
     """
-    _require_bijection(m)
     x = _clamp_unit(x, "x")
     y = _clamp_unit(y, "y")
-    t1 = t.eval(1.0)
-    if x > t1:
-        return float(m.inverse(t1 + (1.0 - t1) * y))
-    s = max(float(y), _path_lower_inverse(t, float(x)))
-    return float(m.inverse(t.eval(s) * s))
+    return float(_surface_grid(m, t, np.array([float(x)]), np.array([float(y)]))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -100,16 +77,13 @@ class MembershipReport:
 
 def _surface_grid(m, t, xs, ys) -> np.ndarray:
     """Surface values at the grid xs x ys; rows index x, columns index y."""
+    _require_bijection(m)
     t1 = t.eval(1.0)
-    grid = np.empty((len(xs), len(ys)))
     left = xs <= t1
-    if left.any():
-        tinv = np.array([_path_lower_inverse(t, float(x)) for x in xs[left]])
-        s_star = np.maximum(tinv[:, None], ys[None, :])
-        w = t.eval_many(s_star) * s_star
-        grid[left] = m.inverse_many(w)
-    if (~left).any():
-        grid[~left] = m.inverse_many(t1 + (1.0 - t1) * ys)[None, :]
+    s_star = np.maximum(t.lower_inverse_many(xs[left])[:, None], ys[None, :])
+    grid = np.empty((len(xs), len(ys)))
+    grid[left] = m.inverse_many(t.eval_many(s_star) * s_star)
+    grid[~left] = m.inverse_many(t1 + (1.0 - t1) * ys)
     return grid
 
 
@@ -126,19 +100,27 @@ def verify_membership(
     monotonicity must hold under exact <= comparisons; (b) for each level u
     the cell-counting estimate of mu{f > m^{-1}(u)} must equal 1 - u within
     2/grid_n + 1e-9 (a monotone level boundary crosses at most 2*grid_n
-    cells).  ``surface`` overrides the evaluator, e.g. for negative
-    controls.  Raises :class:`MembershipViolation` with witness points on
-    failure; otherwise returns the worst deviation observed.
+    cells).  ``surface`` replaces the extremal surface: either an
+    evaluator f(x, y), e.g. a negative control, or the array of values
+    already computed at the cell centers (rows index x).  Raises
+    :class:`MembershipViolation` with witness points on failure; otherwise
+    returns the worst deviation observed.
     """
     _require_bijection(m)
     if grid_n < 2:
         raise InvalidGrid("grid_n must be at least 2")
     xs = (np.arange(grid_n) + 0.5) / grid_n
-    ys = (np.arange(grid_n) + 0.5) / grid_n
+    ys = xs
     if surface is None:
         grid = _surface_grid(m, t, xs, ys)
-    else:
+    elif callable(surface):
         grid = np.array([[float(surface(x, y)) for y in ys] for x in xs])
+    else:
+        grid = np.asarray(surface, dtype=float)
+        if grid.shape != (grid_n, grid_n):
+            raise InvalidGrid(
+                f"surface array has shape {grid.shape}, want {(grid_n, grid_n)}"
+            )
 
     dx = np.diff(grid, axis=0)
     if (dx < 0).any():
@@ -155,16 +137,8 @@ def verify_membership(
             witness=((xs[i], ys[j], grid[i, j]), (xs[i], ys[j + 1], grid[i, j + 1])),
         )
 
-    flat = np.sort(grid.ravel())
     budget = 2.0 / grid_n + 1e-9
-    worst = 0.0
-    worst_u = 0.0
-    for u in np.linspace(0.0, 1.0, u_count):
-        thr = float(m.inverse(u))
-        count_gt = int(flat.size - np.searchsorted(flat, thr, side="right"))
-        dev = abs(count_gt / flat.size - (1.0 - u))
-        if dev > worst:
-            worst, worst_u = dev, float(u)
+    worst, worst_u = _level_set_deviation(grid, m, np.linspace(0.0, 1.0, u_count))
     if worst > budget:
         raise MembershipViolation(
             f"distribution deviation {worst:.3g} at u={worst_u} "

@@ -2,8 +2,8 @@
 and adaptive quadrature.
 
 Three map kinds are shipped: identity, power, and piecewise linear.  All
-three have exact inverses, so no root finding is involved; a bisection
-fallback is provided for hypothetical kinds without a closed form.
+three have closed-form inverses and generalized inverses, so no root
+finding is involved.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class MonotoneMap1D:
         if self.kind == "identity":
             return
         if self.kind == "power":
-            if not self.p > 0:
-                raise ValidationError("power exponent must be positive")
+            if not 0 < self.p < math.inf:
+                raise ValidationError("power exponent must be positive and finite")
             return
         if self.kind != "pwl":
             raise ValidationError(f"unknown map kind {self.kind!r}")
@@ -70,7 +70,7 @@ class MonotoneMap1D:
         if xs[0] != 0.0 or xs[-1] != 1.0:
             raise ValidationError("breakpoints must span [0, 1]")
         for a, b in zip(xs, xs[1:]):
-            if a >= b:
+            if not a < b:  # also rejects NaN
                 raise NotIncreasing("breakpoint abscissae must strictly increase")
         for y in ys:
             if not 0.0 <= y <= 1.0:
@@ -177,23 +177,25 @@ class MonotoneMap1D:
         v = x0 + (ys - y0) * (x1 - x0) / (y1 - y0)
         return np.minimum(np.maximum(v, x0), x1)
 
+    def lower_inverse_many(self, xs: np.ndarray) -> np.ndarray:
+        """Generalized inverse: the least s in [0, 1] with t(s) >= x, for
+        each x <= t(1).
 
-def inverse_by_bisection(m: MonotoneMap1D, y, tol: float = 1e-12) -> float:
-    """Generic monotone inverse on [0, 1] to absolute tolerance ``tol``.
-
-    Contract: ``m.eval(inverse_by_bisection(m, y))`` is within 1e-11 of y
-    for any increasing bijection.  Exists as the fallback for map kinds
-    without a closed-form inverse.
-    """
-    y = _clamp_unit(y, "value")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if m.eval(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        Closed form for every kind.  On a pwl map it inverts the piece with
+        ordinates y0 < x <= y1, so x at the level of a flat piece gives that
+        piece's left end, and x <= t(0) gives 0.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if self.kind != "pwl":
+            return self.inverse_many(xs)
+        bx, by = self._xs_np, self._ys_np
+        i = np.clip(np.searchsorted(by, xs, side="left") - 1, 0, len(by) - 2)
+        x0, x1 = bx[i], bx[i + 1]
+        y0, y1 = by[i], by[i + 1]
+        # For x <= t(1) only the first piece can be flat here, with x <= y0:
+        # the unit divisor leaves v <= x0, which the clamp turns into x0.
+        v = x0 + (xs - y0) * (x1 - x0) / np.where(y1 > y0, y1 - y0, 1.0)
+        return np.minimum(np.maximum(v, x0), x1)
 
 
 @dataclass(frozen=True)
@@ -368,6 +370,17 @@ def distribution_function(f, grid: Sequence = ()) -> StepFunction1D:
         above = sum(w for v, w in weight_above.items() if v > t)
         vals.append(above)
     return StepFunction1D(tuple(cuts), tuple(vals), "non-increasing")
+
+
+def _level_set_deviation(values: np.ndarray, m: MonotoneMap1D, levels: np.ndarray):
+    """(worst, level): the largest |F(m^{-1}(u)) - u| over ``levels``, with F
+    the empirical distribution function of ``values``, and the first level
+    attaining it."""
+    flat = np.sort(values, axis=None)
+    below = np.searchsorted(flat, m.inverse_many(levels), side="right")
+    dev = np.abs(below / flat.size - levels)
+    k = int(np.argmax(dev))
+    return float(dev[k]), float(levels[k])
 
 
 def rearrangement(f) -> StepFunction1D:

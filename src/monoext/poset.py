@@ -219,17 +219,22 @@ def grid_poset(n: int, order_kind: str = "product") -> Poset:
     ``"rows"``: elements are comparable only within a row (equal j),
     ordered by i, so the poset is n disjoint n-chains.
     """
-    if n < 1:
+    return _grid_poset(n, n, order_kind)
+
+
+def _grid_poset(nx: int, ny: int, order_kind: str) -> Poset:
+    """The ``nx x ny`` grid ``{(i, j)}`` under the orders of :func:`grid_poset`."""
+    if nx < 1 or ny < 1:
         raise InvalidGrid("grid size must be at least 1")
     if order_kind not in ("product", "rows"):
         raise InvalidGrid(f"unknown order kind {order_kind!r}")
-    labels = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    labels = [(i, j) for i in range(1, nx + 1) for j in range(1, ny + 1)]
     covers = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i < n:
+    for i in range(1, nx + 1):
+        for j in range(1, ny + 1):
+            if i < nx:
                 covers.append(((i, j), (i + 1, j)))
-            if order_kind == "product" and j < n:
+            if order_kind == "product" and j < ny:
                 covers.append(((i, j), (i, j + 1)))
     return build_poset(labels, covers)
 

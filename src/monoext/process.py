@@ -23,7 +23,13 @@ from .errors import (
     OutOfDomain,
     ValidationError,
 )
-from .func1d import EmpiricalRV, MonotoneMap1D, _clamp_unit, integrate
+from .func1d import (
+    EmpiricalRV,
+    MonotoneMap1D,
+    _clamp_unit,
+    _level_set_deviation,
+    integrate,
+)
 from .poset import QuerySet, grid_poset
 from .solver import disjoint_bound, scale_from_m
 
@@ -200,6 +206,11 @@ def eval_extremal_process(proc: ExtremalProcess, t: float, y: float) -> float:
     return proc.upper_branch(y)
 
 
+# Monte Carlo ranks are drawn and counted this many at a time, so memory is
+# O(M) for any trial count; chunked draws equal one-shot draws.
+_MC_CHUNK = 2**20
+
+
 def expectation_at_tau(
     proc: ExtremalProcess,
     mode: str = "quadrature",
@@ -233,11 +244,17 @@ def expectation_at_tau(
     tail = proc._tail
     by_rank = proc.m.inverse_many(tail[:m_count][::-1] / m_count)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    ranks = rng.integers(1, m_count + 1, size=trials)
-    draws = by_rank[ranks - 1]
-    mean = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean, stderr
+    counts = np.zeros(m_count + 1, dtype=np.int64)
+    for start in range(0, trials, _MC_CHUNK):
+        size = min(_MC_CHUNK, trials - start)
+        counts += np.bincount(rng.integers(1, m_count + 1, size=size),
+                              minlength=m_count + 1)
+    counts = counts[1:]
+    mean = float(counts @ by_rank / trials)
+    if trials == 1:
+        return mean, 0.0
+    variance = float(counts @ (by_rank - mean) ** 2 / (trials - 1))
+    return mean, math.sqrt(variance) / math.sqrt(trials)
 
 
 @dataclass(frozen=True)
@@ -297,16 +314,10 @@ def verify_process_membership(
             ),
         )
 
-    flat = np.sort(values.ravel())
     budget = 2.0 * (1.0 / grid_t + 1.0 / grid_y) + 1.0 / proc.sample_count + 1e-9
-    worst = 0.0
-    worst_level = 0.0
-    for s in np.linspace(0.0, 1.0, s_count):
-        thr = float(proc.m.inverse(s))
-        count_le = int(np.searchsorted(flat, thr, side="right"))
-        dev = abs(count_le / flat.size - float(s))
-        if dev > worst:
-            worst, worst_level = dev, float(s)
+    worst, worst_level = _level_set_deviation(
+        values, proc.m, np.linspace(0.0, 1.0, s_count)
+    )
     if worst > budget:
         raise MembershipViolation(
             f"level-set deviation {worst:.3g} at s={worst_level} exceeds "

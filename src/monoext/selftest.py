@@ -25,7 +25,7 @@ from .continuous import (
 from .errors import MembershipViolation, NotAChain, PreconditionViolated
 from .func1d import EmpiricalRV, MonotoneMap1D
 from .oracle import brute_min_max, check_monotone_bijection, swap_adjacent
-from .poset import QuerySet, build_poset, grid_poset, linear_extensions
+from .poset import QuerySet, _grid_poset, build_poset, grid_poset, linear_extensions
 from .process import (
     expectation_at_tau,
     expectation_bound,
@@ -85,18 +85,6 @@ def _random_dag(rng: random.Random, n: int):
     return build_poset(labels, covers)
 
 
-def _rect_grid(nx: int, ny: int, order_kind: str):
-    labels = [(i, j) for i in range(1, nx + 1) for j in range(1, ny + 1)]
-    covers = []
-    for i in range(1, nx + 1):
-        for j in range(1, ny + 1):
-            if i < nx:
-                covers.append(((i, j), (i + 1, j)))
-            if order_kind == "product" and j < ny:
-                covers.append(((i, j), (i, j + 1)))
-    return build_poset(labels, covers)
-
-
 def build_corpus(count: int = 500, seed: int = CORPUS_SEED, max_n: int = 8):
     """(poset, scale, query) triples: fixed small grids plus random DAGs."""
     rng = random.Random(seed)
@@ -105,7 +93,7 @@ def build_corpus(count: int = 500, seed: int = CORPUS_SEED, max_n: int = 8):
     fixed = []
     for kind in ("product", "rows"):
         fixed.append(grid_poset(2, kind))
-        fixed.append(_rect_grid(2, 3, kind))
+        fixed.append(_grid_poset(2, 3, kind))
         fixed.append(grid_poset(3, kind))
     for poset in fixed:
         for _ in range(3):

@@ -2,11 +2,14 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monoext import errors
-from monoext.cli import main
+from monoext import errors, eval_extremal_surface
+from monoext.cli import load_map, main
 
 GRID_POSET = {"grid": {"n": 2, "order": "product"}}
 SCALE = {"values": [1, 2, 3, 4]}
@@ -143,6 +146,21 @@ class TestContinuous:
         assert lines[0] == "x,y,value"
         assert len(lines) == 1 + 20 * 20
 
+    @pytest.mark.parametrize("m", ["id", "power:2"])
+    @pytest.mark.parametrize("t", ["const:0.5", "pwl:0,0;0.3,0.3;0.6,0.3;1,1"])
+    def test_cont_extremal_csv_is_the_surface(self, fixtures, m, t):
+        out_path = str(fixtures["dir"] / "surface.csv")
+        code, _, _ = run_cli(
+            ["cont-extremal", "--m", m, "--t", t, "--grid", "20", "--out", out_path]
+        )
+        assert code == 0
+        mm, tt = load_map(m), load_map(t)
+        rows = open(out_path).read().splitlines()[1:]
+        for k, line in enumerate(rows):
+            x, y, value = map(float, line.split(","))
+            assert (x, y) == ((k // 20 + 0.5) / 20, (k % 20 + 0.5) / 20)
+            assert value == eval_extremal_surface(mm, tt, x, y)
+
     def test_grid_exp(self):
         code, out, _ = run_cli(["grid-exp", "--alpha", "0.5", "--n", "20", "--k", "10"])
         assert code == 0
@@ -269,6 +287,39 @@ class TestMapShorthand:
         p = tmp_path / "m.json"
         p.write_text('{"kind": "power", "p": 2.0}')
         assert load_map(str(p)).p == 2.0
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "-0", "2", "0.5", "abc", ""]),
+    st.integers(-3, 3).map(str),
+)
+_POINTS = st.lists(
+    st.tuples(_NUMBERS, _NUMBERS).map(",".join) | st.text(max_size=6),
+    max_size=5,
+)
+_MAP_SPECS = st.one_of(
+    st.sampled_from(["id", "identity"]),
+    _NUMBERS.map("power:{}".format),
+    _NUMBERS.map("const:{}".format),
+    _POINTS.map(lambda pts: "pwl:" + ";".join(pts)),
+    st.text(alphabet=st.characters(exclude_characters="/\x00"), max_size=12),
+)
+
+
+@given(st.sampled_from(["cont-bound", "cont-extremal"]), _MAP_SPECS, _MAP_SPECS)
+@settings(max_examples=150, deadline=None)
+def test_map_shorthand_fuzz(command, m, t):
+    """Any --m/--t text ends in a documented exit code, and whatever reaches
+    stderr is one JSON error object, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, f"--m={m}", f"--t={t}"]
+        if command == "cont-extremal":
+            argv += ["--grid", "8", "--out", f"{tmp}/surface.csv"]
+        code, _, err = run_cli(argv)
+    assert code in (0, 2, 3, 64)
+    if err:
+        assert isinstance(json.loads(err)["error"], dict)
 
 
 class TestSelftest:

@@ -128,6 +128,14 @@ class TestMembership:
         with pytest.raises(InvalidGrid):
             verify_membership(ID, ID, 1)
 
+    def test_precomputed_surface_and_first_worst_level(self):
+        # Levels 0.25 and 0.75 tie at deviation 0.25; the first is reported.
+        surface = [[0.25, 0.25], [0.75, 0.75]]
+        report = verify_membership(ID, ID, 2, surface=surface, u_count=5)
+        assert (report.max_distribution_deviation, report.worst_u) == (0.25, 0.25)
+        with pytest.raises(InvalidGrid):
+            verify_membership(ID, ID, 3, surface=surface)
+
 
 class TestLowerBoundProperty:
     def test_random_members_dominate_bound(self):

@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoext import (
     EmpiricalRV,
@@ -9,7 +12,6 @@ from monoext import (
     StepFunction1D,
     distribution_function,
     integrate,
-    inverse_by_bisection,
     rearrangement,
 )
 from monoext.errors import (
@@ -59,6 +61,14 @@ class TestMonotoneMap:
         with pytest.raises(ValidationError):
             MonotoneMap1D.power(0)
 
+    def test_non_finite_parameters_rejected(self):
+        with pytest.raises(ValidationError):
+            MonotoneMap1D.power(math.inf)
+        with pytest.raises(ValidationError):
+            MonotoneMap1D.power(math.nan)
+        with pytest.raises(NotIncreasing):
+            MonotoneMap1D.piecewise_linear([(0, 0), (math.nan, 0.5), (1, 1)])
+
     def test_roundtrip_on_grid(self):
         maps = [
             MonotoneMap1D.identity(),
@@ -71,21 +81,55 @@ class TestMonotoneMap:
                 x = i / 1000
                 assert abs(m.inverse(m.eval(x)) - x) < 1e-11
 
-    def test_bisection_fallback_contract(self):
-        for m in (MonotoneMap1D.power(3), MonotoneMap1D.power(2)):
-            for y in (0.0, 0.1, 0.37, 0.9, 1.0):
-                x = inverse_by_bisection(m, y)
-                assert abs(m.eval(x) - y) < 1e-11
-                assert abs(x - m.inverse(y)) < 1e-11
-
     def test_eval_many_matches_scalar(self):
-        import numpy as np
-
         m = MonotoneMap1D.piecewise_linear([(0, 0), (0.4, 0.1), (1, 1)])
         xs = np.linspace(0, 1, 57)
         many = m.eval_many(xs)
         for x, v in zip(xs, many):
             assert v == m.eval(float(x))
+
+
+@st.composite
+def paths(draw):
+    """Identity, power p in [0.3, 4], or pwl with abscissae on the 1/100
+    grid (slopes at most 100) and ordinates often tied (flat pieces)."""
+    kind = draw(st.sampled_from(["identity", "power", "pwl"]))
+    if kind == "identity":
+        return MonotoneMap1D.identity()
+    if kind == "power":
+        return MonotoneMap1D.power(draw(st.floats(0.3, 4.0)))
+    inner = draw(st.lists(st.integers(1, 99), max_size=5, unique=True))
+    xs = [0.0] + [k / 100 for k in sorted(inner)] + [1.0]
+    level = st.one_of(st.sampled_from([0.0, 0.2, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0))
+    ys = sorted(draw(st.lists(level, min_size=len(xs), max_size=len(xs))))
+    return MonotoneMap1D.piecewise_linear(zip(xs, ys))
+
+
+@given(paths(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_lower_inverse_is_least_preimage(t, us):
+    """s = t.lower_inverse_many(x) is the least s with t(s) >= x."""
+    t1 = t.eval(1.0)
+    xs = [u * t1 for u in us] + [t1, t.eval(0.0)] + [y for _, y in t.points]
+    xs = np.sort(np.array(xs))
+    ss = t.lower_inverse_many(xs)
+    for x, s in zip(xs.tolist(), ss.tolist()):
+        assert 0.0 <= s <= 1.0
+        assert t.eval(s) >= x - 1e-12
+        assert s == 0 or t.eval(max(s - 1e-9, 0.0)) < x + 1e-12
+    assert (np.diff(ss) >= 0).all()
+
+
+def test_lower_inverse_flat_pieces():
+    t = MonotoneMap1D.piecewise_linear(
+        [(0, 0.2), (0.3, 0.2), (0.6, 0.5), (0.8, 0.5), (1, 1)]
+    )
+    got = t.lower_inverse_many([0.0, 0.1, 0.2, 0.35, 0.5, 1.0]).tolist()
+    assert got == pytest.approx([0.0, 0.0, 0.0, 0.45, 0.6, 1.0], abs=1e-15)
+    # A flat piece's level maps exactly to its left end.
+    assert got[2] == 0.0 and got[4] == 0.6
+    const = MonotoneMap1D.constant(0.5)
+    assert const.lower_inverse_many([0.0, 0.5]).tolist() == [0.0, 0.0]
 
 
 class TestStepFunction:

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from monoext import (
@@ -17,7 +19,7 @@ from monoext import (
     simplified_bound,
     verify_process_membership,
 )
-from monoext import brute_min_max
+from monoext import brute_min_max, process
 from monoext.errors import (
     InvalidGrid,
     MembershipViolation,
@@ -149,6 +151,31 @@ class TestExpectationAtTau:
         assert a == b
         assert a[0] != c[0]
 
+    def test_rank_counts_match_per_draw_estimate(self):
+        proc = make_extremal_process(SQ, EmpiricalRV.uniform_grid(50))
+        mean, stderr = expectation_at_tau(proc, "montecarlo", trials=20000, seed=5)
+        rng = np.random.Generator(np.random.Philox(key=5))
+        ranks = rng.integers(1, 51, size=20000)
+        draws = np.array([proc.lower_branch(r / 50) for r in range(1, 51)])[ranks - 1]
+        assert mean == pytest.approx(draws.mean(), abs=1e-12)
+        assert stderr == pytest.approx(draws.std(ddof=1) / math.sqrt(20000), rel=1e-9)
+
+    def test_chunked_draws_equal_one_shot(self, monkeypatch):
+        proc = make_extremal_process(SQ, UNIFORM)
+        one_shot = expectation_at_tau(proc, "montecarlo", trials=5000, seed=4)
+        monkeypatch.setattr(process, "_MC_CHUNK", 999)
+        assert expectation_at_tau(proc, "montecarlo", trials=5000, seed=4) == one_shot
+
+    def test_montecarlo_memory_is_bounded(self):
+        proc = make_extremal_process(ID, EmpiricalRV.uniform_grid(100))
+        tracemalloc.start()
+        try:
+            expectation_at_tau(proc, "montecarlo", trials=4_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_bad_mode(self):
         proc = make_extremal_process(ID, UNIFORM)
         with pytest.raises(ValidationError):
@@ -180,6 +207,14 @@ class TestProcessMembership:
         proc = make_extremal_process(ID, UNIFORM)
         with pytest.raises(InvalidGrid):
             verify_process_membership(proc, 1, 50)
+
+    def test_first_worst_level_is_reported(self):
+        # Levels 0.25 and 0.75 tie at deviation 0.25; the first is reported.
+        proc = make_extremal_process(ID, UNIFORM)
+        report = verify_process_membership(
+            proc, 2, 2, s_count=5, evaluator=lambda t, y: 0.25 if y < 0.5 else 0.75
+        )
+        assert (report.max_deviation, report.worst_level) == (0.25, 0.25)
 
 
 class TestJitter:
