@@ -43,6 +43,12 @@ from .values import BoundResult, ValueScale
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 CAP_EXIT = 3
+# cont-extremal holds several grid x grid float arrays (about 214 MB peak
+# resident at the maximum), so memory grows with the square of --grid.
+MAX_SURFACE_GRID = 2000
+# The closure of a {"grid": {"n": n}} poset holds about n**4 / 8 bytes of
+# bitmasks (192 MB peak resident at the maximum).
+MAX_POSET_GRID = 160
 
 
 @dataclass
@@ -110,7 +116,10 @@ def load_poset(path: str) -> Poset:
     with _malformed(f"poset {path}"):
         if "grid" in doc:
             g = doc["grid"]
-            return grid_poset(int(g["n"]), g.get("order", "product"))
+            n = int(g["n"])
+            if n > MAX_POSET_GRID:
+                raise ValidationError(f"grid n must be at most {MAX_POSET_GRID}")
+            return grid_poset(n, g.get("order", "product"))
         if "labels" not in doc or "covers" not in doc:
             raise ValidationError("poset JSON needs 'labels'+'covers' or 'grid'")
         labels = [_labelize(x) for x in doc["labels"]]
@@ -155,7 +164,10 @@ def load_map(arg: str) -> MonotoneMap1D:
     return parse_map_spec(_load_json(arg))
 
 
-def load_scale(path: str) -> ValueScale:
+def load_scale(path: str, size: int | None = None) -> ValueScale:
+    """Load a scale document.  Given the poset's ``size``, a ``from_m``
+    scale whose ``n * n`` values would not match it is rejected before it
+    is built."""
     doc = _load_json(path)
     with _malformed(f"scale {path}"):
         if "values" in doc:
@@ -165,12 +177,17 @@ def load_scale(path: str) -> ValueScale:
             return ValueScale(vals)
         if "from_m" in doc:
             sub = doc["from_m"]
+            n = int(sub["n"])
+            if size is not None and n * n != size:
+                raise ValidationError(
+                    f"scale has {n * n} values for a poset of {size} elements"
+                )
             m = (
                 load_map(sub["m"])
                 if isinstance(sub["m"], str)
                 else parse_map_spec(sub["m"])
             )
-            return scale_from_m(m, int(sub["n"]))
+            return scale_from_m(m, n)
     raise ValidationError("scale JSON needs 'values' or 'from_m'")
 
 
@@ -289,7 +306,7 @@ def _make_config(args) -> RunConfig:
 
 def _cmd_solve(args, config, stdout) -> int:
     poset = load_poset(args.poset)
-    scale = load_scale(args.scale)
+    scale = load_scale(args.scale, poset.n)
     query = load_query(args.query, poset)
     payload = {}
     if args.mode in ("min", "both"):
@@ -308,7 +325,7 @@ def _cmd_solve(args, config, stdout) -> int:
 
 def _cmd_oracle(args, config, stdout) -> int:
     poset = load_poset(args.poset)
-    scale = load_scale(args.scale)
+    scale = load_scale(args.scale, poset.n)
     query = load_query(args.query, poset)
     bmin, bmax, count = brute_min_max(poset, scale, query, cap=config.cap)
     payload = {
@@ -338,10 +355,10 @@ def _cmd_cont_bound(args, config, stdout) -> int:
 
 
 def _cmd_cont_extremal(args, config, stdout) -> int:
+    if not 2 <= args.grid <= MAX_SURFACE_GRID:
+        raise ValidationError(f"--grid must be between 2 and {MAX_SURFACE_GRID}")
     m = load_map(args.m)
     t = load_map(args.t)
-    if args.grid < 2:
-        raise ValidationError("--grid must be at least 2")
     centers = (np.arange(args.grid) + 0.5) / args.grid
     grid = _surface_grid(m, t, centers, centers)
     coords = [repr(c) for c in centers.tolist()]

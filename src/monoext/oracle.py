@@ -17,7 +17,7 @@ from .errors import (
     NotIncomparable,
     ValidationError,
 )
-from .poset import DEFAULT_CAP, Poset, QuerySet, linear_extensions
+from .poset import DEFAULT_CAP, Poset, QuerySet, _walk_poset
 from .values import BoundResult, MonotoneBijection, ValueScale
 
 
@@ -44,19 +44,20 @@ def brute_min_max(
     for i in query.indices:
         qmask |= 1 << i
 
-    min_s = max_s = None
-    min_ext = max_ext = None
-    count = 0
-    for ext in linear_extensions(poset, cap=cap):
+    # The walk keeps the running query sum per depth; an extension is
+    # copied only when it is strictly better, so each witness is the first
+    # extension attaining its optimum.
+    chosen = [0] * poset.n
+    walk = _walk_poset(poset, chosen, cap, qmask, ints)
+    min_s = max_s = next(walk)
+    min_ext = max_ext = tuple(chosen)
+    count = 1
+    for s in walk:
         count += 1
-        s = 0
-        for pos, e in enumerate(ext):
-            if qmask >> e & 1:
-                s += ints[pos]
-        if min_s is None or s < min_s:
-            min_s, min_ext = s, ext
-        if max_s is None or s > max_s:
-            max_s, max_ext = s, ext
+        if s < min_s:
+            min_s, min_ext = s, tuple(chosen)
+        elif s > max_s:
+            max_s, max_ext = s, tuple(chosen)
 
     def result(int_sum, ext):
         ranks = [0] * poset.n

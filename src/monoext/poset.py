@@ -249,9 +249,8 @@ def up_set(poset: Poset, alpha: Label) -> ElementSet:
     return ElementSet(poset, poset.up[poset.index(alpha)])
 
 
-def _query_below(poset: Poset, query: QuerySet) -> list:
-    """Per query position p, the bitmask of query positions strictly below p."""
-    idxs = query.indices
+def _query_below(poset: Poset, idxs: Sequence[int]) -> list:
+    """Per entry p of ``idxs``, the bitmask of entries strictly below it."""
     out = []
     for i in idxs:
         down = poset.down[i]
@@ -261,6 +260,96 @@ def _query_below(poset: Poset, query: QuerySet) -> list:
                 m |= 1 << q
         out.append(m)
     return out
+
+
+def _walk(
+    below: Sequence[int],
+    succs: Sequence[Sequence[int]],
+    chosen: list,
+    cap: int,
+    weight: int = 0,
+    values: Sequence = (),
+) -> Iterator:
+    """Iterative depth-first walk over the linear extensions of a poset on
+    the elements ``0..n-1``.
+
+    ``below[j]`` is the bitmask of the elements strictly below j, and
+    ``succs[i]`` lists the elements above i along a set of pairs that
+    generates the order (the covers, or any superset of them).  Placing i
+    can make only these minimal: a j whose last unplaced predecessor is i
+    covers i.
+
+    At every complete extension ``chosen[pos]`` is the element placed at
+    position pos, and the walk yields the sum of ``values[pos]`` over the
+    positions whose element is in the bitmask ``weight``.  The sum is kept
+    per depth, so a leaf costs O(1).  Candidates are taken lowest element
+    first, so extensions come in lexicographic order.  Raises
+    :class:`CapExceeded` on the (cap+1)-th extension.
+    """
+    n = len(below)
+    if n == 0:  # the empty poset has one, empty, extension
+        if cap < 1:
+            raise CapExceeded(cap)
+        yield 0
+        return
+    # Per depth: the minimal unplaced elements, those of them still to try,
+    # the placed elements and the sum before this depth.
+    avail = [0] * n
+    todo = [0] * n
+    used = [0] * n
+    sums = [0] * n
+    minimal = 0
+    for j, strict in enumerate(below):
+        if not strict:
+            minimal |= 1 << j
+    avail[0] = todo[0] = minimal
+    last = n - 1
+    penult = n - 2
+    full = (1 << n) - 1
+    count = 0
+    d = 0
+    while d >= 0:
+        c = todo[d]
+        if not c:
+            d -= 1
+            continue
+        low = c & -c
+        todo[d] = c ^ low
+        i = low.bit_length() - 1
+        chosen[d] = i
+        s = sums[d] + values[d] if weight & low else sums[d]
+        u = used[d] | low
+        if d >= penult:  # a complete extension
+            if d == penult:  # the one element left goes last
+                rest = full ^ u
+                chosen[last] = rest.bit_length() - 1
+                if weight & rest:
+                    s += values[last]
+            count += 1
+            if count > cap:
+                raise CapExceeded(cap)
+            yield s
+            continue
+        a = avail[d] ^ low
+        for j in succs[i]:
+            if not below[j] & ~u:
+                a |= 1 << j
+        d += 1
+        used[d] = u
+        sums[d] = s
+        avail[d] = todo[d] = a
+
+
+def _walk_poset(
+    poset: Poset, chosen: list, cap: int, weight: int = 0, values: Sequence = ()
+) -> Iterator:
+    """:func:`_walk` over the whole ground set, its successors taken from
+    the stored cover pairs."""
+    below = [d ^ 1 << i for i, d in enumerate(poset.down)]
+    succs = [[] for _ in below]
+    for a, b in poset.covers:
+        succs[poset.index(a)].append(poset.index(b))
+    return _walk(below, succs, chosen, cap, weight, values)
 
 
 def admissible_permutations(
@@ -277,27 +366,15 @@ def admissible_permutations(
     :class:`CapExceeded` on the (cap+1)-th result.
     """
     idxs = query.indices
-    n = len(idxs)
-    strictly_below = _query_below(poset, query)
-    order = sorted(range(n), key=lambda p: idxs[p])
-    chosen = [0] * n
-    count = 0
-
-    def explore(depth: int, used: int) -> Iterator[tuple]:
-        nonlocal count
-        if depth == n:
-            count += 1
-            if count > cap:
-                raise CapExceeded(cap)
-            yield tuple(chosen)
-            return
-        for p in order:
-            if used >> p & 1 or strictly_below[p] & ~used:
-                continue
-            chosen[depth] = p
-            yield from explore(depth + 1, used | 1 << p)
-
-    yield from explore(0, 0)
+    order = sorted(range(len(idxs)), key=idxs.__getitem__)
+    below = _query_below(poset, [idxs[p] for p in order])
+    above = [
+        [j for j, strict in enumerate(below) if strict >> i & 1]
+        for i in range(len(below))
+    ]
+    chosen = [0] * len(order)
+    for _ in _walk(below, above, chosen, cap):
+        yield tuple(order[r] for r in chosen)
 
 
 def linear_extensions(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
@@ -307,27 +384,10 @@ def linear_extensions(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
     by canonical index, with the same cap discipline as
     :func:`admissible_permutations`.
     """
-    n = poset.n
-    strictly_below = [poset.down[i] & ~(1 << i) for i in range(n)]
-    chosen = [0] * n
-    count = 0
-
-    def explore(depth: int, used: int) -> Iterator[tuple]:
-        nonlocal count
-        if depth == n:
-            count += 1
-            if count > cap:
-                raise CapExceeded(cap)
-            yield tuple(chosen)
-            return
-        for i in range(n):
-            if used >> i & 1 or strictly_below[i] & ~used:
-                continue
-            chosen[depth] = i
-            yield from explore(depth + 1, used | 1 << i)
-
-    yield from explore(0, 0)
+    chosen = [0] * poset.n
+    for _ in _walk_poset(poset, chosen, cap):
+        yield tuple(chosen)
 
 
 def count_linear_extensions(poset: Poset, cap: int = DEFAULT_CAP) -> int:
-    return sum(1 for _ in linear_extensions(poset, cap=cap))
+    return sum(1 for _ in _walk_poset(poset, [0] * poset.n, cap))

@@ -25,7 +25,7 @@ from .continuous import (
 from .errors import MembershipViolation, NotAChain, PreconditionViolated
 from .func1d import EmpiricalRV, MonotoneMap1D
 from .oracle import brute_min_max, check_monotone_bijection, swap_adjacent
-from .poset import QuerySet, _grid_poset, build_poset, grid_poset, linear_extensions
+from .poset import QuerySet, _grid_poset, build_poset, grid_poset
 from .process import (
     expectation_at_tau,
     expectation_bound,

@@ -106,7 +106,7 @@ def solve_min(
     xi = scale.values
     idxs = query.indices
     n = len(idxs)
-    below = _query_below(poset, query)
+    below = _query_below(poset, idxs)
     downs = [poset.down[i] for i in idxs]
     order = sorted(range(n), key=lambda p: idxs[p])
 

@@ -3,13 +3,14 @@ import json
 import subprocess
 import sys
 import tempfile
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoext import errors, eval_extremal_surface
-from monoext.cli import load_map, main
+from monoext.cli import MAX_POSET_GRID, MAX_SURFACE_GRID, load_map, main
 
 GRID_POSET = {"grid": {"n": 2, "order": "product"}}
 SCALE = {"values": [1, 2, 3, 4]}
@@ -36,14 +37,15 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def solve_argv(tmp_path, poset, query):
-    """``solve`` arguments for an explicit poset, the scale 1..N and a query."""
+def solve_argv(tmp_path, poset, query, command="solve"):
+    """``solve`` (or ``oracle``) arguments for an explicit poset, the scale
+    1..N and a query."""
     docs = {
         "poset": poset,
         "scale": {"values": list(range(1, len(poset["labels"]) + 1))},
         "query": {"query": query},
     }
-    argv = ["solve"]
+    argv = [command]
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -125,6 +127,20 @@ class TestOracle:
         assert code == 3
         assert json.loads(err)["error"]["type"] == "CapExceeded"
 
+    def test_deep_chain(self, tmp_path):
+        n = 1500
+        argv = solve_argv(
+            tmp_path,
+            {"labels": list(range(n)), "covers": [[i, i + 1] for i in range(n - 1)]},
+            list(range(n)),
+            command="oracle",
+        )
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["count"] == 1
+        assert payload["min"]["objective"] == f"{n * (n + 1) // 2}/1"
+
 
 class TestContinuous:
     def test_cont_bound_constant_path(self):
@@ -160,6 +176,16 @@ class TestContinuous:
             x, y, value = map(float, line.split(","))
             assert (x, y) == ((k // 20 + 0.5) / 20, (k % 20 + 0.5) / 20)
             assert value == eval_extremal_surface(mm, tt, x, y)
+
+    def test_cont_extremal_grid_limit(self, fixtures):
+        out_path = fixtures["dir"] / "surface.csv"
+        code, _, err = run_cli(
+            ["cont-extremal", "--m", "id", "--t", "const:0.5",
+             "--grid", str(MAX_SURFACE_GRID + 1), "--out", str(out_path)]
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+        assert not out_path.exists()
 
     def test_grid_exp(self):
         code, out, _ = run_cli(["grid-exp", "--alpha", "0.5", "--n", "20", "--k", "10"])
@@ -245,8 +271,12 @@ class TestErrorsAndConfig:
 
     @pytest.mark.parametrize(
         "doc",
-        ['{"labels": ["a", "b", "c"], "covers": [["a", "b", "c"]]}', '{"grid": {}}'],
-        ids=["cover-not-a-pair", "grid-without-n"],
+        [
+            '{"labels": ["a", "b", "c"], "covers": [["a", "b", "c"]]}',
+            '{"grid": {}}',
+            json.dumps({"grid": {"n": MAX_POSET_GRID + 1}}),
+        ],
+        ids=["cover-not-a-pair", "grid-without-n", "grid-over-limit"],
     )
     def test_malformed_poset_is_validation_error(self, fixtures, tmp_path, doc):
         bad = tmp_path / "poset.json"
@@ -257,6 +287,20 @@ class TestErrorsAndConfig:
         )
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("side, code", [(2, 0), (3, 2), (10**6, 2)])
+    def test_from_m_scale_length(self, fixtures, tmp_path, side, code):
+        # The 2x2 grid takes side 2 (four values); a wrong side is rejected
+        # before its side**2 values are built.
+        scale = tmp_path / "scale.json"
+        scale.write_text(json.dumps({"from_m": {"m": "id", "n": side}}))
+        got, _, err = run_cli(
+            ["oracle", "--poset", fixtures["poset"], "--scale", str(scale),
+             "--query", fixtures["query"]]
+        )
+        assert got == code
+        if code:
+            assert json.loads(err)["error"]["type"] == "ValidationError"
 
     def test_bad_env_seed(self, fixtures, monkeypatch):
         monkeypatch.setenv("MONOEXT_SEED", "not-a-number")
@@ -319,6 +363,102 @@ def test_map_shorthand_fuzz(command, m, t):
         code, _, err = run_cli(argv)
     assert code in (0, 2, 3, 64)
     if err:
+        assert isinstance(json.loads(err)["error"], dict)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 9),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["a", "b", "1/2", "1/0", "nan", "inf", "", "x/y"]),
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "order", "m", "kind", "p"]), inner,
+                      max_size=2),
+    max_leaves=6,
+)
+_LABELS = st.one_of(
+    st.integers(0, 5), st.sampled_from(["a", "b", "c"]),
+    st.lists(st.integers(1, 3), min_size=2, max_size=2),
+)
+_POSET_DOCS = st.one_of(
+    st.fixed_dictionaries({
+        "labels": st.lists(_LABELS, max_size=6),
+        "covers": st.lists(st.lists(_LABELS, min_size=1, max_size=3), max_size=6),
+    }),
+    st.fixed_dictionaries({"grid": st.fixed_dictionaries({
+        "n": st.one_of(st.integers(-1, 3), _JSON_SCALARS),
+        "order": st.sampled_from(["product", "rows", "diagonal"]),
+    })}),
+    st.dictionaries(st.sampled_from(["labels", "covers", "grid"]), _JSON, max_size=3),
+    _JSON,
+)
+_SCALE_DOCS = st.one_of(
+    st.fixed_dictionaries({"values": st.lists(
+        st.one_of(st.integers(-9, 9), st.fractions(max_denominator=5).map(str),
+                  _JSON_SCALARS),
+        max_size=9,
+    )}),
+    st.fixed_dictionaries({"from_m": st.fixed_dictionaries({
+        "m": st.one_of(st.sampled_from(["id", "power:2", "const:0.5"]), _JSON),
+        "n": st.one_of(st.integers(-1, 9), _JSON_SCALARS),
+    })}),
+    st.dictionaries(st.sampled_from(["values", "from_m"]), _JSON, max_size=2),
+    _JSON,
+)
+_QUERY_DOCS = st.one_of(
+    st.fixed_dictionaries({"query": st.lists(_LABELS, max_size=6)}),
+    st.dictionaries(st.sampled_from(["query"]), _JSON, max_size=1),
+    _JSON,
+)
+
+
+@st.composite
+def _documents(draw):
+    """Poset, scale and query documents: each is either well formed for one
+    shared element count or drawn from the malformed strategies above."""
+    n = draw(st.integers(1, 6))
+    labels = list(range(n))
+    pairs = [[a, b] for a in labels for b in labels if a != b]
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+    values = draw(st.lists(st.fractions(-5, 5, max_denominator=4), min_size=n,
+                           max_size=n, unique=True))
+    scale = st.sampled_from([
+        {"values": [str(v) for v in sorted(values)]},
+        # n side**2 values: the right length when n is a square.
+        {"from_m": {"m": "power:2", "n": isqrt(n)}},
+    ])
+    query = st.lists(st.sampled_from(labels), min_size=1, max_size=n, unique=True)
+    # Two in three documents are well formed.
+    return tuple(
+        draw(good if draw(st.integers(0, 2)) else bad)
+        for good, bad in (
+            (st.just({"labels": labels, "covers": covers}), _POSET_DOCS),
+            (scale, _SCALE_DOCS),
+            (query.map(lambda q: {"query": q}), _QUERY_DOCS),
+        )
+    )
+
+
+@given(st.sampled_from(["solve", "oracle"]), _documents())
+@settings(max_examples=300, deadline=None)
+def test_document_fuzz(command, documents):
+    """Any poset, scale and query document ends in a documented exit code,
+    and a failure writes one JSON error object to stderr, never a traceback."""
+    poset, scale, query = documents
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for name, doc in (("poset", poset), ("scale", scale), ("query", query)):
+            path = f"{tmp}/{name}.json"
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            argv += [f"--{name}", path]
+        code, _, err = run_cli(argv)
+    assert code in (0, 2, 3, 64)
+    if code != 0:
         assert isinstance(json.loads(err)["error"], dict)
 
 

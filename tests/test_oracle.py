@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoext import (
     MonotoneBijection,
@@ -78,6 +81,59 @@ class TestBruteMinMax:
         bmin, bmax, _ = brute_min_max(p, s, QuerySet(p, [(1, 2)]))
         assert bmin.objective == Fraction(1, 2)
         assert bmax.objective == Fraction(2, 3)
+
+
+@st.composite
+def shuffled_instances(draw, max_n=6):
+    """A poset on n <= 6 elements whose canonical (label-list) order is not
+    a linear extension, its cover pairs as drawn, a scale and a query."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    covers = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    ]
+    labels = list(draw(st.permutations(range(n))))
+    values = draw(st.lists(st.fractions(-10, 10, max_denominator=6),
+                           min_size=n, max_size=n, unique=True))
+    query = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    return labels, covers, sorted(values), query
+
+
+def reference_min_max(labels, covers, values, query):
+    """(min, max, count, min ranks, max ranks) by filtering all n!
+    placements: the first placement attaining each optimum, placements in
+    lexicographic order of the labels' list positions."""
+    pos = {lab: i for i, lab in enumerate(labels)}
+    best = {}
+    count = 0
+    for order in permutations(range(len(labels))):
+        rank = [0] * len(labels)
+        for r, i in enumerate(order):
+            rank[i] = r
+        if any(rank[pos[a]] > rank[pos[b]] for a, b in covers):
+            continue
+        count += 1
+        total = sum(values[rank[pos[lab]]] for lab in query)
+        ranks = [r + 1 for r in rank]
+        if "min" not in best or total < best["min"][0]:
+            best["min"] = (total, ranks)
+        if "max" not in best or total > best["max"][0]:
+            best["max"] = (total, ranks)
+    return best["min"], best["max"], count
+
+
+@given(shuffled_instances())
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_permutation_reference(instance):
+    labels, covers, values, query = instance
+    p = build_poset(labels, covers)
+    bmin, bmax, count = brute_min_max(p, ValueScale(values), QuerySet(p, query))
+    (ref_min, min_ranks), (ref_max, max_ranks), ref_count = reference_min_max(
+        labels, covers, values, query
+    )
+    assert count == ref_count
+    assert bmin.objective == ref_min and bmax.objective == ref_max
+    assert list(bmin.witness_fn.ranks) == min_ranks
+    assert list(bmax.witness_fn.ranks) == max_ranks
 
 
 class TestChecker:

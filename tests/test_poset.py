@@ -210,6 +210,17 @@ class TestLinearExtensions:
         with pytest.raises(CapExceeded):
             list(linear_extensions(antichain(5), cap=10))
 
+    def test_deep_chain(self):
+        # The walk is iterative: depth is not bounded by the recursion limit.
+        n = 1500
+        p = build_poset(range(n), [(i, i + 1) for i in range(n - 1)])
+        assert count_linear_extensions(p) == 1
+        q = QuerySet(p, range(n))
+        assert sum(1 for _ in admissible_permutations(p, q)) == 1
+
+    def test_empty_poset_has_one_empty_extension(self):
+        assert list(linear_extensions(build_poset([], []))) == [()]
+
 
 class TestReversal:
     def test_double_reversal_is_identity(self):
