@@ -56,7 +56,6 @@ class RunConfig:
     tol: float = 1e-9
     cap: int = DEFAULT_CAP
     seed: int = 0
-    verbosity: int = 0
 
     def validate(self) -> "RunConfig":
         if not self.tol > 0:
@@ -286,7 +285,7 @@ def _make_config(args) -> RunConfig:
     config = RunConfig()
     if args.config:
         doc = _load_json(args.config)
-        for key in ("tol", "cap", "seed", "verbosity"):
+        for key in ("tol", "cap", "seed"):
             if key in doc:
                 setattr(config, key, doc[key])
     env_seed = os.environ.get("MONOEXT_SEED")

@@ -99,9 +99,10 @@ def check_monotone_bijection(poset: Poset, scale: ValueScale, f) -> CheckResult:
             return CheckResult(False, None, "rank map does not cover the ground set")
     if len(scale) != poset.n or sorted(ranks) != list(range(1, poset.n + 1)):
         return CheckResult(False, None, "not a bijection onto the scale")
-    for a, b in poset.covers:
-        if ranks[poset.index(a)] > ranks[poset.index(b)]:
-            return CheckResult(False, (a, b), "order violated")
+    for i, j in poset.covers:
+        if ranks[i] > ranks[j]:
+            pair = (poset.labels[i], poset.labels[j])
+            return CheckResult(False, pair, "order violated")
     return CheckResult(True)
 
 

@@ -10,6 +10,7 @@ thousands of elements.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -30,8 +31,10 @@ class Poset:
 
     Bit ``j`` of ``down[i]`` is set iff ``labels[j] <= labels[i]`` (the
     relation is reflexive, so bit ``i`` is always set); ``up`` is the
-    transpose.  Instances are constructed through :func:`build_poset` or
-    :func:`grid_poset`, which compute the closure.
+    transpose.  ``covers`` holds the given cover pairs as canonical index
+    pairs ``(i, j)`` meaning ``labels[i] < labels[j]``, without repeats and
+    in input order.  Instances are constructed through :func:`build_poset`
+    or :func:`grid_poset`, which compute the closure.
     """
 
     __slots__ = ("labels", "covers", "down", "up", "_index")
@@ -70,7 +73,7 @@ class Poset:
         """The same ground set under the reversed order."""
         return Poset(
             self.labels,
-            tuple((b, a) for a, b in self.covers),
+            tuple((j, i) for i, j in self.covers),
             self.up,
             self.down,
         )
@@ -176,22 +179,11 @@ def build_poset(labels: Sequence[Label], covers: Iterable[tuple]) -> Poset:
 
     preds = [[] for _ in range(n)]
     succs = [[] for _ in range(n)]
-    indeg = [0] * n
     for ia, ib in edges:
         preds[ib].append(ia)
         succs[ia].append(ib)
-        indeg[ib] += 1
 
-    topo = [i for i in range(n) if indeg[i] == 0]
-    head = 0
-    deg = list(indeg)
-    while head < len(topo):
-        v = topo[head]
-        head += 1
-        for w in succs[v]:
-            deg[w] -= 1
-            if deg[w] == 0:
-                topo.append(w)
+    topo = _first_extension(succs, range(n))
     if len(topo) != n:
         raise CycleError("cover relation contains a directed cycle")
 
@@ -208,8 +200,29 @@ def build_poset(labels: Sequence[Label], covers: Iterable[tuple]) -> Poset:
             m |= up[w]
         up[v] = m
 
-    cover_labels = tuple((labs[ia], labs[ib]) for ia, ib in edges)
-    return Poset(labs, cover_labels, down, up)
+    return Poset(labs, edges, down, up)
+
+
+def _first_extension(succs: Sequence[Sequence[int]], key: Sequence) -> list:
+    """Kahn's algorithm with a heap on ``(key[i], i)``: the linear extension
+    of ``0..n-1`` under the pairs ``i < j``, j in ``succs[i]`` (no repeats),
+    that always places the minimal element least by that pair.  It is
+    shorter than n exactly when the pairs contain a directed cycle."""
+    indeg = [0] * len(succs)
+    for row in succs:
+        for j in row:
+            indeg[j] += 1
+    heap = [(key[i], i) for i, d in enumerate(indeg) if not d]
+    heapify(heap)
+    out = []
+    while heap:
+        i = heappop(heap)[1]
+        out.append(i)
+        for j in succs[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                heappush(heap, (key[j], j))
+    return out
 
 
 def grid_poset(n: int, order_kind: str = "product") -> Poset:
@@ -340,16 +353,21 @@ def _walk(
         avail[d] = todo[d] = a
 
 
+def _cover_succs(poset: Poset) -> list:
+    """Per element, the elements above it along the stored cover pairs."""
+    succs = [[] for _ in range(poset.n)]
+    for i, j in poset.covers:
+        succs[i].append(j)
+    return succs
+
+
 def _walk_poset(
     poset: Poset, chosen: list, cap: int, weight: int = 0, values: Sequence = ()
 ) -> Iterator:
     """:func:`_walk` over the whole ground set, its successors taken from
     the stored cover pairs."""
     below = [d ^ 1 << i for i, d in enumerate(poset.down)]
-    succs = [[] for _ in below]
-    for a, b in poset.covers:
-        succs[poset.index(a)].append(poset.index(b))
-    return _walk(below, succs, chosen, cap, weight, values)
+    return _walk(below, _cover_succs(poset), chosen, cap, weight, values)
 
 
 def admissible_permutations(

@@ -10,6 +10,7 @@ the order ideals of the query.  All arithmetic is exact rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from re import finditer
 
 from .errors import (
     CapExceeded,
@@ -21,6 +22,7 @@ from .errors import (
 )
 from .func1d import MonotoneMap1D
 from .poset import DEFAULT_CAP, Poset, QuerySet, _query_below
+from .poset import _cover_succs, _first_extension
 from .values import BoundResult, MonotoneBijection, ValueScale
 
 
@@ -36,13 +38,16 @@ def _validate_ordering(poset: Poset, query: QuerySet, perm) -> None:
     if tuple(sorted(perm)) != tuple(range(n)):
         raise InvalidPermutation(f"{perm!r} is not a permutation of 0..{n - 1}")
     idxs = query.indices
-    for later in range(n):
-        for earlier in range(later):
-            if poset.leq_idx(idxs[perm[later]], idxs[perm[earlier]]):
-                raise InvalidPermutation(
-                    f"{query.labels[perm[later]]!r} lies below "
-                    f"{query.labels[perm[earlier]]!r} but is ordered after it"
-                )
+    placed = 0
+    for later, p in enumerate(perm):
+        i = idxs[p]
+        if poset.up[i] & placed:
+            earlier = next(q for q in perm[:later] if poset.leq_idx(i, idxs[q]))
+            raise InvalidPermutation(
+                f"{query.labels[p]!r} lies below "
+                f"{query.labels[earlier]!r} but is ordered after it"
+            )
+        placed |= 1 << i
 
 
 def conditional_min(
@@ -190,59 +195,35 @@ def build_witness(
     Min mode assigns scale ranks block by block: the k-th block is the set
     of elements newly covered by the union of down-sets after placing the
     k-th ordered query element, filled along the lexicographically first
-    linear extension of the induced subposet.  Max mode runs the same
-    construction on the reversed instance and maps ranks back.
+    linear extension of the induced subposet.  This is the least linear
+    extension under the key (first prefix containing the element,
+    canonical index), built in O((N + covers) log N).  Max mode runs the
+    same construction on the reversed instance and maps ranks back.
     """
     _check_scale(poset, scale)
     _validate_ordering(poset, query, perm)
     if mode == "max":
         rposet, rscale, rquery = reverse_reduce(poset, scale, query)
         g = build_witness(rposet, rscale, rquery, tuple(reversed(perm)), "min")
-        n_total = poset.n
-        return MonotoneBijection(
-            poset, scale, [n_total + 1 - r for r in g.ranks]
-        )
+        ranks = [poset.n + 1 - r for r in g.ranks]
+        return MonotoneBijection(poset, scale, ranks)
     if mode != "min":
         raise ValidationError(f"mode must be 'min' or 'max', got {mode!r}")
 
+    # The prefix unions are down-closed, so ordering by (key, index) fills
+    # each block along its lexicographically first extension.
     idxs = query.indices
-    full = (1 << poset.n) - 1
-    block_tops = []
+    key = [len(perm)] * poset.n
     mask = 0
-    for p in perm:
-        mask |= poset.down[idxs[p]]
-        block_tops.append(mask)
-    if mask != full:
-        block_tops.append(full)
-
+    for k, p in enumerate(perm):
+        new = poset.down[idxs[p]] & ~mask
+        mask |= new
+        for bit in finditer("1", bin(new)[:1:-1]):  # character i is bit i
+            key[bit.start()] = k
     ranks = [0] * poset.n
-    next_rank = 1
-    prev = 0
-    for top in block_tops:
-        for e in _lex_extension(poset, top & ~prev):
-            ranks[e] = next_rank
-            next_rank += 1
-        prev = top
+    for r, e in enumerate(_first_extension(_cover_succs(poset), key), 1):
+        ranks[e] = r
     return MonotoneBijection(poset, scale, ranks)
-
-
-def _lex_extension(poset: Poset, mask: int) -> list:
-    """Lexicographically first linear extension of the induced subposet."""
-    remaining = mask
-    out = []
-    while remaining:
-        m = remaining
-        pick = -1
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if poset.down[i] & remaining == low:
-                pick = i
-                break
-            m ^= low
-        out.append(pick)
-        remaining ^= 1 << pick
-    return out
 
 
 def reverse_reduce(poset: Poset, scale: ValueScale, query: QuerySet):

@@ -253,6 +253,15 @@ class TestErrorsAndConfig:
         )
         assert code == 3
 
+    def test_config_file_ignores_unread_keys(self, fixtures, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"cap": 1, "verbosity": 2, "format": "csv"}')
+        code, _, _ = run_cli(
+            ["--config", str(cfg), "oracle", "--poset", fixtures["poset"],
+             "--scale", fixtures["scale"], "--query", fixtures["query"]]
+        )
+        assert code == 3
+
     @pytest.mark.parametrize(
         "argv",
         [

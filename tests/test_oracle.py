@@ -151,6 +151,14 @@ class TestChecker:
         assert not res
         assert res.pair == ("a", "b")
 
+    def test_first_violated_cover_in_stored_order(self):
+        p = build_poset(["a", "b", "c"], [("b", "c"), ("a", "b"), ("b", "c")])
+        s = ValueScale([1, 2, 3])
+        res = check_monotone_bijection(p, s, {"a": 3, "b": 2, "c": 1})
+        assert res.pair == ("b", "c")
+        res = check_monotone_bijection(p.reversed(), s, {"a": 1, "b": 2, "c": 3})
+        assert res.pair == ("c", "b")
+
     def test_non_surjective_rank_map(self):
         p = build_poset(["a", "b"], [("a", "b")])
         s = ValueScale([1, 2])

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoext import (
     MonotoneBijection,
     MonotoneMap1D,
     QuerySet,
     ValueScale,
+    admissible_permutations,
     build_poset,
     build_witness,
     chain_bounds,
@@ -81,6 +84,18 @@ class TestConditionalValues:
             conditional_min(p, s, q, (1, 0))
         with pytest.raises(InvalidPermutation):
             conditional_min(p, s, q, (0, 0))
+
+    def test_invalid_ordering_names_first_violation(self):
+        # The ordering b, c, a, e, d breaks a < b, a < c and d < e.  The
+        # first element placed above an earlier one is a, and b is the
+        # first earlier element above it.
+        p = build_poset(list("abcde"), [("a", "b"), ("a", "c"), ("d", "e")])
+        s = ValueScale([1, 2, 3, 4, 5])
+        q = QuerySet(p, list("abcde"))
+        message = r"^'a' lies below 'b' but is ordered after it$"
+        for check in (conditional_min, conditional_max, build_witness):
+            with pytest.raises(InvalidPermutation, match=message):
+                check(p, s, q, (1, 2, 0, 4, 3))
 
 
 class TestSolve:
@@ -194,6 +209,62 @@ class TestBuildWitness:
         q = QuerySet(p, ["a"])
         with pytest.raises(ValidationError):
             build_witness(p, ValueScale([1, 2, 3]), q, (0,), "median")
+
+
+@st.composite
+def shuffled_orderings(draw, max_n=7):
+    """A poset on n <= 7 elements whose canonical (label-list) order is not
+    a linear extension, a query and an admissible ordering of it."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    covers = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    ]
+    labels = list(draw(st.permutations(range(n))))
+    poset = build_poset(labels, covers)
+    query = QuerySet(
+        poset, draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    )
+    perm = draw(st.sampled_from(list(admissible_permutations(poset, query))))
+    return poset, query, perm
+
+
+def reference_witness(poset, query, perm, mode):
+    """Ranks filled block by block, each block by its smallest-index
+    minimal unplaced element first.  Max mode fills from the top: blocks
+    of up-sets along the reversed ordering, maximal elements first."""
+    n = poset.n
+
+    def leq(i, j):
+        return poset.leq_idx(i, j) if mode == "min" else poset.leq_idx(j, i)
+
+    order = perm if mode == "min" else perm[::-1]
+    tops = [query.indices[p] for p in order]
+    placed = []
+    for k in range(len(tops) + 1):
+        block = [
+            j
+            for j in range(n)
+            if j not in placed
+            and (k == len(tops) or any(leq(j, t) for t in tops[: k + 1]))
+        ]
+        while block:
+            i = min(j for j in block if not any(leq(m, j) for m in block if m != j))
+            block.remove(i)
+            placed.append(i)
+    ranks = [0] * n
+    for r, i in enumerate(placed):
+        ranks[i] = r + 1 if mode == "min" else n - r
+    return ranks
+
+
+@given(shuffled_orderings())
+@settings(max_examples=150, deadline=None)
+def test_witness_matches_block_reference(instance):
+    poset, query, perm = instance
+    scale = ValueScale(range(1, poset.n + 1))
+    for mode in ("min", "max"):
+        w = build_witness(poset, scale, query, perm, mode)
+        assert list(w.ranks) == reference_witness(poset, query, perm, mode)
 
 
 class TestReverseReduce:
