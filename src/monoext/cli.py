@@ -43,9 +43,14 @@ from .values import BoundResult, ValueScale
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 CAP_EXIT = 3
-# cont-extremal holds several grid x grid float arrays (about 214 MB peak
-# resident at the maximum), so memory grows with the square of --grid.
+# cont-extremal holds several grid x grid float arrays, so memory grows with
+# the square of --grid: at the maximum, about 367 MB peak resident when m is
+# piecewise linear (the worst map kind) and 220 MB for identity and power.
+# Also the limit of each side of proc-sim --verify.
 MAX_SURFACE_GRID = 2000
+# grid-exp fills an n x n table of Python ints (113 MB peak resident at the
+# maximum).
+MAX_GRID_EXP_N = 1000
 # The closure of a {"grid": {"n": n}} poset holds about n**4 / 8 bytes of
 # bitmasks (192 MB peak resident at the maximum).
 MAX_POSET_GRID = 160
@@ -337,6 +342,8 @@ def _cmd_oracle(args, config, stdout) -> int:
 
 
 def _cmd_grid_exp(args, config, stdout) -> int:
+    if args.n > MAX_GRID_EXP_N:
+        raise ValidationError(f"--n must be at most {MAX_GRID_EXP_N}")
     record = grid_experiment(args.alpha, args.n, args.k)
     _emit(record.as_dict(), stdout)
     return 0
@@ -361,10 +368,16 @@ def _cmd_cont_extremal(args, config, stdout) -> int:
     centers = (np.arange(args.grid) + 0.5) / args.grid
     grid = _surface_grid(m, t, centers, centers)
     coords = [repr(c) for c in centers.tolist()]
+    # The surface takes one value per level region, O(grid) distinct values
+    # in all: format each once.  Unique bit patterns, so that values equal
+    # as floats but printed differently (0.0, -0.0) keep their own text.
+    bits, index = np.unique(grid.view(np.int64), return_inverse=True)
+    texts = [repr(v) for v in bits.view(np.float64).tolist()]
     with open(args.out, "w") as fh:
         fh.write("x,y,value\n")
-        for x, row in zip(coords, grid.tolist()):
-            fh.write("".join([f"{x},{y},{v!r}\n" for y, v in zip(coords, row)]))
+        for x, row in zip(coords, index.reshape(grid.shape)):
+            fh.write("".join([f"{x},{y},{texts[k]}\n"
+                              for y, k in zip(coords, row.tolist())]))
     report = verify_membership(m, t, args.grid, surface=grid)
     _emit(
         {
@@ -393,6 +406,15 @@ def _cmd_proc_bound(args, config, stdout) -> int:
 
 
 def _cmd_proc_sim(args, config, stdout) -> int:
+    if args.verify:
+        try:
+            gt, gy = (int(x) for x in args.verify.split(","))
+        except ValueError:
+            raise ValidationError("--verify expects 'grid_t,grid_y'") from None
+        if not (2 <= gt <= MAX_SURFACE_GRID and 2 <= gy <= MAX_SURFACE_GRID):
+            raise ValidationError(
+                f"--verify grid sizes must be between 2 and {MAX_SURFACE_GRID}"
+            )
     m = load_map(args.m)
     tau = load_samples(args.tau)
     proc = make_extremal_process(m, tau, seed=config.seed)
@@ -402,10 +424,6 @@ def _cmd_proc_sim(args, config, stdout) -> int:
     )
     payload = {"bound": bound, "expectation": value, "stderr": stderr}
     if args.verify:
-        try:
-            gt, gy = (int(x) for x in args.verify.split(","))
-        except ValueError:
-            raise ValidationError("--verify expects 'grid_t,grid_y'") from None
         report = verify_process_membership(proc, gt, gy)
         payload["membership_report"] = {
             "ok": report.ok,

@@ -19,7 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidGrid, MembershipViolation, OutOfDomain
-from .func1d import MonotoneMap1D, _clamp_unit, _level_set_deviation, integrate
+from .func1d import (
+    MonotoneMap1D,
+    _clamp_unit,
+    _integrate_nodes,
+    _level_set_deviation,
+)
 from .poset import grid_poset, QuerySet
 from .solver import chain_bounds, scale_from_m
 
@@ -38,8 +43,8 @@ def line_integral_bound(
     over the whole class.
     """
     _require_bijection(m)
-    return integrate(
-        lambda s: float(m.inverse(t.eval(s) * s)), 0.0, 1.0, tol
+    return _integrate_nodes(
+        lambda s: m.inverse_many(t.eval_many(s) * s), 0.0, 1.0, tol
     )
 
 
@@ -57,7 +62,7 @@ def eval_extremal_surface(
     """
     x = _clamp_unit(x, "x")
     y = _clamp_unit(y, "y")
-    return float(_surface_grid(m, t, np.array([float(x)]), np.array([float(y)]))[0, 0])
+    return float(_surface_values(m, t, float(x), float(y)))
 
 
 @dataclass(frozen=True)
@@ -75,16 +80,30 @@ class MembershipReport:
         )
 
 
+def _surface_values(m, t, x, y) -> np.ndarray:
+    """Surface values at the points (x, y) of [0, 1]^2, x and y broadcast
+    against each other.
+
+    The least s with t(s) >= x is taken before broadcasting, so on a grid
+    it is computed once per abscissa; the region lookup runs only where
+    x <= t(1).
+    """
+    _require_bijection(m)
+    x = np.asarray(x, dtype=float)
+    t1 = t.eval(1.0)
+    s_low, y = np.broadcast_arrays(t.lower_inverse_many(x), np.asarray(y, dtype=float))
+    left = np.broadcast_to(x <= t1, y.shape)
+    values = np.empty(y.shape)
+    s_star = np.maximum(s_low[left], y[left])
+    values[left] = m.inverse_many(t.eval_many(s_star) * s_star)
+    right = ~left
+    values[right] = m.inverse_many(t1 + (1.0 - t1) * y[right])
+    return values
+
+
 def _surface_grid(m, t, xs, ys) -> np.ndarray:
     """Surface values at the grid xs x ys; rows index x, columns index y."""
-    _require_bijection(m)
-    t1 = t.eval(1.0)
-    left = xs <= t1
-    s_star = np.maximum(t.lower_inverse_many(xs[left])[:, None], ys[None, :])
-    grid = np.empty((len(xs), len(ys)))
-    grid[left] = m.inverse_many(t.eval_many(s_star) * s_star)
-    grid[~left] = m.inverse_many(t1 + (1.0 - t1) * ys)
-    return grid
+    return _surface_values(m, t, xs[:, None], ys[None, :])
 
 
 def verify_membership(
@@ -157,8 +176,8 @@ def line_integral_on_surface(
     :func:`line_integral_bound` (within 2*tol) exercises the whole
     construction, not just the closed form.
     """
-    return integrate(
-        lambda s: eval_extremal_surface(m, t, t.eval(s), s), 0.0, 1.0, tol
+    return _integrate_nodes(
+        lambda s: _surface_values(m, t, t.eval_many(s), s), 0.0, 1.0, tol
     )
 
 

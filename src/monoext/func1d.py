@@ -406,43 +406,93 @@ def rearrangement(f) -> StepFunction1D:
     return StepFunction1D(tuple(breaks), tuple(vals), "non-increasing")
 
 
-def _simpson_estimate(g, a, fa, b, fb):
-    m = 0.5 * (a + b)
-    fm = g(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
 # Per-level tolerance decay.  1/sqrt(2) instead of the textbook 1/2 so that
 # integrands with sqrt-type endpoint singularities (local Simpson error
 # ~ h^1.5) still converge within the depth cap.
 _TOL_DECAY = 0.7071067811865476
 
-
-def _adaptive(g, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm, flm, left = _simpson_estimate(g, a, fa, m, fm)
-    rm, frm, right = _simpson_estimate(g, m, fm, b, fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise ToleranceNotMet(
-            f"quadrature did not reach tolerance on [{a}, {b}]"
-        )
-    half_tol = tol * _TOL_DECAY
-    return _adaptive(
-        g, a, fa, m, fm, lm, flm, left, half_tol, depth - 1
-    ) + _adaptive(g, m, fm, b, fb, rm, frm, right, half_tol, depth - 1)
-
-
 MAX_QUAD_DEPTH = 40
+
+# Pending intervals refined per integrand call.  The walk takes the leftmost
+# ones first, so about _QUAD_BATCH * MAX_QUAD_DEPTH intervals are pending at
+# most.
+_QUAD_BATCH = 64
+
+
+def _simpson(a, b, fa, fm, fb):
+    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _integrate_nodes(g_many, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson quadrature of ``g_many`` over [a, b], a < b.
+
+    ``g_many`` maps a 1-D float array of nodes to the array of integrand
+    values.  An interval with Simpson estimate ``whole`` is split in two;
+    the split is accepted when the halves' estimates differ from ``whole``
+    by at most 15 * tol, and otherwise each half is refined with tolerance
+    tol * _TOL_DECAY, at most :data:`MAX_QUAD_DEPTH` levels deep.  The
+    leftmost pending intervals, up to _QUAD_BATCH of them, share one call
+    of ``g_many``.  The accepted pieces are added up in the order of a
+    recursive refinement, left half plus right half, so the result does
+    not depend on the batching.  Raises :class:`ToleranceNotMet` naming
+    the leftmost interval still unresolved at the depth cap.
+    """
+    m = 0.5 * (a + b)
+    fa, fm, fb = g_many(np.array([a, m, b])).tolist()
+    # (a, b, fa, fm, fb, Simpson estimate, tol, depth left, path), leftmost
+    # last; the root's path is 1 and the halves of path p are 2p and 2p + 1.
+    # Depth left never decreases from left to right, so the first interval
+    # found unresolved at the depth cap is the leftmost such interval, the
+    # one a recursive refinement would report.
+    depth = MAX_QUAD_DEPTH
+    pending = [(a, b, fa, fm, fb, _simpson(a, b, fa, fm, fb), tol, depth, 1)]
+    pieces = []
+    while pending:
+        batch = pending[-_QUAD_BATCH:][::-1]
+        del pending[-_QUAD_BATCH:]
+        nodes = []
+        for a, b, *_ in batch:
+            m = 0.5 * (a + b)
+            nodes += (0.5 * (a + m), 0.5 * (m + b))
+        values = g_many(np.array(nodes)).tolist()
+        children = []
+        for k, (a, b, fa, fm, fb, whole, tol, depth, path) in enumerate(batch):
+            m = 0.5 * (a + b)
+            flm, frm = values[2 * k], values[2 * k + 1]
+            left = _simpson(a, m, fa, flm, fm)
+            right = _simpson(m, b, fm, frm, fb)
+            delta = left + right - whole
+            if abs(delta) <= 15.0 * tol:
+                # path << depth orders disjoint intervals left to right.
+                pieces.append((path << depth, depth, left + right + delta / 15.0))
+            elif depth > 0:
+                tol *= _TOL_DECAY
+                children += ((a, m, fa, flm, fm, left, tol, depth - 1, 2 * path),
+                             (m, b, fm, frm, fb, right, tol, depth - 1, 2 * path + 1))
+            else:
+                raise ToleranceNotMet(
+                    f"quadrature did not reach tolerance on [{a}, {b}]"
+                )
+        pending += reversed(children)
+    # Add the pieces up as a recursive refinement would: each refined
+    # interval's value is its left half's plus its right half's.
+    stack = []  # (depth left, value) of completed subtrees, left to right
+    for _, depth, value in sorted(pieces):
+        while stack and stack[-1][0] == depth:
+            value = stack.pop()[1] + value
+            depth += 1
+        stack.append((depth, value))
+    return stack[0][1]
 
 
 def integrate(g, a=0.0, b=1.0, tol: float = 1e-9):
     """Integral of ``g`` over [a, b].
 
-    Step functions integrate exactly (Fraction result); callables go
-    through adaptive Simpson quadrature with absolute tolerance ``tol``
-    and refinement depth capped at :data:`MAX_QUAD_DEPTH`.
+    Step functions integrate exactly (Fraction result).  A callable is
+    called with one float at a time, at the nodes of the adaptive Simpson
+    quadrature :func:`_integrate_nodes`, with absolute tolerance ``tol``
+    and refinement depth capped at :data:`MAX_QUAD_DEPTH`; the result is a
+    float.
     """
     if isinstance(g, StepFunction1D):
         return g.integral(a, b)
@@ -451,6 +501,6 @@ def integrate(g, a=0.0, b=1.0, tol: float = 1e-9):
         raise ValidationError("integration bounds out of order")
     if a == b:
         return 0.0
-    fa, fb = g(a), g(b)
-    m, fm, whole = _simpson_estimate(g, a, fa, b, fb)
-    return _adaptive(g, a, fa, b, fb, m, fm, whole, tol, MAX_QUAD_DEPTH)
+    return _integrate_nodes(
+        lambda xs: np.array([g(x) for x in xs.tolist()], dtype=float), a, b, tol
+    )

@@ -76,14 +76,14 @@ def simplified_bound(tau: EmpiricalRV) -> Fraction:
     """Exact integral of r(s) * s over [0, 1] for the identity map.
 
     Piecewise closed form against the step rearrangement: piece i of width
-    1/M contributes its value times (2i+1)/(2M^2).
+    1/M contributes its value times (2i+1)/(2M^2).  Each sample is n/d
+    with d a power of two, so the sum is one integer over 2M^2 * max(d).
     """
     m_count = tau.m
-    dsc = sorted(tau.samples, reverse=True)
-    total = Fraction(0)
-    for i, v in enumerate(dsc):
-        total += Fraction(v) * Fraction(2 * i + 1, 2 * m_count * m_count)
-    return total
+    ratios = [v.as_integer_ratio() for v in reversed(tau.samples)]
+    den = max(d for _, d in ratios)
+    num = sum((2 * i + 1) * n * (den // d) for i, (n, d) in enumerate(ratios))
+    return Fraction(num, 2 * m_count * m_count * den)
 
 
 def fubini_check(tau: EmpiricalRV, tol: float = 1e-9) -> float:

@@ -5,12 +5,20 @@ import sys
 import tempfile
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoext import errors, eval_extremal_surface
-from monoext.cli import MAX_POSET_GRID, MAX_SURFACE_GRID, load_map, main
+from monoext.cli import (
+    MAX_GRID_EXP_N,
+    MAX_POSET_GRID,
+    MAX_SURFACE_GRID,
+    load_map,
+    main,
+)
+from monoext.continuous import _surface_grid
 
 GRID_POSET = {"grid": {"n": 2, "order": "product"}}
 SCALE = {"values": [1, 2, 3, 4]}
@@ -187,12 +195,76 @@ class TestContinuous:
         assert json.loads(err)["error"]["type"] == "ValidationError"
         assert not out_path.exists()
 
+    def test_grid_exp_n_limit(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("grid_experiment ran")
+
+        monkeypatch.setattr("monoext.cli.grid_experiment", unreachable)
+        code, out, err = run_cli(
+            ["grid-exp", "--alpha", "0.5", "--n", str(MAX_GRID_EXP_N + 1), "--k", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
     def test_grid_exp(self):
         code, out, _ = run_cli(["grid-exp", "--alpha", "0.5", "--n", "20", "--k", "10"])
         assert code == 0
         payload = json.loads(out)
         assert payload["discrete_bound"] == "21/4"
         assert payload["column"] == 10
+
+
+def _pwl_text(draw, strict: bool) -> str:
+    """A pwl map shorthand; ``strict`` gives an increasing bijection,
+    otherwise flat pieces and any end ordinates are allowed."""
+    k = draw(st.integers(0, 3))
+    xs = sorted(draw(st.lists(st.integers(1, 999), min_size=k, max_size=k,
+                              unique=True)))
+    if strict:
+        ys = [0] + sorted(draw(st.lists(st.integers(1, 999), min_size=k,
+                                        max_size=k, unique=True))) + [1000]
+    else:
+        ys = sorted(draw(st.lists(st.integers(0, 1000), min_size=k + 2,
+                                  max_size=k + 2)))
+    pts = zip([0] + xs + [1000], ys)
+    return "pwl:" + ";".join(f"{x / 1000!r},{y / 1000!r}" for x, y in pts)
+
+
+@st.composite
+def _surface_maps(draw, strict):
+    kind = draw(st.sampled_from(["id", "power", "pwl"]))
+    if kind == "id":
+        return "id"
+    if kind == "power":
+        return f"power:{draw(st.sampled_from([0.3, 0.5, 1.5, 2.0, 3.7]))!r}"
+    return _pwl_text(draw, strict)
+
+
+@given(_surface_maps(strict=True), _surface_maps(strict=False), st.integers(2, 40))
+@settings(max_examples=60, deadline=None)
+def test_cont_extremal_csv_matches_per_cell_writer(m, t, grid):
+    """The CSV formats each distinct value once; its bytes equal those of a
+    plain per-cell writer over the same surface array."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = f"{tmp}/surface.csv"
+        code, _, err = run_cli(
+            ["cont-extremal", "--m", m, "--t", t, "--grid", str(grid), "--out", out_path]
+        )
+        assert code == 0, err
+        with open(out_path) as fh:
+            got = fh.read()
+    centers = [(i + 0.5) / grid for i in range(grid)]
+    values = _surface_grid(load_map(m), load_map(t), np.array(centers),
+                           np.array(centers)).tolist()
+    want = ["x,y,value"] + [
+        f"{x!r},{y!r},{v!r}"
+        for x, row in zip(centers, values) for y, v in zip(centers, row)
+    ]
+    assert got.endswith("\n")
+    got = got.splitlines()
+    assert len(got) == len(want)
+    # First differing line only: a diff of the whole file is slow to build.
+    assert next((pair for pair in zip(got, want) if pair[0] != pair[1]), None) is None
 
 
 class TestProcess:
@@ -214,6 +286,20 @@ class TestProcess:
         payload = json.loads(first[1])
         assert payload["membership_report"]["ok"] is True
         assert payload["stderr"] > 0
+
+    @pytest.mark.parametrize("verify", ["abc", "1,5", f"{MAX_SURFACE_GRID + 1},10",
+                                        "10", "10,10,10"])
+    def test_proc_sim_bad_verify_before_simulating(self, fixtures, monkeypatch, verify):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran")
+
+        monkeypatch.setattr("monoext.cli.expectation_at_tau", unreachable)
+        code, out, err = run_cli(
+            ["proc-sim", "--m", "id", "--tau", fixtures["tau"],
+             "--trials", "1000", "--verify", verify]
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "ValidationError"
 
     def test_env_seed_override(self, fixtures, monkeypatch):
         argv = ["proc-sim", "--m", "id", "--tau", fixtures["tau"], "--trials", "500"]

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from monoext import (
@@ -14,7 +15,12 @@ from monoext import (
     line_integral_on_surface,
     verify_membership,
 )
+from monoext.continuous import _surface_values
 from monoext.errors import InvalidGrid, MembershipViolation, OutOfDomain
+from monoext.func1d import _integrate_nodes
+from monoext.selftest import _SURFACE_PAIRS
+
+from test_func1d import recursive_simpson
 
 ID = MonotoneMap1D.identity()
 SQ = MonotoneMap1D.power(2)
@@ -164,6 +170,55 @@ class TestLowerBoundProperty:
                 lambda s: member(t_eval.eval(s), s), 0, 1, 1e-7
             )
             assert integral >= bound - 1e-6
+
+
+@pytest.mark.parametrize("m, t", _SURFACE_PAIRS)
+@pytest.mark.parametrize("on_surface", [False, True])
+def test_batched_line_integrals_match_recursive_reference(m, t, on_surface):
+    """Array integrands through the batched engine against scalar ones
+    through the recursive rule: same nodes, same value within 4 ulp."""
+    if on_surface:
+        def scalar(s):
+            return eval_extremal_surface(m, t, t.eval(s), s)
+
+        def array(s):
+            return _surface_values(m, t, t.eval_many(s), s)
+    else:
+        def scalar(s):
+            return float(m.inverse(t.eval(s) * s))
+
+        def array(s):
+            return m.inverse_many(t.eval_many(s) * s)
+
+    nodes = 0
+
+    def counted(s):
+        nonlocal nodes
+        nodes += s.size
+        return array(s)
+
+    for tol in (1e-9, 1e-12):
+        want, want_nodes = recursive_simpson(scalar, 0.0, 1.0, tol)
+        nodes = 0
+        got = _integrate_nodes(counted, 0.0, 1.0, tol)
+        assert nodes == want_nodes
+        assert abs(got - want) <= 4 * math.ulp(want)
+    integral = line_integral_on_surface if on_surface else line_integral_bound
+    assert integral(m, t, 1e-12) == got
+
+
+def test_surface_values_broadcast_like_points():
+    xs = np.linspace(0.0, 1.0, 9)
+    ys = np.linspace(0.0, 1.0, 7)
+    for m in (ID, SQ):
+        for t in (ID, MonotoneMap1D.constant(0.5),
+                  MonotoneMap1D.piecewise_linear([(0, 0), (0.3, 0.3), (0.6, 0.3), (1, 1)])):
+            grid = _surface_values(m, t, xs[:, None], ys[None, :])
+            assert grid.shape == (9, 7)
+            for i, x in enumerate(xs):
+                for j, y in enumerate(ys):
+                    assert grid[i, j] == eval_extremal_surface(m, t, x, y)
+            assert (_surface_values(m, t, xs, ys[3]) == grid[:, 3]).all()
 
 
 class TestGridExperiment:

@@ -218,7 +218,93 @@ class TestRearrangement:
         assert integrate(rearrangement(rv)) == rv.mean
 
 
+def recursive_simpson(g, a, b, tol, max_depth=40):
+    """(integral, integrand calls): the recursive adaptive Simpson rule,
+    written out as a reference for the batched engine."""
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return g(x)
+
+    def estimate(a, fa, b, fb):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def refine(a, fa, b, fb, m, fm, whole, tol, depth):
+        lm, flm, left = estimate(a, fa, m, fm)
+        rm, frm, right = estimate(m, fm, b, fb)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        if depth <= 0:
+            raise ToleranceNotMet(f"quadrature did not reach tolerance on [{a}, {b}]")
+        tol *= 0.7071067811865476
+        return refine(a, fa, m, fm, lm, flm, left, tol, depth - 1) + refine(
+            m, fm, b, fb, rm, frm, right, tol, depth - 1
+        )
+
+    fa, fb = f(a), f(b)
+    m, fm, whole = estimate(a, fa, b, fb)
+    return refine(a, fa, b, fb, m, fm, whole, tol, max_depth), calls
+
+
 class TestIntegrate:
+    @pytest.mark.parametrize("g", [
+        lambda s: s,
+        lambda s: 3 * s**3 - 2 * s + 1,
+        lambda s: s**7 - s**4,
+        lambda s: (1 - s) * s,
+        math.sqrt,
+        lambda s: math.sqrt(1 - s) + math.sqrt(s / 3),
+    ])
+    @pytest.mark.parametrize("a, b, tol", [
+        (0.0, 1.0, 1e-9), (0.0, 1.0, 1e-13), (0.25, 0.8, 1e-11)
+    ])
+    def test_matches_recursive_reference(self, g, a, b, tol):
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return g(x)
+
+        want, want_calls = recursive_simpson(g, a, b, tol)
+        assert integrate(counted, a, b, tol) == want
+        assert calls == want_calls
+
+    def test_failure_names_leftmost_unresolved_interval(self, monkeypatch):
+        import monoext.func1d as f1
+
+        def g(s):
+            return math.sin(1e3 * s) * (s > 0.3)
+
+        monkeypatch.setattr(f1, "MAX_QUAD_DEPTH", 7)
+        with pytest.raises(ToleranceNotMet) as want:
+            recursive_simpson(g, 0.0, 1.0, 1e-12, 7)
+        with pytest.raises(ToleranceNotMet) as got:
+            f1.integrate(g, 0.0, 1.0, 1e-12)
+        assert str(got.value) == str(want.value)
+
+    def test_non_converging_memory_is_bounded(self, monkeypatch):
+        # Depth-first refinement keeps O(batch x depth) intervals pending;
+        # refining level by level would hold 2**16 of them here.
+        import tracemalloc
+
+        import monoext.func1d as f1
+
+        monkeypatch.setattr(f1, "MAX_QUAD_DEPTH", 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ToleranceNotMet):
+                f1.integrate(lambda s: math.sin(1e9 * s), 0.0, 1.0, 1e-15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_linear(self):
         assert abs(integrate(lambda s: s, 0, 1) - 0.5) <= 1e-9
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoext import (
     EmpiricalRV,
@@ -75,6 +77,25 @@ class TestSimplifiedBound:
     def test_two_point_closed_form(self):
         got = simplified_bound(EmpiricalRV.two_point(0.2, 0.8))
         assert abs(float(got) - 0.175) <= 1e-15  # 0.1 + 0.075
+
+
+_SPECIAL_SAMPLES = (0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 0.1)
+
+
+@given(st.lists(st.one_of(st.sampled_from(_SPECIAL_SAMPLES), st.floats(0.0, 1.0)),
+                min_size=1, max_size=40),
+       st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_simplified_bound_matches_per_term_sum(xs, repeat):
+    """The integer-sum closed form is the same reduced Fraction as a
+    per-term Fraction loop, ties and subnormals included."""
+    tau = EmpiricalRV.from_samples(xs + xs[:repeat])
+    m_count = tau.m
+    want = Fraction(0)
+    for i, v in enumerate(sorted(tau.samples, reverse=True)):
+        want += Fraction(v) * Fraction(2 * i + 1, 2 * m_count * m_count)
+    got = simplified_bound(tau)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 class TestFubini:
