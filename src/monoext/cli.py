@@ -20,6 +20,7 @@ import numpy as np
 
 from . import selftest as _selftest
 from .continuous import (
+    MAX_SURFACE_GRID,
     _surface_grid,
     grid_experiment,
     line_integral_bound,
@@ -43,11 +44,6 @@ from .values import BoundResult, ValueScale
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 CAP_EXIT = 3
-# cont-extremal holds several grid x grid float arrays, so memory grows with
-# the square of --grid: at the maximum, about 367 MB peak resident when m is
-# piecewise linear (the worst map kind) and 220 MB for identity and power.
-# Also the limit of each side of proc-sim --verify.
-MAX_SURFACE_GRID = 2000
 # grid-exp fills an n x n table of Python ints (113 MB peak resident at the
 # maximum).
 MAX_GRID_EXP_N = 1000

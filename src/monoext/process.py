@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .continuous import MAX_SURFACE_GRID
 from .errors import (
     InvalidGrid,
     MembershipViolation,
@@ -27,8 +28,9 @@ from .func1d import (
     EmpiricalRV,
     MonotoneMap1D,
     _clamp_unit,
+    _clamp_unit_many,
+    _integrate_nodes,
     _level_set_deviation,
-    integrate,
 )
 from .poset import QuerySet, grid_poset
 from .solver import disjoint_bound, scale_from_m
@@ -43,33 +45,15 @@ def _tail_sums(tau: EmpiricalRV):
     return asc, dsc, tail
 
 
-def _rearrangement_tail_integral(dsc, tail, y: float) -> float:
-    """Integral of the non-increasing rearrangement over [1 - y, 1]."""
-    m_count = len(dsc)
-    p = 1.0 - y
-    if p >= 1.0:
-        return 0.0
-    if p <= 0.0:
-        return float(tail[0]) / m_count
-    i = min(int(p * m_count), m_count - 1)
-    return ((i + 1) / m_count - p) * dsc[i] + tail[i + 1] / m_count
-
-
 def expectation_bound(
     m: MonotoneMap1D, tau: EmpiricalRV, tol: float = 1e-9
 ) -> float:
     """Integral over y of m^{-1}(R(y)), R(y) = tail integral of the
     rearrangement of tau.  The inner integral is exact (the rearrangement
-    is a step function); the outer one is adaptive to ``tol``.
+    is a step function); the outer one is adaptive to ``tol``.  The
+    integrand is the extremal process's lower branch.
     """
-    if not m.is_increasing_bijection:
-        raise ValidationError("m must be an increasing bijection")
-    _, dsc, tail = _tail_sums(tau)
-
-    def integrand(y: float) -> float:
-        return float(m.inverse(_rearrangement_tail_integral(dsc, tail, y)))
-
-    return integrate(integrand, 0.0, 1.0, tol)
+    return _integrate_nodes(ExtremalProcess(m, tau).lower_branch, 0.0, 1.0, tol)
 
 
 def simplified_bound(tau: EmpiricalRV) -> Fraction:
@@ -104,8 +88,8 @@ class ExtremalProcess:
     m^{-1}(R(y)) up to the y-quantile of tau and the constant
     m^{-1}(E tau + y - R(y)) after it; both branches are non-decreasing in
     y and the second dominates the first, so trajectories are monotone.
-    Ties in tau are broken by jitter at construction so that ranks are
-    well defined.
+    :func:`make_extremal_process` breaks ties in tau by jitter so that
+    ranks are well defined.
     """
 
     m: MonotoneMap1D
@@ -127,20 +111,31 @@ class ExtremalProcess:
     def mean_time(self) -> float:
         return float(self._tail[0]) / self.tau.m
 
-    def tail_integral(self, y: float) -> float:
-        return _rearrangement_tail_integral(self._dsc, self._tail, y)
+    # The methods below take a float or an array of rank fractions y and
+    # return a float or an array of the same shape.
 
-    def quantile(self, y: float) -> float:
+    def tail_integral(self, y):
+        """Integral of the non-increasing rearrangement over [1 - y, 1]."""
+        m_count = self.tau.m
+        p = 1.0 - np.asarray(y, dtype=float)
+        i = np.clip(p * m_count, 0, m_count - 1).astype(np.int64)
+        inner = ((i + 1) / m_count - p) * self._dsc[i] + self._tail[i + 1] / m_count
+        inner = np.where(p <= 0.0, self._tail[0] / m_count, inner)
+        return np.where(p >= 1.0, 0.0, inner)[()]
+
+    def quantile(self, y):
         """Value of tau at the sample of rank fraction y."""
-        rank = min(max(math.ceil(y * self.tau.m), 1), self.tau.m)
-        return float(self._asc[rank - 1])
+        m_count = self.tau.m
+        rank = np.clip(np.ceil(np.asarray(y, dtype=float) * m_count), 1, m_count)
+        return self._asc[rank.astype(np.int64) - 1]
 
-    def lower_branch(self, y: float) -> float:
-        return float(self.m.inverse(self.tail_integral(y)))
+    def lower_branch(self, y):
+        level = _clamp_unit_many(self.tail_integral(y), "value")
+        return self.m.inverse_many(level)[()]
 
-    def upper_branch(self, y: float) -> float:
-        r = self.tail_integral(y)
-        return float(self.m.inverse(_clamp_unit(self.mean_time + y - r, "level")))
+    def upper_branch(self, y):
+        level = self.mean_time + np.asarray(y, dtype=float) - self.tail_integral(y)
+        return self.m.inverse_many(_clamp_unit_many(level, "level"))[()]
 
 
 def jitter_tau(tau: EmpiricalRV, delta: float = 1e-9, seed: int = 0) -> EmpiricalRV:
@@ -197,13 +192,27 @@ def make_extremal_process(
     return ExtremalProcess(m, jitter_tau(tau, delta, seed))
 
 
+def _process_values(proc: ExtremalProcess, t, y) -> np.ndarray:
+    """Trajectory values at the points (t, y), t and y broadcast against
+    each other.
+
+    The branch values are taken before broadcasting, so on a grid they are
+    computed once per rank fraction.
+    """
+    y = np.asarray(y, dtype=float)
+    return np.where(np.asarray(t, dtype=float) <= proc.quantile(y),
+                    proc.lower_branch(y), proc.upper_branch(y))
+
+
 def eval_extremal_process(proc: ExtremalProcess, t: float, y: float) -> float:
-    """Trajectory value at time t for the outcome of rank fraction y."""
+    """Trajectory value at time t for the outcome of rank fraction y.
+
+    The one-point case of the grid evaluator, so it returns exactly the
+    values :func:`verify_process_membership` checks.
+    """
     t = _clamp_unit(t, "t")
     y = _clamp_unit(y, "y")
-    if t <= proc.quantile(y):
-        return proc.lower_branch(y)
-    return proc.upper_branch(y)
+    return float(_process_values(proc, t, y))
 
 
 # Monte Carlo ranks are drawn and counted this many at a time, so memory is
@@ -227,11 +236,8 @@ def expectation_at_tau(
     and reports (mean, standard error).
     """
     if mode == "quadrature":
-        value = integrate(
-            lambda y: eval_extremal_process(proc, proc.quantile(y), y),
-            0.0,
-            1.0,
-            tol,
+        value = _integrate_nodes(
+            lambda y: _process_values(proc, proc.quantile(y), y), 0.0, 1.0, tol
         )
         return value, 0.0
     if mode != "montecarlo":
@@ -287,17 +293,13 @@ def verify_process_membership(
     trajectory evaluator for negative controls.  Raises
     :class:`MembershipViolation` on failure.
     """
-    if grid_t < 2 or grid_y < 2:
-        raise InvalidGrid("grids must be at least 2")
+    if not (2 <= grid_t <= MAX_SURFACE_GRID and 2 <= grid_y <= MAX_SURFACE_GRID):
+        raise InvalidGrid(f"grids must be between 2 and {MAX_SURFACE_GRID}")
     t_centers = (np.arange(grid_t) + 0.5) / grid_t
     y_centers = (np.arange(grid_y) + 0.5) / grid_y
 
     if evaluator is None:
-        lows = np.array([proc.lower_branch(float(y)) for y in y_centers])
-        ups = np.array([proc.upper_branch(float(y)) for y in y_centers])
-        taus = np.array([proc.quantile(float(y)) for y in y_centers])
-        values = np.where(t_centers[None, :] <= taus[:, None],
-                          lows[:, None], ups[:, None])
+        values = _process_values(proc, t_centers[None, :], y_centers[:, None])
     else:
         values = np.array(
             [[float(evaluator(t, y)) for t in t_centers] for y in y_centers]

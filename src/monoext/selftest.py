@@ -25,7 +25,7 @@ from .continuous import (
 from .errors import MembershipViolation, NotAChain, PreconditionViolated
 from .func1d import EmpiricalRV, MonotoneMap1D
 from .oracle import brute_min_max, check_monotone_bijection, swap_adjacent
-from .poset import QuerySet, _grid_poset, build_poset, grid_poset
+from .poset import QuerySet, _grid_poset, _query_below, build_poset, grid_poset
 from .process import (
     expectation_at_tau,
     expectation_bound,
@@ -236,40 +236,22 @@ def criterion_fast_paths(count: int = 500, grid_max: int = 6) -> CriterionResult
     )
 
 
-def _random_extension(rng: random.Random, poset):
-    """Uniformly random-ish linear extension by randomized greedy choice."""
-    n = poset.n
-    remaining = (1 << n) - 1
+def _random_order(rng: random.Random, below) -> list:
+    """Random linear extension of the elements 0..k-1 by randomized greedy
+    choice; ``below[i]`` is the bitmask of the elements strictly below i.
+    Each step draws among the minimal remaining elements in ascending
+    order."""
+    remaining = (1 << len(below)) - 1
     out = []
     while remaining:
         minimal = [
-            i
-            for i in range(n)
-            if remaining >> i & 1 and poset.down[i] & remaining == 1 << i
+            i for i, strict in enumerate(below)
+            if remaining >> i & 1 and not strict & remaining
         ]
         pick = rng.choice(minimal)
         out.append(pick)
         remaining ^= 1 << pick
     return out
-
-
-def _random_admissible_ordering(rng: random.Random, poset, query):
-    idxs = query.indices
-    k = len(idxs)
-    remaining = set(range(k))
-    out = []
-    while remaining:
-        minimal = [
-            p
-            for p in remaining
-            if not any(
-                q != p and poset.leq_idx(idxs[q], idxs[p]) for q in remaining
-            )
-        ]
-        pick = rng.choice(sorted(minimal))
-        out.append(pick)
-        remaining.remove(pick)
-    return tuple(out)
 
 
 def criterion_swap_and_prefix(instances: int = 10**4) -> CriterionResult:
@@ -284,7 +266,7 @@ def criterion_swap_and_prefix(instances: int = 10**4) -> CriterionResult:
         poset = _random_dag(rng, n)
         scale = ValueScale(range(1, n + 1))
 
-        ext = _random_extension(rng, poset)
+        ext = _random_order(rng, [d ^ 1 << i for i, d in enumerate(poset.down)])
         ranks = [0] * n
         for pos, e in enumerate(ext):
             ranks[e] = pos + 1
@@ -306,7 +288,7 @@ def criterion_swap_and_prefix(instances: int = 10**4) -> CriterionResult:
 
         k = rng.randint(1, n)
         query = QuerySet(poset, rng.sample(poset.labels, k))
-        perm = _random_admissible_ordering(rng, poset, query)
+        perm = tuple(_random_order(rng, _query_below(poset, query.indices)))
         witness = build_witness(poset, scale, query, perm, "min")
         prefix_checked += 1
         mask = 0

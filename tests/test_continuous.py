@@ -15,7 +15,7 @@ from monoext import (
     line_integral_on_surface,
     verify_membership,
 )
-from monoext.continuous import _surface_values
+from monoext.continuous import MAX_SURFACE_GRID, _surface_values
 from monoext.errors import InvalidGrid, MembershipViolation, OutOfDomain
 from monoext.func1d import _integrate_nodes
 from monoext.selftest import _SURFACE_PAIRS
@@ -133,6 +133,11 @@ class TestMembership:
     def test_grid_too_small(self):
         with pytest.raises(InvalidGrid):
             verify_membership(ID, ID, 1)
+
+    def test_grid_too_large(self):
+        # Refused before any grid x grid array is allocated.
+        with pytest.raises(InvalidGrid):
+            verify_membership(ID, ID, MAX_SURFACE_GRID + 1)
 
     def test_precomputed_surface_and_first_worst_level(self):
         # Levels 0.25 and 0.75 tie at deviation 0.25; the first is reported.

@@ -10,9 +10,7 @@ from monoext import (
     EmpiricalRV,
     MonotoneMap1D,
     StepFunction1D,
-    distribution_function,
     integrate,
-    rearrangement,
 )
 from monoext.errors import (
     NotIncreasing,
@@ -153,69 +151,6 @@ class TestStepFunction:
         f = StepFunction1D((0, Fraction(1, 2), 1), (Fraction(4, 5), Fraction(1, 5)))
         assert f.integral() == Fraction(1, 2)
         assert f.integral(Fraction(1, 4), Fraction(3, 4)) == Fraction(1, 4)
-
-
-class TestDistributionFunction:
-    def test_constant_rv(self):
-        mf = distribution_function(EmpiricalRV.constant(0.6, 3))
-        assert mf.eval(0.59) == 1
-        assert mf.eval(0.6) == 0
-        assert mf.eval(0.8) == 0
-
-    def test_two_samples(self):
-        mf = distribution_function(EmpiricalRV.from_samples([0.2, 0.8]))
-        assert mf.eval(0.5) == Fraction(1, 2)
-        assert mf.eval(0.1) == 1
-        assert mf.eval(0.9) == 0
-
-    def test_uniform_step_approximation(self):
-        k = 100
-        f = StepFunction1D(
-            tuple(Fraction(i, k) for i in range(k + 1)),
-            tuple(Fraction(2 * i + 1, 2 * k) for i in range(k)),
-            "non-decreasing",
-        )
-        mf = distribution_function(f)
-        for t in [0.05, 0.3, 0.77, 0.95]:
-            assert abs(float(mf.eval(t)) - (1 - t)) <= 1.0 / k
-
-    def test_grid_refinement_preserves_values(self):
-        rv = EmpiricalRV.from_samples([0.2, 0.8])
-        base = distribution_function(rv)
-        fine = distribution_function(rv, grid=[Fraction(1, 3), Fraction(2, 3)])
-        assert fine.same_function(base)
-
-    def test_non_increasing(self):
-        mf = distribution_function(EmpiricalRV.from_samples([0.1, 0.4, 0.4, 0.9]))
-        assert all(a >= b for a, b in zip(mf.values, mf.values[1:]))
-
-
-class TestRearrangement:
-    def test_constant(self):
-        r = rearrangement(EmpiricalRV.constant(0.7, 5))
-        assert r.values == (0.7,)
-
-    def test_two_samples_descending(self):
-        r = rearrangement(EmpiricalRV.from_samples([0.2, 0.8]))
-        assert r.eval(0.25) == 0.8
-        assert r.eval(0.75) == 0.2
-
-    def test_uniform_close_to_one_minus_s(self):
-        m = 10**4
-        r = rearrangement(EmpiricalRV.uniform_grid(m))
-        for i in range(0, 1000, 7):
-            s = i / 1000
-            assert abs(r.eval(s) - (1 - s)) <= 1e-3
-
-    def test_equimeasurability_exact(self):
-        rv = EmpiricalRV.from_samples([0.9, 0.1, 0.4, 0.4, 0.75])
-        direct = distribution_function(rv)
-        via_rearrangement = distribution_function(rearrangement(rv))
-        assert via_rearrangement.same_function(direct)
-
-    def test_integral_equals_mean_exactly(self):
-        rv = EmpiricalRV.from_samples([0.13, 0.57, 0.57, 0.91])
-        assert integrate(rearrangement(rv)) == rv.mean
 
 
 def recursive_simpson(g, a, b, tol, max_depth=40):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monoext import (
@@ -21,7 +21,8 @@ from monoext import (
     simplified_bound,
     verify_process_membership,
 )
-from monoext import brute_min_max, process
+from monoext import ExtremalProcess, brute_min_max, process
+from monoext.continuous import MAX_SURFACE_GRID
 from monoext.errors import (
     InvalidGrid,
     MembershipViolation,
@@ -29,8 +30,11 @@ from monoext.errors import (
     ValidationError,
 )
 
+from test_func1d import recursive_simpson
+
 ID = MonotoneMap1D.identity()
 SQ = MonotoneMap1D.power(2)
+PWL = MonotoneMap1D.piecewise_linear([(0, 0), (0.3, 0.5), (0.6, 0.7), (1, 1)])
 UNIFORM = EmpiricalRV.uniform_grid(10**4)
 
 
@@ -59,6 +63,41 @@ class TestExpectationBound:
     def test_non_bijection_rejected(self):
         with pytest.raises(ValidationError):
             expectation_bound(MonotoneMap1D.constant(0.3), UNIFORM)
+
+    @pytest.mark.parametrize("m", [ID, SQ, MonotoneMap1D.power(0.5), PWL])
+    @pytest.mark.parametrize("tau", [
+        EmpiricalRV.uniform_grid(7),
+        EmpiricalRV.two_point(0.2, 0.8, 6),
+        EmpiricalRV.from_samples([0.1, 0.4, 0.4, 0.4, 0.9]),
+    ])
+    def test_matches_recursive_reference(self, monkeypatch, m, tau):
+        # The recursive adaptive Simpson rule over an exact rational tail
+        # integral; the batched engine must visit as many nodes.
+        m_count = tau.m
+        dsc = sorted((Fraction(v) for v in tau.samples), reverse=True)
+
+        def reference(y):
+            p = 1 - Fraction(y)
+            total = sum(v * max(Fraction(0), min(Fraction(k + 1, m_count) - p,
+                                                 Fraction(1, m_count)))
+                        for k, v in enumerate(dsc))
+            return m.inverse(float(total))
+
+        engine = process._integrate_nodes
+        nodes = 0
+
+        def counted(g_many, a, b, tol):
+            def g(y):
+                nonlocal nodes
+                nodes += y.size
+                return g_many(y)
+            return engine(g, a, b, tol)
+
+        monkeypatch.setattr(process, "_integrate_nodes", counted)
+        want, want_nodes = recursive_simpson(reference, 0.0, 1.0, 1e-9)
+        got = expectation_bound(m, tau)
+        assert nodes == want_nodes
+        assert abs(got - want) <= 4 * math.ulp(want)
 
 
 class TestSimplifiedBound:
@@ -107,6 +146,93 @@ class TestFubini:
 
     def test_two_point(self):
         assert fubini_check(EmpiricalRV.two_point(0.2, 0.8, 100)) <= 2e-9
+
+
+class TestRearrangement:
+    """The non-increasing rearrangement r of tau, read through the tail
+    integral R(y) of r over [1 - y, 1]."""
+
+    def test_constant(self):
+        proc = ExtremalProcess(ID, EmpiricalRV.constant(0.7, 5))
+        for y in (0.0, 0.2, 0.5, 0.9, 1.0):
+            assert abs(proc.tail_integral(y) - 0.7 * y) <= 1e-15
+
+    def test_two_samples_descending(self):
+        # r is 0.8 on [0, 1/2) and 0.2 on [1/2, 1].
+        proc = ExtremalProcess(ID, EmpiricalRV.from_samples([0.2, 0.8]))
+        assert abs(proc.tail_integral(0.25) - 0.05) <= 1e-15
+        assert abs(proc.tail_integral(0.75) - 0.3) <= 1e-15
+
+    def test_uniform_close_to_one_minus_s(self):
+        # r(s) is close to 1 - s, so R(y) is close to y^2 / 2.
+        proc = ExtremalProcess(ID, EmpiricalRV.uniform_grid(10**4))
+        ys = np.arange(0, 1001, 7) / 1000
+        assert np.abs(proc.tail_integral(ys) - ys**2 / 2).max() <= 1e-7
+
+    def test_equimeasurability_exact(self):
+        # The piece of r over [1 - (k+1)/M, 1 - k/M] carries the (k+1)-th
+        # smallest sample.
+        rv = EmpiricalRV.from_samples([0.9, 0.1, 0.4, 0.4, 0.75])
+        proc = ExtremalProcess(ID, rv)
+        slopes = rv.m * np.diff(proc.tail_integral(np.arange(rv.m + 1) / rv.m))
+        assert np.allclose(slopes, rv.samples, rtol=0, atol=1e-15)
+
+    def test_integral_equals_mean_exactly(self):
+        rv = EmpiricalRV.from_samples([0.13, 0.57, 0.57, 0.91])
+        proc = ExtremalProcess(ID, rv)
+        assert proc.tail_integral(1.0) == proc.mean_time
+        assert abs(Fraction(proc.mean_time) - rv.mean) <= 1e-15
+
+
+_TAU_SAMPLES = st.lists(
+    st.one_of(st.sampled_from(_SPECIAL_SAMPLES), st.floats(0.0, 1.0)),
+    min_size=1, max_size=40,
+)
+
+
+@given(_TAU_SAMPLES, st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_tail_integral_is_sum_of_smallest_samples(xs, repeat):
+    """R(k/M) is the sum of the k smallest samples over M."""
+    tau = EmpiricalRV.from_samples(xs + xs[:repeat])
+    proc = ExtremalProcess(ID, tau)
+    m_count = tau.m
+    got = proc.tail_integral(np.arange(m_count + 1) / m_count)
+    for k in range(m_count + 1):
+        want = sum((Fraction(v) for v in tau.samples[:k]), Fraction(0)) / m_count
+        assert abs(Fraction(float(got[k])) - want) <= 1e-15
+
+
+@st.composite
+def bijections(draw):
+    kind = draw(st.sampled_from(["identity", "power", "pwl"]))
+    if kind == "identity":
+        return ID
+    if kind == "power":
+        return MonotoneMap1D.power(draw(st.sampled_from([2.0, 0.5, 3.0, 1.7])))
+    inner = draw(st.integers(0, 3))
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    xs = sorted(set(draw(st.lists(unit, min_size=inner, max_size=inner))))
+    ys = sorted(set(draw(st.lists(unit, min_size=len(xs), max_size=len(xs)))))
+    assume(len(ys) == len(xs))
+    return MonotoneMap1D.piecewise_linear([(0, 0), *zip(xs, ys), (1, 1)])
+
+
+_UNIT_POINTS = st.lists(
+    st.one_of(st.sampled_from(_SPECIAL_SAMPLES), st.floats(0.0, 1.0)),
+    min_size=1, max_size=12,
+)
+
+
+@given(bijections(), _TAU_SAMPLES, st.integers(0, 3), _UNIT_POINTS, _UNIT_POINTS)
+@settings(max_examples=200, deadline=None)
+def test_grid_values_equal_point_values(m, xs, repeat, ts, ys):
+    """The grid evaluation behind the membership check gives, bit for bit,
+    the one-point values of eval_extremal_process, ties in tau included."""
+    proc = ExtremalProcess(m, EmpiricalRV.from_samples(xs + xs[:repeat]))
+    grid = process._process_values(proc, np.array(ts)[None, :], np.array(ys)[:, None])
+    point = np.array([[eval_extremal_process(proc, t, y) for t in ts] for y in ys])
+    assert np.array_equal(grid.view(np.int64), point.view(np.int64))
 
 
 class TestExtremalProcess:
@@ -228,6 +354,11 @@ class TestProcessMembership:
         proc = make_extremal_process(ID, UNIFORM)
         with pytest.raises(InvalidGrid):
             verify_process_membership(proc, 1, 50)
+        # Refused before any grid_t x grid_y array is allocated.
+        with pytest.raises(InvalidGrid):
+            verify_process_membership(proc, MAX_SURFACE_GRID + 1, 50)
+        with pytest.raises(InvalidGrid):
+            verify_process_membership(proc, 50, MAX_SURFACE_GRID + 1)
 
     def test_first_worst_level_is_reported(self):
         # Levels 0.25 and 0.75 tie at deviation 0.25; the first is reported.

@@ -1,10 +1,11 @@
 """Property-based checks: structural poset laws, solver-vs-oracle
-agreement, closure of the adjacent swap, and the prefix property of
-minimizing witnesses."""
+agreement, closure of the adjacent swap, the prefix property of minimizing
+witnesses, and the non-increasing rearrangement behind the process bound."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,16 +21,14 @@ from monoext import (
     conditional_max,
     conditional_min,
     count_linear_extensions,
-    distribution_function,
     down_set,
-    rearrangement,
     reverse_reduce,
     solve_max,
     solve_min,
     swap_adjacent,
     up_set,
 )
-from monoext import EmpiricalRV
+from monoext import EmpiricalRV, ExtremalProcess, MonotoneMap1D
 from monoext.errors import NotIncomparable
 
 
@@ -221,6 +220,17 @@ def test_adding_query_element_never_decreases_min(instance, rnd):
     assert solve_min(poset, scale, bigger).objective >= before
 
 
+def _piece_slopes(samples):
+    """M * (R((k+1)/M) - R(k/M)) for k < M: the values the non-increasing
+    rearrangement takes on its pieces of width 1/M, read off the tail
+    integral R of the extremal process, smallest first."""
+    rv = EmpiricalRV.from_samples(samples)
+    proc = ExtremalProcess(MonotoneMap1D.identity(), rv)
+    m_count = rv.m
+    tail = proc.tail_integral(np.arange(m_count + 1) / m_count)
+    return rv, proc, m_count * np.diff(tail)
+
+
 @given(
     st.lists(
         st.floats(min_value=0, max_value=1, allow_nan=False), min_size=1, max_size=40
@@ -228,10 +238,9 @@ def test_adding_query_element_never_decreases_min(instance, rnd):
 )
 @settings(max_examples=100, deadline=None)
 def test_equimeasurability(samples):
-    rv = EmpiricalRV.from_samples(samples)
-    assert distribution_function(rearrangement(rv)).same_function(
-        distribution_function(rv)
-    )
+    # Each sample value is taken on a set of measure 1/M.
+    rv, _, slopes = _piece_slopes(samples)
+    assert np.allclose(slopes, rv.samples, rtol=0, atol=1e-13)
 
 
 @given(
@@ -241,9 +250,7 @@ def test_equimeasurability(samples):
 )
 @settings(max_examples=100, deadline=None)
 def test_rearrangement_is_non_increasing_and_equal_mean(samples):
-    rv = EmpiricalRV.from_samples(samples)
-    r = rearrangement(rv)
-    assert all(a >= b for a, b in zip(r.values, r.values[1:]))
-    from monoext import integrate
-
-    assert integrate(r) == rv.mean
+    rv, proc, slopes = _piece_slopes(samples)
+    # Read from y = 0 upwards the pieces run from s = 1 down to s = 0.
+    assert (np.diff(slopes) >= -1e-13).all()
+    assert abs(Fraction(float(proc.tail_integral(1.0))) - rv.mean) <= 1e-15
