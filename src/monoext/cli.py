@@ -50,6 +50,8 @@ MAX_GRID_EXP_N = 1000
 # The closure of a {"grid": {"n": n}} poset holds about n**4 / 8 bytes of
 # bitmasks (192 MB peak resident at the maximum).
 MAX_POSET_GRID = 160
+# Seeds key a Philox generator, whose key is 128 bits.
+MAX_SEED = 2**128
 
 
 @dataclass
@@ -59,11 +61,20 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> "RunConfig":
-        if not self.tol > 0:
-            raise ValidationError("tol must be positive")
-        if self.cap < 1:
-            raise ValidationError("cap must be at least 1")
+        tol_is_number = _is_int(self.tol) or isinstance(self.tol, float)
+        if not (tol_is_number and 0 < self.tol <= sys.float_info.max):
+            raise ValidationError(f"tol must be a finite number > 0, got {self.tol!r}")
+        if not (_is_int(self.cap) and self.cap >= 1):
+            raise ValidationError(f"cap must be an integer >= 1, got {self.cap!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < MAX_SEED):
+            raise ValidationError(
+                f"seed must be an integer in [0, 2**128), got {self.seed!r}"
+            )
         return self
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -286,6 +297,8 @@ def _make_config(args) -> RunConfig:
     config = RunConfig()
     if args.config:
         doc = _load_json(args.config)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"config {args.config} must be a JSON object")
         for key in ("tol", "cap", "seed"):
             if key in doc:
                 setattr(config, key, doc[key])
@@ -369,7 +382,11 @@ def _cmd_cont_extremal(args, config, stdout) -> int:
     # as floats but printed differently (0.0, -0.0) keep their own text.
     bits, index = np.unique(grid.view(np.int64), return_inverse=True)
     texts = [repr(v) for v in bits.view(np.float64).tolist()]
-    with open(args.out, "w") as fh:
+    try:
+        fh = open(args.out, "w")
+    except OSError as e:
+        raise ValidationError(f"cannot write {args.out}: {e}") from e
+    with fh:
         fh.write("x,y,value\n")
         for x, row in zip(coords, index.reshape(grid.shape)):
             fh.write("".join([f"{x},{y},{texts[k]}\n"

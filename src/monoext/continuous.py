@@ -126,9 +126,9 @@ def verify_membership(
     monotonicity must hold under exact <= comparisons; (b) for each level u
     the cell-counting estimate of mu{f > m^{-1}(u)} must equal 1 - u within
     2/grid_n + 1e-9 (a monotone level boundary crosses at most 2*grid_n
-    cells).  ``surface`` replaces the extremal surface: either an
-    evaluator f(x, y), e.g. a negative control, or the array of values
-    already computed at the cell centers (rows index x).  Raises
+    cells).  ``surface`` replaces the extremal surface by a
+    ``grid_n x grid_n`` array of values at the cell centers (rows index
+    x), e.g. the values already computed or a negative control.  Raises
     :class:`MembershipViolation` with witness points on failure; otherwise
     returns the worst deviation observed.
     """
@@ -139,8 +139,6 @@ def verify_membership(
     ys = xs
     if surface is None:
         grid = _surface_grid(m, t, xs, ys)
-    elif callable(surface):
-        grid = np.array([[float(surface(x, y)) for y in ys] for x in xs])
     else:
         grid = np.asarray(surface, dtype=float)
         if grid.shape != (grid_n, grid_n):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -28,22 +28,18 @@ _UNIT_SLACK = 1e-9
 
 
 def _clamp_unit(x, what: str = "argument"):
-    """Clamp values a hair outside [0, 1] (float noise); reject the rest."""
-    if x < 0:
-        if x < -_UNIT_SLACK:
-            raise OutOfDomain(f"{what} {x!r} outside [0, 1]")
-        return 0.0
-    if x > 1:
-        if x > 1 + _UNIT_SLACK:
-            raise OutOfDomain(f"{what} {x!r} outside [0, 1]")
-        return 1.0
-    return x
+    """A value in [0, 1] unchanged (Fractions included); any other value
+    through :func:`_clamp_unit_many`."""
+    if 0 <= x <= 1:
+        return x
+    return float(_clamp_unit_many(x, what))
 
 
 def _clamp_unit_many(x, what: str) -> np.ndarray:
-    """:func:`_clamp_unit` applied to every entry of an array."""
+    """Clamp values a hair outside [0, 1] (float noise); reject the rest,
+    NaN included."""
     x = np.asarray(x, dtype=float)
-    bad = (x < -_UNIT_SLACK) | (x > 1 + _UNIT_SLACK)
+    bad = (x < -_UNIT_SLACK) | (x > 1 + _UNIT_SLACK) | np.isnan(x)
     if bad.any():
         raise OutOfDomain(f"{what} {float(x[bad].flat[0])!r} outside [0, 1]")
     return np.minimum(np.maximum(x, 0.0), 1.0)
@@ -77,13 +73,14 @@ class MonotoneMap1D:
     kind: str
     p: float = 0.0
     points: tuple = ()
+    # Set once by __post_init__.
+    is_increasing_bijection: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == "identity":
-            return
-        if self.kind == "power":
-            if not 0 < self.p < math.inf:
+        if self.kind in ("identity", "power"):
+            if self.kind == "power" and not 0 < self.p < math.inf:
                 raise ValidationError("power exponent must be positive and finite")
+            object.__setattr__(self, "is_increasing_bijection", True)
             return
         if self.kind != "pwl":
             raise ValidationError(f"unknown map kind {self.kind!r}")
@@ -103,9 +100,11 @@ class MonotoneMap1D:
         for a, b in zip(ys, ys[1:]):
             if a > b:
                 raise NotIncreasing("breakpoint ordinates must not decrease")
+        bijection = ys[0] == 0.0 and ys[-1] == 1.0 and all(
+            a < b for a, b in zip(ys, ys[1:])
+        )
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "is_increasing_bijection", bijection)
         object.__setattr__(self, "_xs_np", np.array(xs))
         object.__setattr__(self, "_ys_np", np.array(ys))
 
@@ -126,55 +125,32 @@ class MonotoneMap1D:
         """Constant path t(s) = alpha (usable as a path, not invertible)."""
         return MonotoneMap1D.piecewise_linear([(0.0, alpha), (1.0, alpha)])
 
-    @property
-    def is_increasing_bijection(self) -> bool:
-        if self.kind in ("identity", "power"):
-            return True
-        ys = self._ys
-        if ys[0] != 0.0 or ys[-1] != 1.0:
-            return False
-        return all(a < b for a, b in zip(ys, ys[1:]))
-
     def eval(self, x):
-        """Evaluate at x in [0, 1].
+        """Evaluate at x in [0, 1]: the one-point case of :meth:`eval_many`.
 
         Exact passthrough for the identity (Fractions stay Fractions).
-        The pwl evaluation clamps each piece into its ordinate range so the
-        float result is non-decreasing in x, piece boundaries included.
         """
         x = _clamp_unit(x)
         if self.kind == "identity":
             return x
-        if self.kind == "power":
-            return float(x) ** self.p
-        xs, ys = self._xs, self._ys
-        i = bisect.bisect_right(xs, x) - 1
-        i = min(max(i, 0), len(xs) - 2)
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = ys[i], ys[i + 1]
-        v = y0 + (float(x) - x0) * (y1 - y0) / (x1 - x0)
-        return min(max(v, y0), y1)
+        return float(self.eval_many(x))
 
     def inverse(self, y):
-        """Exact inverse at y in [0, 1]; requires an increasing bijection."""
+        """Inverse at y in [0, 1]: the one-point case of :meth:`inverse_many`.
+
+        Exact passthrough for the identity (Fractions stay Fractions).
+        """
         y = _clamp_unit(y, "value")
         if self.kind == "identity":
             return y
-        if self.kind == "power":
-            fy = float(y)
-            return math.sqrt(fy) if self.p == 2.0 else fy ** (1.0 / self.p)
-        if not self.is_increasing_bijection:
-            raise NotIncreasing("map is not an increasing bijection")
-        xs, ys = self._xs, self._ys
-        i = bisect.bisect_right(ys, y) - 1
-        i = min(max(i, 0), len(ys) - 2)
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = ys[i], ys[i + 1]
-        v = x0 + (float(y) - y0) * (x1 - x0) / (y1 - y0)
-        return min(max(v, x0), x1)
+        return float(self.inverse_many(y))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`eval` with the same arithmetic as the scalar path."""
+        """The map at every entry of ``xs``.
+
+        The pwl evaluation clamps each piece into its ordinate range, so the
+        result is non-decreasing in x, piece boundaries included.
+        """
         xs = np.asarray(xs, dtype=float)
         if self.kind == "identity":
             return xs.copy()
@@ -183,6 +159,8 @@ class MonotoneMap1D:
         return _interpolate(xs, self._xs_np, self._ys_np, "right")
 
     def inverse_many(self, ys: np.ndarray) -> np.ndarray:
+        """The inverse at every entry of ``ys``; requires an increasing
+        bijection."""
         ys = np.asarray(ys, dtype=float)
         if self.kind == "identity":
             return ys.copy()

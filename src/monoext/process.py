@@ -112,12 +112,13 @@ class ExtremalProcess:
         return float(self._tail[0]) / self.tau.m
 
     # The methods below take a float or an array of rank fractions y and
-    # return a float or an array of the same shape.
+    # return a float or an array of the same shape; a y outside [0, 1] or
+    # NaN raises OutOfDomain.
 
     def tail_integral(self, y):
         """Integral of the non-increasing rearrangement over [1 - y, 1]."""
         m_count = self.tau.m
-        p = 1.0 - np.asarray(y, dtype=float)
+        p = 1.0 - _clamp_unit_many(y, "y")
         i = np.clip(p * m_count, 0, m_count - 1).astype(np.int64)
         inner = ((i + 1) / m_count - p) * self._dsc[i] + self._tail[i + 1] / m_count
         inner = np.where(p <= 0.0, self._tail[0] / m_count, inner)
@@ -126,7 +127,7 @@ class ExtremalProcess:
     def quantile(self, y):
         """Value of tau at the sample of rank fraction y."""
         m_count = self.tau.m
-        rank = np.clip(np.ceil(np.asarray(y, dtype=float) * m_count), 1, m_count)
+        rank = np.clip(np.ceil(_clamp_unit_many(y, "y") * m_count), 1, m_count)
         return self._asc[rank.astype(np.int64) - 1]
 
     def lower_branch(self, y):
@@ -282,15 +283,16 @@ def verify_process_membership(
     grid_t: int,
     grid_y: int,
     s_count: int = 101,
-    evaluator=None,
+    values=None,
 ) -> ProcessMembershipReport:
     """Grid check that the extremal process belongs to the class.
 
     (a) Along each sampled trajectory the value must be non-decreasing in
     t under exact comparisons.  (b) For levels s on a grid, the
     cell-counting estimate of (mu x P){xi <= m^{-1}(s)} must equal s within
-    2*(1/grid_t + 1/grid_y) + 1/M + 1e-9.  ``evaluator`` overrides the
-    trajectory evaluator for negative controls.  Raises
+    2*(1/grid_t + 1/grid_y) + 1/M + 1e-9.  ``values`` replaces the
+    process by a ``grid_y x grid_t`` array of trajectory values at the cell
+    centers (rows index y), e.g. a negative control.  Raises
     :class:`MembershipViolation` on failure.
     """
     if not (2 <= grid_t <= MAX_SURFACE_GRID and 2 <= grid_y <= MAX_SURFACE_GRID):
@@ -298,12 +300,14 @@ def verify_process_membership(
     t_centers = (np.arange(grid_t) + 0.5) / grid_t
     y_centers = (np.arange(grid_y) + 0.5) / grid_y
 
-    if evaluator is None:
+    if values is None:
         values = _process_values(proc, t_centers[None, :], y_centers[:, None])
     else:
-        values = np.array(
-            [[float(evaluator(t, y)) for t in t_centers] for y in y_centers]
-        )
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid_y, grid_t):
+            raise InvalidGrid(
+                f"values array has shape {values.shape}, want {(grid_y, grid_t)}"
+            )
 
     steps = np.diff(values, axis=1)
     if (steps < 0).any():

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from re import finditer
 
+import numpy as np
+
 from .errors import (
     CapExceeded,
     EmptyQuery,
@@ -310,12 +312,16 @@ def disjoint_bound(
 def scale_from_m(m: MonotoneMap1D, n: int) -> ValueScale:
     """The scale of preimages m^{-1}(i / n^2), i = 1..n^2.
 
-    Identity maps produce exact rationals; other kinds produce floats that
-    are then held exactly.  Strict increase is re-checked by the scale.
+    Identity maps produce the exact rationals i / n^2.  Other kinds go
+    through one :meth:`~MonotoneMap1D.inverse_many` call on the correctly
+    rounded floats i / n^2, whose results the scale then holds exactly.
+    Strict increase is re-checked by the scale.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
     if not m.is_increasing_bijection:
         raise ValidationError("map must be an increasing bijection")
     n2 = n * n
-    return ValueScale(m.inverse(Fraction(i, n2)) for i in range(1, n2 + 1))
+    if m.kind == "identity":
+        return ValueScale(Fraction(i, n2) for i in range(1, n2 + 1))
+    return ValueScale(m.inverse_many(np.arange(1, n2 + 1) / n2).tolist())

@@ -14,7 +14,9 @@ from monoext import errors, eval_extremal_surface
 from monoext.cli import (
     MAX_GRID_EXP_N,
     MAX_POSET_GRID,
+    MAX_SEED,
     MAX_SURFACE_GRID,
+    RunConfig,
     load_map,
     main,
 )
@@ -194,6 +196,18 @@ class TestContinuous:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ValidationError"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("target", ["missing/surface.csv", "."],
+                             ids=["missing-directory", "directory"])
+    def test_cont_extremal_unwritable_out(self, fixtures, target):
+        code, out, err = run_cli(
+            ["cont-extremal", "--m", "id", "--t", "const:0.5", "--grid", "4",
+             "--out", str(fixtures["dir"] / target)]
+        )
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"].startswith("cannot write")
 
     def test_grid_exp_n_limit(self, monkeypatch):
         def unreachable(*args):
@@ -396,6 +410,43 @@ class TestErrorsAndConfig:
         assert got == code
         if code:
             assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "config, flags, env_seed",
+        [
+            ('{"tol": "abc"}', [], None),
+            ('{"cap": "x"}', [], None),
+            ('{"seed": "x"}', [], None),
+            ("5", [], None),
+            (None, ["--seed", "-1"], None),
+            (None, [], "-5"),
+        ],
+        ids=["tol-string", "cap-string", "seed-string", "bare-number",
+             "negative-seed-flag", "negative-env-seed"],
+    )
+    def test_bad_run_configuration(self, fixtures, tmp_path, monkeypatch,
+                                   config, flags, env_seed):
+        argv = ["proc-sim", "--m", "id", "--tau", fixtures["tau"],
+                "--trials", "10", *flags]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            argv = ["--config", str(cfg), *argv]
+        monkeypatch.delenv("MONOEXT_SEED", raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv("MONOEXT_SEED", env_seed)
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    def test_run_configuration_bounds(self):
+        RunConfig(tol=1, cap=1, seed=MAX_SEED - 1).validate()
+        for bad in ({"tol": 0.0}, {"tol": float("inf")}, {"tol": float("nan")},
+                    {"tol": 10**400}, {"tol": True}, {"cap": 0}, {"cap": 2.0},
+                    {"cap": True}, {"seed": -1}, {"seed": MAX_SEED},
+                    {"seed": 1.0}):
+            with pytest.raises(errors.ValidationError):
+                RunConfig(**bad).validate()
 
     def test_bad_env_seed(self, fixtures, monkeypatch):
         monkeypatch.setenv("MONOEXT_SEED", "not-a-number")

@@ -15,7 +15,7 @@ from monoext import (
     line_integral_on_surface,
     verify_membership,
 )
-from monoext.continuous import MAX_SURFACE_GRID, _surface_values
+from monoext.continuous import MAX_SURFACE_GRID, _surface_grid, _surface_values
 from monoext.errors import InvalidGrid, MembershipViolation, OutOfDomain
 from monoext.func1d import _integrate_nodes
 from monoext.selftest import _SURFACE_PAIRS
@@ -74,6 +74,11 @@ class TestExtremalSurface:
         with pytest.raises(OutOfDomain):
             eval_extremal_surface(ID, ID, 1.2, 0.5)
 
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_coordinate_rejected(self, x, y):
+        with pytest.raises(OutOfDomain):
+            eval_extremal_surface(SQ, MonotoneMap1D.constant(0.5), x, y)
+
     def test_square_map_surface(self):
         t = MonotoneMap1D.constant(0.25)
         got = eval_extremal_surface(SQ, t, 0.2, 0.49)
@@ -116,17 +121,11 @@ class TestMembership:
         assert verify_membership(SQ, MonotoneMap1D.constant(0.25), 200).ok
 
     def test_corrupted_surface_fails(self):
+        # The extremal surface with its lowest and highest cells swapped.
         t = MonotoneMap1D.constant(0.5)
-        lo = 0.5 / 20
-        hi = 19.5 / 20
-
-        def corrupted(x, y):
-            if (x, y) == (lo, lo):
-                return eval_extremal_surface(ID, t, hi, hi)
-            if (x, y) == (hi, hi):
-                return eval_extremal_surface(ID, t, lo, lo)
-            return eval_extremal_surface(ID, t, x, y)
-
+        centers = (np.arange(20) + 0.5) / 20
+        corrupted = _surface_grid(ID, t, centers, centers)
+        corrupted[0, 0], corrupted[-1, -1] = corrupted[-1, -1], corrupted[0, 0]
         with pytest.raises(MembershipViolation):
             verify_membership(ID, t, 20, surface=corrupted)
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -43,6 +44,18 @@ class TestMonotoneMap:
         with pytest.raises(OutOfDomain):
             m.inverse(-0.5)
 
+    def test_nan_rejected(self):
+        m = MonotoneMap1D.power(2)
+        with pytest.raises(OutOfDomain):
+            m.eval(math.nan)
+        with pytest.raises(OutOfDomain):
+            m.inverse(math.nan)
+
+    def test_clamp_keeps_in_range_values(self):
+        m = MonotoneMap1D.identity()
+        assert m.eval(Fraction(1, 3)) == Fraction(1, 3)
+        assert m.eval(1 + 1e-12) == 1.0 and m.inverse(-1e-12) == 0.0
+
     def test_flat_pwl_has_no_inverse(self):
         t = MonotoneMap1D.constant(0.5)
         assert not t.is_increasing_bijection
@@ -79,12 +92,72 @@ class TestMonotoneMap:
                 x = i / 1000
                 assert abs(m.inverse(m.eval(x)) - x) < 1e-11
 
-    def test_eval_many_matches_scalar(self):
-        m = MonotoneMap1D.piecewise_linear([(0, 0), (0.4, 0.1), (1, 1)])
-        xs = np.linspace(0, 1, 57)
-        many = m.eval_many(xs)
-        for x, v in zip(xs, many):
-            assert v == m.eval(float(x))
+
+def _reference_pwl(knots, images, u):
+    """Interpolation on the piece bisect_right(knots, u) - 1, kept within
+    the first and last piece and clamped into that piece's image range."""
+    i = min(max(bisect.bisect_right(knots, u) - 1, 0), len(knots) - 2)
+    k0, k1 = knots[i], knots[i + 1]
+    v0, v1 = images[i], images[i + 1]
+    v = v0 + (u - k0) * (v1 - v0) / (k1 - k0)
+    return min(max(v, v0), v1)
+
+
+def reference_eval(m, x):
+    """m(x) in plain Python, written out as a reference for the array
+    evaluator: Python pow for power maps, a bisection for pwl maps."""
+    if m.kind == "identity":
+        return x
+    if m.kind == "power":
+        return x**m.p
+    return _reference_pwl([a for a, _ in m.points], [b for _, b in m.points], x)
+
+
+def reference_inverse(m, y):
+    """m^{-1}(y) in plain Python, as :func:`reference_eval`."""
+    if m.kind == "identity":
+        return y
+    if m.kind == "power":
+        return math.sqrt(y) if m.p == 2.0 else y ** (1.0 / m.p)
+    return _reference_pwl([b for _, b in m.points], [a for a, _ in m.points], y)
+
+
+REFERENCE_MAPS = [
+    MonotoneMap1D.identity(),
+    MonotoneMap1D.power(2),
+    MonotoneMap1D.power(0.3),
+    MonotoneMap1D.power(1.7),
+    MonotoneMap1D.power(3),
+    MonotoneMap1D.piecewise_linear([(0, 0), (0.4, 0.1), (1, 1)]),
+    MonotoneMap1D.piecewise_linear([(0, 0), (0.3, 0.5), (0.6, 0.7), (1, 1)]),
+    MonotoneMap1D.piecewise_linear([(0, 0.2), (0.3, 0.2), (0.6, 0.5), (1, 0.9)]),
+]
+
+
+@pytest.mark.parametrize("m", REFERENCE_MAPS, ids=[
+    "identity", "power-2", "power-0.3", "power-1.7", "power-3",
+    "pwl-kink", "pwl-three-pieces", "pwl-flat",
+])
+def test_maps_match_plain_python_reference(m):
+    """eval, inverse and eval_many against the plain-Python formulas:
+    exactly for identity and pwl, within 1 ulp for power (numpy's pow and
+    the C library's may round differently)."""
+
+    def close(got, want):
+        if m.kind == "power":
+            return abs(got - want) <= math.ulp(want)
+        return got == want
+
+    knots = [v for point in m.points for v in point]
+    us = np.random.default_rng(3).random(2000).tolist() + [0.0, 1.0] + knots
+    many = m.eval_many(np.array(us)).tolist()
+    for u, v in zip(us, many):
+        want = reference_eval(m, u)
+        assert close(m.eval(u), want), u
+        assert close(v, want), u
+    if m.is_increasing_bijection:
+        for u in us:
+            assert close(m.inverse(u), reference_inverse(m, u)), u
 
 
 @st.composite

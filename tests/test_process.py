@@ -266,6 +266,19 @@ class TestExtremalProcess:
         with pytest.raises(OutOfDomain):
             eval_extremal_process(proc, 1.5, 0.5)
 
+    @pytest.mark.parametrize("t, y", [(0.5, math.nan), (math.nan, 0.5)])
+    def test_nan_time_or_rank_rejected(self, t, y):
+        # A NaN rank once indexed the samples with a garbage integer, and a
+        # NaN time silently took the upper branch.
+        proc = make_extremal_process(ID, EmpiricalRV.uniform_grid(10))
+        with pytest.raises(OutOfDomain):
+            eval_extremal_process(proc, t, y)
+        if math.isnan(y):
+            for method in (proc.tail_integral, proc.quantile, proc.lower_branch,
+                           proc.upper_branch):
+                with pytest.raises(OutOfDomain):
+                    method(np.array([0.5, y]))
+
 
 class TestExpectationAtTau:
     def test_quadrature_matches_bound(self):
@@ -341,14 +354,13 @@ class TestProcessMembership:
 
     def test_swapped_branches_fail(self):
         proc = make_extremal_process(ID, UNIFORM)
-
-        def corrupted(t, y):
-            if t <= proc.quantile(y):
-                return proc.upper_branch(y)
-            return proc.lower_branch(y)
-
+        t = (np.arange(50) + 0.5) / 50
+        y = t[:, None]
+        corrupted = np.where(
+            t <= proc.quantile(y), proc.upper_branch(y), proc.lower_branch(y)
+        )
         with pytest.raises(MembershipViolation):
-            verify_process_membership(proc, 50, 50, evaluator=corrupted)
+            verify_process_membership(proc, 50, 50, values=corrupted)
 
     def test_grid_validation(self):
         proc = make_extremal_process(ID, UNIFORM)
@@ -363,10 +375,11 @@ class TestProcessMembership:
     def test_first_worst_level_is_reported(self):
         # Levels 0.25 and 0.75 tie at deviation 0.25; the first is reported.
         proc = make_extremal_process(ID, UNIFORM)
-        report = verify_process_membership(
-            proc, 2, 2, s_count=5, evaluator=lambda t, y: 0.25 if y < 0.5 else 0.75
-        )
+        values = [[0.25, 0.25], [0.75, 0.75]]  # rows index y
+        report = verify_process_membership(proc, 2, 2, s_count=5, values=values)
         assert (report.max_deviation, report.worst_level) == (0.25, 0.25)
+        with pytest.raises(InvalidGrid):
+            verify_process_membership(proc, 3, 2, values=values)
 
 
 class TestJitter:

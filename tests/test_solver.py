@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -377,6 +378,20 @@ class TestScaleFromM:
     def test_non_bijection_rejected(self):
         with pytest.raises(ValidationError):
             scale_from_m(MonotoneMap1D.constant(0.5), 2)
+
+    def test_exact_identity_and_array_inverse_otherwise(self):
+        n = 30
+        n2 = n * n
+        ranks = range(1, n2 + 1)
+        identity = scale_from_m(MonotoneMap1D.identity(), n)
+        assert identity.values == tuple(Fraction(i, n2) for i in ranks)
+        # The float grid i / n^2 is the correctly rounded Fraction(i, n^2).
+        grid = np.arange(1, n2 + 1) / n2
+        assert grid.tolist() == [float(Fraction(i, n2)) for i in ranks]
+        for p in (0.5, 1.7, 2.0, 3.0, 3.3):
+            m = MonotoneMap1D.power(p)
+            want = tuple(Fraction(v) for v in m.inverse_many(grid).tolist())
+            assert scale_from_m(m, n).values == want
 
 
 class TestMonotoneBijection:
