@@ -1,8 +1,9 @@
 """Brute-force ground truth for the discrete extremal problem.
 
-Enumerates every monotone bijection (one per linear extension) and takes
-the min/max of the query sum directly.  Shares only the poset layer with
-the solver, so agreement between the two is a meaningful check.
+Searches every monotone bijection (one per linear extension) exhaustively
+and takes the min/max of the query sum directly from the definition.
+Shares only the poset layer with the solver, so agreement between the two
+is a meaningful check.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import (
+    CapExceeded,
     EmptyQuery,
     NotAdjacentValues,
     NotIncomparable,
     ValidationError,
 )
-from .poset import DEFAULT_CAP, Poset, QuerySet, _walk_poset
+from .poset import DEFAULT_CAP, Poset, QuerySet, _cover_succs
 from .values import BoundResult, MonotoneBijection, ValueScale
 
 
@@ -26,9 +28,17 @@ def brute_min_max(
 ):
     """(min BoundResult, max BoundResult, number of extensions).
 
-    Scale values are put over a common denominator so the inner loop is
-    pure integer arithmetic; results are exact.  Witnesses are the first
-    extensions (in lexicographic enumeration order) attaining each optimum.
+    An exhaustive search over the linear extensions of the whole ground
+    set, memoized over its order ideals (down-closed subsets).  The element
+    placed at position d receives scale value d + 1, so the best query sum
+    still to come depends only on the set already placed.  A forward pass
+    builds the ideals layer by layer with the number of prefixes reaching
+    each; a backward pass takes the least and greatest sum to come, in
+    integers over a common denominator.  Witnesses are rebuilt by placing,
+    at every step, the lowest-index minimal element that keeps the
+    optimum: the first extension in lexicographic order attaining it.
+    Raises :class:`CapExceeded` when there are more than ``cap``
+    extensions, before any layer holds more than ``cap`` ideals.
     """
     if len(query) == 0:
         raise EmptyQuery("query set is empty")
@@ -43,34 +53,81 @@ def brute_min_max(
     qmask = 0
     for i in query.indices:
         qmask |= 1 << i
+    n = poset.n
+    below = [d ^ 1 << i for i, d in enumerate(poset.down)]
+    succs = _cover_succs(poset)
 
-    # The walk keeps the running query sum per depth; an extension is
-    # copied only when it is strictly better, so each witness is the first
-    # extension attaining its optimum.
-    chosen = [0] * poset.n
-    walk = _walk_poset(poset, chosen, cap, qmask, ints)
-    min_s = max_s = next(walk)
-    min_ext = max_ext = tuple(chosen)
-    count = 1
-    for s in walk:
-        count += 1
-        if s < min_s:
-            min_s, min_ext = s, tuple(chosen)
-        elif s > max_s:
-            max_s, max_ext = s, tuple(chosen)
+    # Forward: per layer, ideal -> [prefixes reaching it, its minimal
+    # unplaced elements].  Every prefix extends to a distinct extension,
+    # so a layer's prefix count is checked against the cap before it is
+    # built.
+    minimal = 0
+    for j, strict in enumerate(below):
+        if not strict:
+            minimal |= 1 << j
+    layers = [{0: [1, minimal]}]
+    for _ in range(n):
+        layer = layers[-1]
+        if sum(c * a.bit_count() for c, a in layer.values()) > cap:
+            raise CapExceeded(cap)
+        nxt = {}
+        for used, (c, avail) in layer.items():
+            a = avail
+            while a:
+                low = a & -a
+                a ^= low
+                t = used | low
+                entry = nxt.get(t)
+                if entry is None:
+                    na = avail ^ low
+                    for j in succs[low.bit_length() - 1]:
+                        if not below[j] & ~t:
+                            na |= 1 << j
+                    nxt[t] = [c, na]
+                else:
+                    entry[0] += c
+        layers.append(nxt)
+    ((count, _),) = layers[-1].values()
 
-    def result(int_sum, ext):
-        ranks = [0] * poset.n
-        for pos, e in enumerate(ext):
-            ranks[e] = pos + 1
+    # Backward: the least and greatest query sum still to come per ideal.
+    full = (1 << n) - 1
+    lo = {full: 0}
+    hi = {full: 0}
+    for d in range(n - 1, -1, -1):
+        w = ints[d]
+        for used, (_, a) in layers[d].items():
+            lo_to = []
+            hi_to = []
+            while a:
+                low = a & -a
+                a ^= low
+                g = w if qmask & low else 0
+                lo_to.append(g + lo[used | low])
+                hi_to.append(g + hi[used | low])
+            lo[used] = min(lo_to)
+            hi[used] = max(hi_to)
+
+    def result(best):
+        ranks = [0] * n
+        used = 0
+        for d in range(n):
+            a = layers[d][used][1]
+            while True:
+                low = a & -a
+                a ^= low
+                t = used | low
+                if (ints[d] if qmask & low else 0) + best[t] == best[used]:
+                    break
+            ranks[low.bit_length() - 1] = d + 1
+            used = t
         fn = MonotoneBijection(poset, scale, ranks)
         perm = tuple(
             sorted(range(len(query)), key=lambda p: ranks[query.indices[p]])
         )
         per_node = tuple(fn.value(query.labels[p]) for p in perm)
-        return BoundResult(Fraction(int_sum, den), perm, fn, per_node)
+        return BoundResult(Fraction(best[0], den), perm, fn, per_node)
 
-    return result(min_s, min_ext), result(max_s, max_ext), count
+    return result(lo), result(hi), count
 
 
 @dataclass(frozen=True)

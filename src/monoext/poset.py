@@ -275,42 +275,60 @@ def _query_below(poset: Poset, idxs: Sequence[int]) -> list:
     return out
 
 
+def _query_covers(poset: Poset, idxs: Sequence[int]):
+    """The cover relation of the subposet induced on ``idxs``.
+
+    Returns, per entry p, the bitmask of the entries p covers and the list
+    of the entries covering p.  The strict down-sets are taken in a
+    topological order (by down-set size), where the highest bit of a set
+    is one of its maximal elements; each cover costs one peeling step.
+    """
+    topo = sorted(range(len(idxs)), key=lambda p: poset.down[idxs[p]].bit_count())
+    below = _query_below(poset, [idxs[p] for p in topo])
+    lower = [0] * len(idxs)
+    upper = [[] for _ in idxs]
+    for a, m in enumerate(below):
+        p = topo[a]
+        while m:
+            b = m.bit_length() - 1
+            m &= ~(below[b] | 1 << b)
+            q = topo[b]
+            lower[p] |= 1 << q
+            upper[q].append(p)
+    return lower, upper
+
+
 def _walk(
     below: Sequence[int],
     succs: Sequence[Sequence[int]],
     chosen: list,
     cap: int,
-    weight: int = 0,
-    values: Sequence = (),
 ) -> Iterator:
     """Iterative depth-first walk over the linear extensions of a poset on
     the elements ``0..n-1``.
 
-    ``below[j]`` is the bitmask of the elements strictly below j, and
-    ``succs[i]`` lists the elements above i along a set of pairs that
-    generates the order (the covers, or any superset of them).  Placing i
-    can make only these minimal: a j whose last unplaced predecessor is i
-    covers i.
+    ``below[j]`` is the bitmask of the elements strictly below j (or only
+    of those j covers: the placed set is down-closed), and ``succs[i]``
+    lists the elements above i along a set of pairs that generates the
+    order (the covers, or any superset of them).  Placing i can make only
+    these minimal: a j whose last unplaced predecessor is i covers i.
 
     At every complete extension ``chosen[pos]`` is the element placed at
-    position pos, and the walk yields the sum of ``values[pos]`` over the
-    positions whose element is in the bitmask ``weight``.  The sum is kept
-    per depth, so a leaf costs O(1).  Candidates are taken lowest element
-    first, so extensions come in lexicographic order.  Raises
+    position pos, and the walk yields None.  Candidates are taken lowest
+    element first, so extensions come in lexicographic order.  Raises
     :class:`CapExceeded` on the (cap+1)-th extension.
     """
     n = len(below)
     if n == 0:  # the empty poset has one, empty, extension
         if cap < 1:
             raise CapExceeded(cap)
-        yield 0
+        yield
         return
-    # Per depth: the minimal unplaced elements, those of them still to try,
-    # the placed elements and the sum before this depth.
+    # Per depth: the minimal unplaced elements, those of them still to try
+    # and the placed elements.
     avail = [0] * n
     todo = [0] * n
     used = [0] * n
-    sums = [0] * n
     minimal = 0
     for j, strict in enumerate(below):
         if not strict:
@@ -330,18 +348,14 @@ def _walk(
         todo[d] = c ^ low
         i = low.bit_length() - 1
         chosen[d] = i
-        s = sums[d] + values[d] if weight & low else sums[d]
         u = used[d] | low
         if d >= penult:  # a complete extension
             if d == penult:  # the one element left goes last
-                rest = full ^ u
-                chosen[last] = rest.bit_length() - 1
-                if weight & rest:
-                    s += values[last]
+                chosen[last] = (full ^ u).bit_length() - 1
             count += 1
             if count > cap:
                 raise CapExceeded(cap)
-            yield s
+            yield
             continue
         a = avail[d] ^ low
         for j in succs[i]:
@@ -349,7 +363,6 @@ def _walk(
                 a |= 1 << j
         d += 1
         used[d] = u
-        sums[d] = s
         avail[d] = todo[d] = a
 
 
@@ -361,13 +374,11 @@ def _cover_succs(poset: Poset) -> list:
     return succs
 
 
-def _walk_poset(
-    poset: Poset, chosen: list, cap: int, weight: int = 0, values: Sequence = ()
-) -> Iterator:
+def _walk_poset(poset: Poset, chosen: list, cap: int) -> Iterator:
     """:func:`_walk` over the whole ground set, its successors taken from
     the stored cover pairs."""
     below = [d ^ 1 << i for i, d in enumerate(poset.down)]
-    return _walk(below, _cover_succs(poset), chosen, cap, weight, values)
+    return _walk(below, _cover_succs(poset), chosen, cap)
 
 
 def admissible_permutations(
@@ -385,13 +396,9 @@ def admissible_permutations(
     """
     idxs = query.indices
     order = sorted(range(len(idxs)), key=idxs.__getitem__)
-    below = _query_below(poset, [idxs[p] for p in order])
-    above = [
-        [j for j, strict in enumerate(below) if strict >> i & 1]
-        for i in range(len(below))
-    ]
+    lower, upper = _query_covers(poset, [idxs[p] for p in order])
     chosen = [0] * len(order)
-    for _ in _walk(below, above, chosen, cap):
+    for _ in _walk(lower, upper, chosen, cap):
         yield tuple(order[r] for r in chosen)
 
 

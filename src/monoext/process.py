@@ -145,7 +145,11 @@ def jitter_tau(tau: EmpiricalRV, delta: float = 1e-9, seed: int = 0) -> Empirica
     Tied groups are spread over a window of width at most ``delta``,
     bounded by the next distinct sample and by 1 (exclusive), so sort
     order is preserved and all samples end up pairwise distinct and in
-    [0, 1).  Untied inputs are returned unchanged.
+    [0, 1).  A group whose window above cannot hold it distinct (the next
+    sample a few float steps away, or the group at 1) is spread just below
+    its value instead, above the previous sample.  Untied inputs are
+    returned unchanged; :class:`ValidationError` when neither side has
+    room.
     """
     if delta <= 0:
         raise ValidationError("delta must be positive")
@@ -164,23 +168,34 @@ def jitter_tau(tau: EmpiricalRV, delta: float = 1e-9, seed: int = 0) -> Empirica
         v = xs[i]
         if g == 1:
             out.append(v)
-        else:
-            nxt = xs[j] if j < m_count else 1.0
-            draws = rng.random(g)
-            if v < nxt:
-                span = min(delta, nxt - v)
-                offs = [(kk + draws[kk]) / (g + 1) * span for kk in range(g)]
-                out.extend(v + o for o in offs)
-            else:
-                # v == 1 (or crowded from above): spread just below v.
-                floor = out[-1] if out else max(0.0, v - delta)
-                span = min(delta, v - floor)
-                offs = [(kk + draws[kk]) / (g + 1) * span for kk in range(g)]
-                out.extend(v - span + o for o in offs)
+            i = j
+            continue
+        nxt = xs[j] if j < m_count else 1.0
+        draws = rng.random(g)
+        spread = None
+        if v < nxt:
+            span = min(delta, nxt - v)
+            spread = [v + (kk + draws[kk]) / (g + 1) * span for kk in range(g)]
+            # The spread may reach ``nxt`` only where no sample stays
+            # there: at the bound 1, or when nxt is tied and spread itself.
+            stays = j < m_count and (j + 1 == m_count or xs[j + 1] != nxt)
+            if not _separated(out, spread) or (spread[-1] >= nxt and stays):
+                spread = None
+        if spread is None:
+            floor = out[-1] if out else max(0.0, v - delta)
+            span = min(delta, v - floor)
+            spread = [v - span + (kk + draws[kk]) / (g + 1) * span for kk in range(g)]
+            if not _separated(out, spread):
+                raise ValidationError("could not separate ties within delta")
+        out.extend(spread)
         i = j
-    if len(set(out)) != m_count:
-        raise ValidationError("could not separate ties within delta")
     return EmpiricalRV.from_samples(out)
+
+
+def _separated(out: list, spread: list) -> bool:
+    """True iff ``spread`` is strictly increasing and starts above ``out``."""
+    prev = out[-1] if out else -1.0
+    return all(a < b for a, b in zip([prev] + spread, spread))
 
 
 def make_extremal_process(

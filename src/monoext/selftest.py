@@ -142,7 +142,7 @@ def criterion_oracle_equivalence(count: int = 500) -> CriterionResult:
     return CriterionResult(
         "oracle equivalence",
         bad == 0 and dt < 60.0,
-        f"{len(rows)} instances, {total_ext} extensions enumerated, "
+        f"{len(rows)} instances, {total_ext} extensions counted, "
         f"{bad} mismatches",
         dt,
     )

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .func1d import MonotoneMap1D
-from .poset import DEFAULT_CAP, Poset, QuerySet, _query_below
+from .poset import DEFAULT_CAP, Poset, QuerySet, _query_covers
 from .poset import _cover_succs, _first_extension
 from .values import BoundResult, MonotoneBijection, ValueScale
 
@@ -113,27 +113,40 @@ def solve_min(
     xi = scale.values
     idxs = query.indices
     n = len(idxs)
-    below = _query_below(poset, idxs)
-    downs = [poset.down[i] for i in idxs]
-    order = sorted(range(n), key=lambda p: idxs[p])
+    # Bit r of an ideal stands for query position order[r], so the lowest
+    # bit of a mask is the element first in canonical order.
+    order = sorted(range(n), key=idxs.__getitem__)
+    ordered = [idxs[p] for p in order]
+    lower, upper = _query_covers(poset, ordered)
+    downs = [poset.down[i] for i in ordered]
+    minimal = {0: sum(1 << r for r in range(n) if not lower[r])}
 
     def successors(used: int):
-        for p in order:
-            if not used >> p & 1 and not below[p] & ~used:
-                yield p, used | 1 << p
+        a = minimal[used]
+        while a:
+            low = a & -a
+            a ^= low
+            yield low.bit_length() - 1, used | low
 
     # Forward: ideal -> size of the union of its down-sets, inserted layer
-    # by layer; the unions themselves are kept for one layer only.
+    # by layer, and ideal -> its minimal unplaced elements, updated along
+    # the covers as the extension walker does; the unions themselves are
+    # kept for one layer only.
     size = {0: 0}
     layer = {0: 0}
     for _ in range(n):
         nxt = {}
         for used, mask in layer.items():
-            for p, t in successors(used):
+            for r, t in successors(used):
                 if t not in nxt:
-                    nxt[t] = mask | downs[p]
+                    nxt[t] = mask | downs[r]
                     if len(size) + len(nxt) > cap:
                         raise CapExceeded(cap)
+                    a = minimal[used] ^ 1 << r
+                    for c in upper[r]:
+                        if not lower[c] & ~t:
+                            a |= 1 << c
+                    minimal[t] = a
         for t, mask in nxt.items():
             size[t] = mask.bit_count()
         layer = nxt
@@ -155,10 +168,10 @@ def solve_min(
     used = 0
     rest = best_val
     for _ in range(n):
-        for p, t in successors(used):
+        for r, t in successors(used):
             if enter[t] == rest:
                 break
-        perm.append(p)
+        perm.append(order[r])
         used = t
         rest -= xi[size[t] - 1]
     best_perm = tuple(perm)

@@ -315,6 +315,15 @@ class TestProcess:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "ValidationError"
 
+    def test_proc_sim_inseparable_ties(self, tmp_path):
+        tau = tmp_path / "tied.csv"
+        tau.write_text("0.0\n0.0\n0.0\n5e-324\n")
+        code, out, err = run_cli(
+            ["proc-sim", "--m", "id", "--tau", str(tau), "--trials", "100"]
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
     def test_env_seed_override(self, fixtures, monkeypatch):
         argv = ["proc-sim", "--m", "id", "--tau", fixtures["tau"], "--trials", "500"]
         monkeypatch.setenv("MONOEXT_SEED", "11")

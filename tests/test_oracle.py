@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -15,6 +16,7 @@ from monoext import (
     check_monotone_bijection,
     count_linear_extensions,
     grid_poset,
+    linear_extensions,
     swap_adjacent,
 )
 from monoext.errors import (
@@ -75,6 +77,48 @@ class TestBruteMinMax:
         with pytest.raises(CapExceeded):
             brute_min_max(p, ValueScale(range(1, 6)), QuerySet(p, [0]), cap=10)
 
+    @pytest.mark.parametrize("poset", [
+        build_poset(range(6), [(i, i + 1) for i in range(5)]),
+        build_poset(range(6), []),
+        grid_poset(3, "product"),
+    ], ids=["chain", "antichain", "grid"])
+    def test_cap_boundary(self, poset):
+        s = ValueScale(range(1, poset.n + 1))
+        q = QuerySet(poset, poset.labels[:1])
+        count = count_linear_extensions(poset)
+        assert brute_min_max(poset, s, q, cap=count)[2] == count
+        with pytest.raises(CapExceeded):
+            brute_min_max(poset, s, q, cap=count - 1)
+
+    def test_empty_poset_has_one_extension(self):
+        # No scale or query exists for it, so the walker's count stands in.
+        p = build_poset([], [])
+        with pytest.raises(CapExceeded):
+            count_linear_extensions(p, cap=0)
+        assert count_linear_extensions(p, cap=1) == 1
+
+    def test_wide_antichain_stops_before_a_layer_above_cap(self):
+        # 2000! extensions: the second layer would hold 2000 * 1999 / 2
+        # ideals, the first holds 2000.
+        n = 2000
+        p = build_poset(range(n), [])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded):
+                brute_min_max(p, ValueScale(range(n)), QuerySet(p, [0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_deep_chain(self):
+        n = 1500
+        p = build_poset(range(n), [(i, i + 1) for i in range(n - 1)])
+        s = ValueScale(range(1, n + 1))
+        bmin, bmax, count = brute_min_max(p, s, QuerySet(p, [0, n - 1]))
+        assert count == 1
+        assert bmin.objective == bmax.objective == n + 1
+
     def test_fractional_scales_stay_exact(self):
         p = grid_poset(2, "product")
         s = ValueScale([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1])
@@ -129,6 +173,41 @@ def test_oracle_matches_permutation_reference(instance):
     bmin, bmax, count = brute_min_max(p, ValueScale(values), QuerySet(p, query))
     (ref_min, min_ranks), (ref_max, max_ranks), ref_count = reference_min_max(
         labels, covers, values, query
+    )
+    assert count == ref_count
+    assert bmin.objective == ref_min and bmax.objective == ref_max
+    assert list(bmin.witness_fn.ranks) == min_ranks
+    assert list(bmax.witness_fn.ranks) == max_ranks
+
+
+def extension_reference(poset, values, query):
+    """(min, max, count, min ranks, max ranks) by summing the query values
+    along every linear extension, in lexicographic order, keeping the first
+    extension attaining each optimum."""
+    qidx = {poset.index(lab) for lab in query}
+    best = {}
+    count = 0
+    for ext in linear_extensions(poset):
+        count += 1
+        total = sum(values[pos] for pos, e in enumerate(ext) if e in qidx)
+        ranks = [0] * poset.n
+        for pos, e in enumerate(ext):
+            ranks[e] = pos + 1
+        if "min" not in best or total < best["min"][0]:
+            best["min"] = (total, ranks)
+        if "max" not in best or total > best["max"][0]:
+            best["max"] = (total, ranks)
+    return best["min"], best["max"], count
+
+
+@given(shuffled_instances(max_n=7))
+@settings(max_examples=150, deadline=None)
+def test_oracle_matches_extension_reference(instance):
+    labels, covers, values, query = instance
+    p = build_poset(labels, covers)
+    bmin, bmax, count = brute_min_max(p, ValueScale(values), QuerySet(p, query))
+    (ref_min, min_ranks), (ref_max, max_ranks), ref_count = extension_reference(
+        p, values, query
     )
     assert count == ref_count
     assert bmin.objective == ref_min and bmax.objective == ref_max

@@ -18,6 +18,7 @@ from monoext.errors import (
     InvalidGrid,
     UnknownElement,
 )
+from monoext.poset import _query_covers
 
 
 def chain3():
@@ -244,3 +245,27 @@ class TestReversal:
         ]
         sub = build_poset(q.labels, sub_covers)
         assert count == count_linear_extensions(sub)
+
+
+class TestQueryCovers:
+    @pytest.mark.parametrize("covers", [
+        [(i, i + 1) for i in range(7)],
+        [],
+        [(0, 2), (1, 2), (2, 3), (2, 4), (0, 5), (5, 6), (4, 7), (6, 7)],
+        [(a, b) for a in range(4) for b in range(4, 8)],
+    ], ids=["chain", "antichain", "dag", "bipartite"])
+    def test_matches_definition(self, covers):
+        p = build_poset([3, 7, 0, 5, 1, 6, 2, 4], covers)
+        idxs = [p.index(lab) for lab in (6, 0, 2, 7, 4, 3)]
+        lower, upper = _query_covers(p, idxs)
+
+        def strictly_below(a, b):
+            return a != b and p.leq_idx(a, b)
+
+        for pa, a in enumerate(idxs):
+            for pb, b in enumerate(idxs):
+                covered = strictly_below(b, a) and not any(
+                    strictly_below(b, c) and strictly_below(c, a) for c in idxs
+                )
+                assert bool(lower[pa] >> pb & 1) == covered
+                assert (pa in upper[pb]) == covered

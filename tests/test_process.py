@@ -414,6 +414,23 @@ class TestJitter:
         with pytest.raises(ValidationError):
             jitter_tau(EmpiricalRV.constant(0.5, 2), 0.0)
 
+    def test_group_with_room_above_spreads_above(self):
+        out = jitter_tau(EmpiricalRV.from_samples([0.2, 0.5, 0.5, 0.9]), 1e-6, seed=3)
+        assert out.samples[0] == 0.2 and out.samples[3] == 0.9
+        assert 0.5 < out.samples[1] < out.samples[2] < 0.5 + 1e-6
+
+    def test_next_sample_one_step_above_spreads_below(self):
+        step = math.nextafter(0.5, 1.0)
+        rv = EmpiricalRV.from_samples([0.2, 0.5, 0.5, 0.5, step, 0.9])
+        out = jitter_tau(rv, 1e-6, seed=0).samples
+        assert (out[0], out[4], out[5]) == (0.2, step, 0.9)
+        assert 0.5 - 1e-6 <= out[1] < out[2] < out[3] <= 0.5
+
+    def test_no_room_on_either_side(self):
+        rv = EmpiricalRV.from_samples([0.0, 0.0, 0.0, 5e-324])
+        with pytest.raises(ValidationError, match="could not separate ties"):
+            jitter_tau(rv, 1e-6, seed=0)
+
 
 class TestLowerBoundProperty:
     def test_random_members_dominate_bound(self):
