@@ -11,6 +11,7 @@ thousands of elements.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -263,16 +264,22 @@ def up_set(poset: Poset, alpha: Label) -> ElementSet:
 
 
 def _query_below(poset: Poset, idxs: Sequence[int]) -> list:
-    """Per entry p of ``idxs``, the bitmask of entries strictly below it."""
-    out = []
-    for i in idxs:
-        down = poset.down[i]
-        m = 0
-        for q, j in enumerate(idxs):
-            if j != i and down >> j & 1:
-                m |= 1 << q
-        out.append(m)
-    return out
+    """Per entry p of ``idxs``, the bitmask of entries strictly below it.
+
+    Each down-set is written out as a binary string, most significant bit
+    first, and the characters of the entries are gathered last entry first
+    in one C-level step, so the string read back as an integer has bit q
+    set iff entry q lies below; the entry's own bit is then cleared.
+    """
+    if not idxs:
+        return []
+    n = poset.n
+    spec = f"0{n}b"
+    pick = itemgetter(*[n - 1 - i for i in reversed(idxs)])
+    return [
+        int("".join(pick(format(poset.down[i], spec))), 2) & ~(1 << q)
+        for q, i in enumerate(idxs)
+    ]
 
 
 def _query_covers(poset: Poset, idxs: Sequence[int]):

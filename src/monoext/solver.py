@@ -4,12 +4,16 @@ Given a poset, a strictly increasing value scale of the same size, and a
 query set B, the minimum and maximum of ``sum(f(b) for b in B)`` over all
 monotone bijections f are computed from a closed-form conditional value
 per admissible ordering of B, optimized by dynamic programming over
-the order ideals of the query.  All arithmetic is exact rational.
+the order ideals of the query.  The search adds and compares integers:
+the scale values it charges are first brought to their common
+denominator, so every result is exact.  It keeps two layers of cost
+values over that denominator, plus one choice per ideal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from re import finditer
 
 import numpy as np
@@ -97,21 +101,63 @@ def solve_min(
     """Global minimum of the query sum over all monotone bijections.
 
     Dynamic programming over the order ideals (down-closed subsets) of the
-    subposet induced on the query.  The cost still to come after placing a
-    set of query elements depends only on that set, through the size of
-    the union of their down-sets, so each ideal is solved once.  A forward
-    pass enumerates the ideals layer by layer, a backward pass computes
-    the exact optimal cost-to-go of each, and the ordering is rebuilt by
-    taking, at every step, the first element in canonical order that
-    keeps the optimum.  The reported ordering is therefore the
-    lexicographically least optimal one.  ``cap`` bounds the number of
-    ideals (DP states).
+    subposet induced on the query (:func:`_search`), with the value of
+    rank k charged for a prefix whose down-sets cover k elements.  The
+    reported ordering is the lexicographically least optimal one, and
+    ``cap`` bounds the number of ideals (DP states).
     """
     _check_scale(poset, scale)
     if len(query) == 0:
         raise EmptyQuery("query set is empty")
     xi = scale.values
-    idxs = query.indices
+    best, perm = _search(poset, query.indices, lambda k: xi[k - 1], cap)
+    return _result(poset, scale, query, best, perm, "min")
+
+
+def solve_max(
+    poset: Poset, scale: ValueScale, query: QuerySet, cap: int = DEFAULT_CAP
+) -> BoundResult:
+    """Global maximum of the query sum over all monotone bijections.
+
+    The same search as :func:`solve_min`, run on the reversed order: the
+    ideals are now up-sets of the query, and a suffix whose up-sets cover
+    k elements is charged minus the value of rank N + 1 - k.  The ordering
+    found runs from the top, so it is reported reversed; of the optimal
+    orderings it is the one whose reversal is lexicographically least.
+    """
+    _check_scale(poset, scale)
+    if len(query) == 0:
+        raise EmptyQuery("query set is empty")
+    xi = scale.values
+    n_total = poset.n
+    best, perm = _search(
+        poset.reversed(), query.indices, lambda k: -xi[n_total - k], cap
+    )
+    return _result(poset, scale, query, -best, perm[::-1], "max")
+
+
+def _result(poset, scale, query, best, perm, mode) -> BoundResult:
+    witness = build_witness(poset, scale, query, perm, mode)
+    per_node = tuple(witness.value(query.labels[p]) for p in perm)
+    return BoundResult(best, perm, witness, per_node)
+
+
+def _search(poset: Poset, idxs, value, cap: int):
+    """The least sum of ``value(k)`` over the prefixes of an admissible
+    ordering of the query entries ``idxs``, k being the size of the union
+    of the prefix's down-sets, and the lexicographically least ordering
+    (in canonical index) attaining it, as positions into ``idxs``.
+
+    The cost still to come after placing a set of query elements depends
+    only on that set, so each order ideal of the induced subposet is solved
+    once.  A forward pass enumerates the ideals layer by layer with the
+    size of their union.  The values at the sizes reached are brought to
+    their common denominator, so the backward pass adds and compares
+    integers; it keeps the cost still to come for two layers only, plus
+    one choice per ideal: the lowest successor bit attaining the minimum.
+    Following the choices from the empty ideal rebuilds the ordering.
+    Raises :class:`CapExceeded` when there are more than ``cap`` ideals.
+    """
     n = len(idxs)
     # Bit r of an ideal stands for query position order[r], so the lowest
     # bit of a mask is the element first in canonical order.
@@ -121,85 +167,74 @@ def solve_min(
     downs = [poset.down[i] for i in ordered]
     minimal = {0: sum(1 << r for r in range(n) if not lower[r])}
 
-    def successors(used: int):
-        a = minimal[used]
-        while a:
-            low = a & -a
-            a ^= low
-            yield low.bit_length() - 1, used | low
-
-    # Forward: ideal -> size of the union of its down-sets, inserted layer
-    # by layer, and ideal -> its minimal unplaced elements, updated along
-    # the covers as the extension walker does; the unions themselves are
-    # kept for one layer only.
-    size = {0: 0}
+    # Forward: per layer, ideal -> size of the union of its down-sets; the
+    # unions themselves are kept for one layer only.  Each ideal's minimal
+    # unplaced elements are updated along the covers, as the extension
+    # walker does.
+    sizes = [{0: 0}]
+    states = 1
     layer = {0: 0}
     for _ in range(n):
         nxt = {}
         for used, mask in layer.items():
-            for r, t in successors(used):
+            a = minimal[used]
+            while a:
+                low = a & -a
+                a ^= low
+                t = used | low
                 if t not in nxt:
+                    r = low.bit_length() - 1
                     nxt[t] = mask | downs[r]
-                    if len(size) + len(nxt) > cap:
+                    if states + len(nxt) > cap:
                         raise CapExceeded(cap)
-                    a = minimal[used] ^ 1 << r
+                    m = minimal[used] ^ low
                     for c in upper[r]:
                         if not lower[c] & ~t:
-                            a |= 1 << c
-                    minimal[t] = a
-        for t, mask in nxt.items():
-            size[t] = mask.bit_count()
+                            m |= 1 << c
+                    minimal[t] = m
+        states += len(nxt)
+        sizes.append({t: mask.bit_count() for t, mask in nxt.items()})
         layer = nxt
 
-    # Backward: entering ideal t costs xi[size - 1]; ``enter[t]`` adds the
-    # optimal cost of every later step.  Reversed insertion order visits
-    # each ideal after all of its successors.
-    full = (1 << n) - 1
-    enter = {}
-    for used in reversed(size):
-        if used == full:
-            rest = Fraction(0)
-        else:
-            rest = min(enter[t] for _, t in successors(used))
-        enter[used] = xi[size[used] - 1] + rest if used else rest
-    best_val = enter[0]
+    # Integer weights over the common denominator of the values at the
+    # sizes reached; the empty ideal is charged nothing.
+    reached = set().union(*(level.values() for level in sizes[1:]))
+    vals = {k: value(k) for k in reached}
+    den = lcm(*(v.denominator for v in vals.values()))
+    weight = {k: v.numerator * (den // v.denominator) for k, v in vals.items()}
+    weight[0] = 0
+
+    # Backward: ``ahead`` holds, for the layer after the current one, the
+    # cost of entering each ideal plus the optimal cost of every later
+    # step.  Successors are scanned lowest bit first and replaced only on
+    # a strict improvement.
+    choice = {}
+    ahead = {t: weight[k] for t, k in sizes[n].items()}
+    for level in reversed(sizes[:n]):
+        here = {}
+        for used, k in level.items():
+            a = minimal[used]
+            pick = a & -a
+            best = ahead[used | pick]
+            a ^= pick
+            while a:
+                low = a & -a
+                a ^= low
+                cost = ahead[used | low]
+                if cost < best:
+                    best = cost
+                    pick = low
+            here[used] = weight[k] + best
+            choice[used] = pick
+        ahead = here
 
     perm = []
     used = 0
-    rest = best_val
     for _ in range(n):
-        for r, t in successors(used):
-            if enter[t] == rest:
-                break
-        perm.append(order[r])
-        used = t
-        rest -= xi[size[t] - 1]
-    best_perm = tuple(perm)
-    witness = build_witness(poset, scale, query, best_perm, "min")
-    per_node = tuple(witness.value(query.labels[p]) for p in best_perm)
-    return BoundResult(best_val, best_perm, witness, per_node)
-
-
-def solve_max(
-    poset: Poset, scale: ValueScale, query: QuerySet, cap: int = DEFAULT_CAP
-) -> BoundResult:
-    """Global maximum of the query sum, via the order-reversal reduction.
-
-    Maximizing over the original orders is minimizing over the reversed
-    poset with the negated, reversed scale; the witness maps back through
-    rank -> N + 1 - rank.
-    """
-    _check_scale(poset, scale)
-    if len(query) == 0:
-        raise EmptyQuery("query set is empty")
-    rposet, rscale, rquery = reverse_reduce(poset, scale, query)
-    res = solve_min(rposet, rscale, rquery, cap=cap)
-    n_total = poset.n
-    ranks = [n_total + 1 - r for r in res.witness_fn.ranks]
-    witness = MonotoneBijection(poset, scale, ranks)
-    perm = tuple(reversed(res.witness_perm))
-    per_node = tuple(witness.value(query.labels[p]) for p in perm)
-    return BoundResult(-res.objective, perm, witness, per_node)
+        pick = choice[used]
+        perm.append(order[pick.bit_length() - 1])
+        used |= pick
+    return Fraction(ahead[0], den), tuple(perm)
 
 
 def build_witness(
@@ -212,31 +247,32 @@ def build_witness(
     k-th ordered query element, filled along the lexicographically first
     linear extension of the induced subposet.  This is the least linear
     extension under the key (first prefix containing the element,
-    canonical index), built in O((N + covers) log N).  Max mode runs the
-    same construction on the reversed instance and maps ranks back.
+    canonical index), built in O((N + covers) log N).  Max mode builds the
+    same extension of the reversed order along the reversed ordering, so
+    its blocks are unions of up-sets, and hands out ranks from N down.
     """
     _check_scale(poset, scale)
     _validate_ordering(poset, query, perm)
-    if mode == "max":
-        rposet, rscale, rquery = reverse_reduce(poset, scale, query)
-        g = build_witness(rposet, rscale, rquery, tuple(reversed(perm)), "min")
-        ranks = [poset.n + 1 - r for r in g.ranks]
-        return MonotoneBijection(poset, scale, ranks)
-    if mode != "min":
+    if mode not in ("min", "max"):
         raise ValidationError(f"mode must be 'min' or 'max', got {mode!r}")
+    n_total = poset.n
+    base, ranked = poset, range(1, n_total + 1)
+    if mode == "max":
+        base, perm = poset.reversed(), tuple(reversed(perm))
+        ranked = range(n_total, 0, -1)
 
     # The prefix unions are down-closed, so ordering by (key, index) fills
     # each block along its lexicographically first extension.
     idxs = query.indices
-    key = [len(perm)] * poset.n
+    key = [len(perm)] * n_total
     mask = 0
     for k, p in enumerate(perm):
-        new = poset.down[idxs[p]] & ~mask
+        new = base.down[idxs[p]] & ~mask
         mask |= new
         for bit in finditer("1", bin(new)[:1:-1]):  # character i is bit i
             key[bit.start()] = k
-    ranks = [0] * poset.n
-    for r, e in enumerate(_first_extension(_cover_succs(poset), key), 1):
+    ranks = [0] * n_total
+    for r, e in zip(ranked, _first_extension(_cover_succs(base), key)):
         ranks[e] = r
     return MonotoneBijection(poset, scale, ranks)
 

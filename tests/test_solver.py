@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +173,140 @@ class TestSolve:
         assert exc.value.cap == 7
         with pytest.raises(CapExceeded):
             solve_max(p, s, q, cap=7)
+
+
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
+
+
+@st.composite
+def scaled_instances(draw, family, max_n=7):
+    """A poset on n <= 7 elements with shuffled labels (so canonical order
+    need not be a linear extension), a scale of the given family and a
+    query.
+
+    ``"int"``: distinct integers from a narrow range, so many orderings tie.
+    ``"float"``: distinct floats of both signs, some within 1e-299 of zero.
+    ``"prime"``: ``i + a/p`` with pairwise distinct prime denominators p.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    covers = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    ]
+    labels = list(draw(st.permutations(range(n))))
+    poset = build_poset(labels, covers)
+    if family == "int":
+        values = draw(
+            st.lists(st.integers(-n, 2 * n), min_size=n, max_size=n, unique=True)
+        )
+    elif family == "float":
+        values = draw(
+            st.lists(
+                st.one_of(
+                    st.floats(-1e3, 1e3),
+                    st.floats(-1e-299, 1e-299),
+                    st.sampled_from([1e-300, -1e-300, 3e-300]),
+                ),
+                min_size=n,
+                max_size=n,
+                unique=True,
+            )
+        )
+    else:
+        primes = draw(st.permutations(PRIMES))[:n]
+        values = [
+            i + Fraction(draw(st.integers(0, p - 1)), p)
+            for i, p in enumerate(primes)
+        ]
+    query = QuerySet(
+        poset, draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    )
+    return poset, ValueScale(sorted(values)), query
+
+
+def first_optimal(poset, scale, query, mode):
+    """The first optimal ordering by brute force.  Min scans the orderings
+    in enumeration (lexicographic) order; max scans the orderings of the
+    reversed order, which run from the top, and reports each reversed."""
+    best_val = best_perm = None
+    if mode == "min":
+        for perm in admissible_permutations(poset, query):
+            v = conditional_min(poset, scale, query, perm)
+            if best_val is None or v < best_val:
+                best_val, best_perm = v, perm
+        return best_val, best_perm
+    rposet = poset.reversed()
+    for top_down in admissible_permutations(rposet, QuerySet(rposet, query.labels)):
+        perm = top_down[::-1]
+        v = conditional_max(poset, scale, query, perm)
+        if best_val is None or v > best_val:
+            best_val, best_perm = v, perm
+    return best_val, best_perm
+
+
+@pytest.mark.parametrize("family", ["int", "float", "prime"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solvers_match_first_optimal_ordering(family, data):
+    poset, scale, query = data.draw(scaled_instances(family))
+    for mode, solve in (("min", solve_min), ("max", solve_max)):
+        res = solve(poset, scale, query)
+        assert (res.objective, res.witness_perm) == first_optimal(
+            poset, scale, query, mode
+        )
+
+
+def _primes_from(start, count):
+    out = []
+    c = start
+    while len(out) < count:
+        if all(c % d for d in range(2, int(c**0.5) + 1)):
+            out.append(c)
+        c += 1
+    return out
+
+
+class TestCoprimeDenominators:
+    """Fourteen disjoint chains of lengths 23..36 (N = 413), queried at one
+    end of each, with scale values i + a_i/p_i over distinct primes p_i
+    just above 10**6.  The union sizes reached cover hundreds of ranks, so
+    the common denominator of the search has thousands of digits; the two
+    layers of cost values the backward pass keeps bound its memory (a
+    tracemalloc peak of about 9.9 MB)."""
+
+    @staticmethod
+    def instance(end):
+        labels, covers, query = [], [], []
+        for c, length in enumerate(range(23, 37)):
+            chain = [(c, j) for j in range(length)]
+            labels += chain
+            covers += list(zip(chain, chain[1:]))
+            query.append(chain[end])
+        poset = build_poset(labels, covers)
+        primes = _primes_from(10**6, poset.n)
+        a = [(i * 7919) % p or 1 for i, p in enumerate(primes, 1)]
+        scale = ValueScale(
+            i + Fraction(ai, p) for i, (ai, p) in enumerate(zip(a, primes), 1)
+        )
+        return poset, scale, QuerySet(poset, query)
+
+    # Tops for the minimum and bottoms for the maximum: the union sizes
+    # are then subset sums of the chain lengths in both directions.
+    @pytest.mark.parametrize(
+        "end, solve, cond",
+        [(-1, solve_min, conditional_min), (0, solve_max, conditional_max)],
+    )
+    def test_exact_with_bounded_memory(self, end, solve, cond):
+        poset, scale, query = self.instance(end)
+        res = solve(poset, scale, query)
+        assert cond(poset, scale, query, res.witness_perm) == res.objective
+        tracemalloc.start()
+        try:
+            again = solve(poset, scale, query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.objective == res.objective
+        assert peak < 15 * 2**20
 
 
 class TestBuildWitness:
