@@ -234,27 +234,19 @@ def grid_experiment(alpha: float, n: int, k: int) -> GridExperiment:
         raise InvalidGrid("k must be a positive divisor of n")
     s = math.ceil(fa * n)
 
-    # val[i-1][j-1], i column, j row; integer values 1..n^2.
-    val = [[0] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        for i in range(1, s + 1):
-            val[i - 1][j - 1] = (j - 1) * s + i
-    base = s * n
-    for j in range(1, n + 1):
-        for i in range(s + 1, n + 1):
-            val[i - 1][j - 1] = base + (j - 1) * (n - s) + (i - s)
+    # val[i-1, j-1], i column, j row; integer values 1..n^2.
+    i = np.arange(1, n + 1)[:, None]
+    j = np.arange(1, n + 1)[None, :]
+    val = np.where(i <= s, (j - 1) * s + i, s * n + (j - 1) * (n - s) + (i - s))
 
-    seen = sorted(v for col in val for v in col)
-    if seen != list(range(1, n * n + 1)):
+    if not np.array_equal(np.sort(val, axis=None), np.arange(1, n * n + 1)):
         raise MembershipViolation("grid filling is not a bijection")
-    for i in range(n):
-        for j in range(n):
-            if i + 1 < n and val[i][j] >= val[i + 1][j]:
-                raise MembershipViolation("grid filling not monotone in x")
-            if j + 1 < n and val[i][j] >= val[i][j + 1]:
-                raise MembershipViolation("grid filling not monotone in y")
+    if (np.diff(val, axis=0) <= 0).any():
+        raise MembershipViolation("grid filling not monotone in x")
+    if (np.diff(val, axis=1) <= 0).any():
+        raise MembershipViolation("grid filling not monotone in y")
 
-    column_total = sum(val[s - 1][j] for j in range(n))
+    column_total = int(val[s - 1].sum())
     discrete_sum = Fraction(column_total, n**3)
     discrete_bound = Fraction(s * (n + 1), 2 * n)
     target = fa / 2

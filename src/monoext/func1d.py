@@ -35,14 +35,21 @@ def _clamp_unit(x, what: str = "argument"):
     return float(_clamp_unit_many(x, what))
 
 
+def _unit_many(x, what: str) -> np.ndarray:
+    """``x`` as a float array, unchanged; raises :class:`OutOfDomain` for NaN
+    or any value more than _UNIT_SLACK outside [0, 1].  One min and one max
+    reduction decide, as NaN propagates through both."""
+    x = np.asarray(x, dtype=float)
+    if x.size and not (-_UNIT_SLACK <= x.min() and x.max() <= 1 + _UNIT_SLACK):
+        bad = (x < -_UNIT_SLACK) | (x > 1 + _UNIT_SLACK) | np.isnan(x)
+        raise OutOfDomain(f"{what} {float(x[bad].flat[0])!r} outside [0, 1]")
+    return x
+
+
 def _clamp_unit_many(x, what: str) -> np.ndarray:
     """Clamp values a hair outside [0, 1] (float noise); reject the rest,
     NaN included."""
-    x = np.asarray(x, dtype=float)
-    bad = (x < -_UNIT_SLACK) | (x > 1 + _UNIT_SLACK) | np.isnan(x)
-    if bad.any():
-        raise OutOfDomain(f"{what} {float(x[bad].flat[0])!r} outside [0, 1]")
-    return np.minimum(np.maximum(x, 0.0), 1.0)
+    return np.minimum(np.maximum(_unit_many(x, what), 0.0), 1.0)
 
 
 def _interpolate(u, knots, images, side: str) -> np.ndarray:
@@ -149,9 +156,11 @@ class MonotoneMap1D:
         """The map at every entry of ``xs``.
 
         The pwl evaluation clamps each piece into its ordinate range, so the
-        result is non-decreasing in x, piece boundaries included.
+        result is non-decreasing in x, piece boundaries included.  Raises
+        :class:`OutOfDomain` for NaN or an entry outside [0, 1] by more than
+        float noise; entries within it are used as they are.
         """
-        xs = np.asarray(xs, dtype=float)
+        xs = _unit_many(xs, "argument")
         if self.kind == "identity":
             return xs.copy()
         if self.kind == "power":
@@ -160,8 +169,8 @@ class MonotoneMap1D:
 
     def inverse_many(self, ys: np.ndarray) -> np.ndarray:
         """The inverse at every entry of ``ys``; requires an increasing
-        bijection."""
-        ys = np.asarray(ys, dtype=float)
+        bijection.  The domain check of :meth:`eval_many` applies."""
+        ys = _unit_many(ys, "value")
         if self.kind == "identity":
             return ys.copy()
         if self.kind == "power":
@@ -176,11 +185,12 @@ class MonotoneMap1D:
 
         Closed form for every kind.  On a pwl map it inverts the piece with
         ordinates y0 < x <= y1, so x at the level of a flat piece gives that
-        piece's left end, and x <= t(0) gives 0.
+        piece's left end, and x <= t(0) gives 0.  The domain check of
+        :meth:`eval_many` applies.
         """
-        xs = np.asarray(xs, dtype=float)
         if self.kind != "pwl":
             return self.inverse_many(xs)
+        xs = _unit_many(xs, "value")
         # For x <= t(1) only the first piece can be flat here, with x <= y0:
         # the unit divisor leaves v <= x0, which the clamp turns into x0.
         return _interpolate(xs, self._ys_np, self._xs_np, "left")

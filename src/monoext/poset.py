@@ -263,8 +263,10 @@ def up_set(poset: Poset, alpha: Label) -> ElementSet:
     return ElementSet(poset, poset.up[poset.index(alpha)])
 
 
-def _query_below(poset: Poset, idxs: Sequence[int]) -> list:
-    """Per entry p of ``idxs``, the bitmask of entries strictly below it.
+def _query_below(downs: Sequence[int], idxs: Sequence[int]) -> list:
+    """Per entry p of ``idxs``, the bitmask of entries strictly below it in
+    the order whose down-sets are ``downs`` (a poset's ``down``, or its
+    ``up`` for the reversed order).
 
     Each down-set is written out as a binary string, most significant bit
     first, and the characters of the entries are gathered last entry first
@@ -273,25 +275,26 @@ def _query_below(poset: Poset, idxs: Sequence[int]) -> list:
     """
     if not idxs:
         return []
-    n = poset.n
+    n = len(downs)
     spec = f"0{n}b"
     pick = itemgetter(*[n - 1 - i for i in reversed(idxs)])
     return [
-        int("".join(pick(format(poset.down[i], spec))), 2) & ~(1 << q)
+        int("".join(pick(format(downs[i], spec))), 2) & ~(1 << q)
         for q, i in enumerate(idxs)
     ]
 
 
-def _query_covers(poset: Poset, idxs: Sequence[int]):
-    """The cover relation of the subposet induced on ``idxs``.
+def _query_covers(downs: Sequence[int], idxs: Sequence[int]):
+    """The cover relation induced on ``idxs`` by the order whose down-sets
+    are ``downs``.
 
     Returns, per entry p, the bitmask of the entries p covers and the list
     of the entries covering p.  The strict down-sets are taken in a
     topological order (by down-set size), where the highest bit of a set
     is one of its maximal elements; each cover costs one peeling step.
     """
-    topo = sorted(range(len(idxs)), key=lambda p: poset.down[idxs[p]].bit_count())
-    below = _query_below(poset, [idxs[p] for p in topo])
+    topo = sorted(range(len(idxs)), key=lambda p: downs[idxs[p]].bit_count())
+    below = _query_below(downs, [idxs[p] for p in topo])
     lower = [0] * len(idxs)
     upper = [[] for _ in idxs]
     for a, m in enumerate(below):
@@ -373,10 +376,13 @@ def _walk(
         avail[d] = todo[d] = a
 
 
-def _cover_succs(poset: Poset) -> list:
-    """Per element, the elements above it along the stored cover pairs."""
+def _cover_succs(poset: Poset, sign: int = 1) -> list:
+    """Per element, the elements above it along the stored cover pairs;
+    with ``sign`` -1 each pair is flipped, giving the successors in the
+    reversed order."""
     succs = [[] for _ in range(poset.n)]
-    for i, j in poset.covers:
+    pairs = poset.covers if sign > 0 else ((j, i) for i, j in poset.covers)
+    for i, j in pairs:
         succs[i].append(j)
     return succs
 
@@ -403,7 +409,7 @@ def admissible_permutations(
     """
     idxs = query.indices
     order = sorted(range(len(idxs)), key=idxs.__getitem__)
-    lower, upper = _query_covers(poset, [idxs[p] for p in order])
+    lower, upper = _query_covers(poset.down, [idxs[p] for p in order])
     chosen = [0] * len(order)
     for _ in _walk(lower, upper, chosen, cap):
         yield tuple(order[r] for r in chosen)

@@ -148,22 +148,20 @@ def criterion_oracle_equivalence(count: int = 500) -> CriterionResult:
     )
 
 
-def _min_attained_values(poset, scale, query, perm, fn):
+def _attained_values(poset, scale, query, perm, fn, mode) -> bool:
+    """Whether ``fn`` takes, at each query element, the value the closed
+    form of ``perm`` gives it.  Written out here, apart from the solver:
+    the minimum reads ``perm`` from the bottom, ranking by the size of the
+    union of down-sets so far; the maximum reads it from the top, ranking
+    by N + 1 minus the size of the union of up-sets so far."""
+    if mode == "min":
+        sets, order, rank = poset.down, perm, lambda k: k
+    else:
+        sets, order, rank = poset.up, perm[::-1], lambda k: poset.n + 1 - k
     mask = 0
-    for p in perm:
-        mask |= poset.down[query.indices[p]]
-        if fn.value(query.labels[p]) != scale.value(mask.bit_count()):
-            return False
-    return True
-
-
-def _max_attained_values(poset, scale, query, perm, fn):
-    mask = 0
-    n_total = poset.n
-    for p in reversed(perm):
-        mask |= poset.up[query.indices[p]]
-        expected = scale.value(n_total - mask.bit_count() + 1)
-        if fn.value(query.labels[p]) != expected:
+    for p in order:
+        mask |= sets[query.indices[p]]
+        if fn.value(query.labels[p]) != scale.value(rank(mask.bit_count())):
             return False
     return True
 
@@ -173,19 +171,12 @@ def criterion_witness_validity(count: int = 500) -> CriterionResult:
     rows = corpus_results(count)
     bad = 0
     for poset, scale, query, mn, mx, _, _, _ in rows:
-        if not check_monotone_bijection(poset, scale, mn.witness_fn):
-            bad += 1
-            continue
-        if not check_monotone_bijection(poset, scale, mx.witness_fn):
-            bad += 1
-            continue
-        if not _min_attained_values(
-            poset, scale, query, mn.witness_perm, mn.witness_fn
-        ):
-            bad += 1
-            continue
-        if not _max_attained_values(
-            poset, scale, query, mx.witness_perm, mx.witness_fn
+        if not all(
+            check_monotone_bijection(poset, scale, res.witness_fn)
+            and _attained_values(
+                poset, scale, query, res.witness_perm, res.witness_fn, mode
+            )
+            for res, mode in ((mn, "min"), (mx, "max"))
         ):
             bad += 1
     return CriterionResult(
@@ -288,7 +279,7 @@ def criterion_swap_and_prefix(instances: int = 10**4) -> CriterionResult:
 
         k = rng.randint(1, n)
         query = QuerySet(poset, rng.sample(poset.labels, k))
-        perm = tuple(_random_order(rng, _query_below(poset, query.indices)))
+        perm = tuple(_random_order(rng, _query_below(poset.down, query.indices)))
         witness = build_witness(poset, scale, query, perm, "min")
         prefix_checked += 1
         mask = 0

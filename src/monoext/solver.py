@@ -7,7 +7,9 @@ per admissible ordering of B, optimized by dynamic programming over
 the order ideals of the query.  The search adds and compares integers:
 the scale values it charges are first brought to their common
 denominator, so every result is exact.  It keeps two layers of cost
-values over that denominator, plus one choice per ideal.
+values over that denominator, plus one choice per ideal.  Every maximum
+runs through the same code as the minimum, reading the up-sets from the
+top of the order (:func:`_orientation`); no reversed instance is built.
 """
 
 from __future__ import annotations
@@ -56,6 +58,36 @@ def _validate_ordering(poset: Poset, query: QuerySet, perm) -> None:
         placed |= 1 << i
 
 
+def _orientation(poset: Poset, mode: str):
+    """The one place where the minimum and the maximum part ways:
+    ``(sets, rank, sign)``.  The minimum reads an ordering from the bottom
+    with the down-sets, and a running union of k elements ranks k.  The
+    maximum, the negated minimum of the order-reversed instance, reads it
+    from the top with the up-sets, and k elements rank N + 1 - k.  ``sign``
+    is +1 or -1: ``perm[::sign]`` is the reading order, and the search
+    minimizes ``sign`` times the sum.
+    """
+    if mode == "min":
+        return poset.down, lambda k: k, 1
+    if mode == "max":
+        top = poset.n + 1
+        return poset.up, lambda k: top - k, -1
+    raise ValidationError(f"mode must be 'min' or 'max', got {mode!r}")
+
+
+def _oriented_sum(poset, scale, idxs, perm, mode) -> Fraction:
+    """The conditional optimum of the ordering ``perm`` (positions into
+    ``idxs``, lowest first): along the ordering in reading order, the value
+    ranked by the running union of the oriented sets."""
+    sets, rank, sign = _orientation(poset, mode)
+    total = Fraction(0)
+    mask = 0
+    for p in perm[::sign]:
+        mask |= sets[idxs[p]]
+        total += scale.value(rank(mask.bit_count()))
+    return total
+
+
 def conditional_min(
     poset: Poset, scale: ValueScale, query: QuerySet, perm
 ) -> Fraction:
@@ -66,17 +98,7 @@ def conditional_min(
     """
     _check_scale(poset, scale)
     _validate_ordering(poset, query, perm)
-    return _ordered_min(poset, scale, query, perm)
-
-
-def _ordered_min(poset: Poset, scale: ValueScale, query: QuerySet, perm):
-    idxs = query.indices
-    total = Fraction(0)
-    mask = 0
-    for p in perm:
-        mask |= poset.down[idxs[p]]
-        total += scale.value(mask.bit_count())
-    return total
+    return _oriented_sum(poset, scale, query.indices, perm, "min")
 
 
 def conditional_max(
@@ -84,15 +106,13 @@ def conditional_max(
 ) -> Fraction:
     """Maximum of the query sum over bijections realizing ordering ``perm``.
 
-    The negated :func:`conditional_min` of the order-reversed instance
-    (:func:`reverse_reduce`) under the reversed ordering: position k,
-    counting from the top of the ordering, contributes the value of rank
-    N - |union of up-sets of the last k ordered elements| + 1.
+    The same sum read from the top of the ordering: the k-th element from
+    the top contributes the value of rank N + 1 - |union of the up-sets of
+    the last k ordered elements|.
     """
     _check_scale(poset, scale)
     _validate_ordering(poset, query, perm)
-    rposet, rscale, rquery = reverse_reduce(poset, scale, query)
-    return -_ordered_min(rposet, rscale, rquery, tuple(reversed(perm)))
+    return _oriented_sum(poset, scale, query.indices, perm, "max")
 
 
 def solve_min(
@@ -106,12 +126,7 @@ def solve_min(
     reported ordering is the lexicographically least optimal one, and
     ``cap`` bounds the number of ideals (DP states).
     """
-    _check_scale(poset, scale)
-    if len(query) == 0:
-        raise EmptyQuery("query set is empty")
-    xi = scale.values
-    best, perm = _search(poset, query.indices, lambda k: xi[k - 1], cap)
-    return _result(poset, scale, query, best, perm, "min")
+    return _solve(poset, scale, query, cap, "min")
 
 
 def solve_max(
@@ -119,34 +134,36 @@ def solve_max(
 ) -> BoundResult:
     """Global maximum of the query sum over all monotone bijections.
 
-    The same search as :func:`solve_min`, run on the reversed order: the
-    ideals are now up-sets of the query, and a suffix whose up-sets cover
-    k elements is charged minus the value of rank N + 1 - k.  The ordering
-    found runs from the top, so it is reported reversed; of the optimal
-    orderings it is the one whose reversal is lexicographically least.
+    The search of :func:`solve_min` over the up-sets of the query read from
+    the top: a suffix whose up-sets cover k elements is charged minus the
+    value of rank N + 1 - k.  The ordering found runs from the top, so it
+    is reported reversed; of the optimal orderings it is the one whose
+    reversal is lexicographically least.
     """
+    return _solve(poset, scale, query, cap, "max")
+
+
+def _solve(poset, scale, query, cap, mode) -> BoundResult:
     _check_scale(poset, scale)
     if len(query) == 0:
         raise EmptyQuery("query set is empty")
+    sets, rank, sign = _orientation(poset, mode)
     xi = scale.values
-    n_total = poset.n
-    best, perm = _search(
-        poset.reversed(), query.indices, lambda k: -xi[n_total - k], cap
-    )
-    return _result(poset, scale, query, -best, perm[::-1], "max")
-
-
-def _result(poset, scale, query, best, perm, mode) -> BoundResult:
+    best, perm = _search(sets, query.indices, lambda k: xi[rank(k) - 1], sign, cap)
+    perm = perm[::sign]
     witness = build_witness(poset, scale, query, perm, mode)
     per_node = tuple(witness.value(query.labels[p]) for p in perm)
     return BoundResult(best, perm, witness, per_node)
 
 
-def _search(poset: Poset, idxs, value, cap: int):
-    """The least sum of ``value(k)`` over the prefixes of an admissible
-    ordering of the query entries ``idxs``, k being the size of the union
-    of the prefix's down-sets, and the lexicographically least ordering
-    (in canonical index) attaining it, as positions into ``idxs``.
+def _search(sets, idxs, value, sign: int, cap: int):
+    """``sign`` times the least sum of ``sign * value(k)`` over the prefixes
+    of an admissible ordering of the query entries ``idxs``, k being the
+    size of the union of the prefix's sets, and the lexicographically least
+    ordering (in canonical index) attaining it, as positions into ``idxs``.
+    That is the least sum for ``sign`` +1 and the greatest for -1.
+    ``sets`` are the down-sets of the order searched: the poset's
+    down-sets, or its up-sets for the reversed order.
 
     The cost still to come after placing a set of query elements depends
     only on that set, so each order ideal of the induced subposet is solved
@@ -163,8 +180,8 @@ def _search(poset: Poset, idxs, value, cap: int):
     # bit of a mask is the element first in canonical order.
     order = sorted(range(n), key=idxs.__getitem__)
     ordered = [idxs[p] for p in order]
-    lower, upper = _query_covers(poset, ordered)
-    downs = [poset.down[i] for i in ordered]
+    lower, upper = _query_covers(sets, ordered)
+    downs = [sets[i] for i in ordered]
     minimal = {0: sum(1 << r for r in range(n) if not lower[r])}
 
     # Forward: per layer, ideal -> size of the union of its down-sets; the
@@ -201,7 +218,7 @@ def _search(poset: Poset, idxs, value, cap: int):
     reached = set().union(*(level.values() for level in sizes[1:]))
     vals = {k: value(k) for k in reached}
     den = lcm(*(v.denominator for v in vals.values()))
-    weight = {k: v.numerator * (den // v.denominator) for k, v in vals.items()}
+    weight = {k: sign * v.numerator * (den // v.denominator) for k, v in vals.items()}
     weight[0] = 0
 
     # Backward: ``ahead`` holds, for the layer after the current one, the
@@ -234,7 +251,7 @@ def _search(poset: Poset, idxs, value, cap: int):
         pick = choice[used]
         perm.append(order[pick.bit_length() - 1])
         used |= pick
-    return Fraction(ahead[0], den), tuple(perm)
+    return Fraction(sign * ahead[0], den), tuple(perm)
 
 
 def build_witness(
@@ -242,38 +259,34 @@ def build_witness(
 ) -> MonotoneBijection:
     """A monotone bijection attaining the conditional optimum for ``perm``.
 
-    Min mode assigns scale ranks block by block: the k-th block is the set
-    of elements newly covered by the union of down-sets after placing the
-    k-th ordered query element, filled along the lexicographically first
-    linear extension of the induced subposet.  This is the least linear
-    extension under the key (first prefix containing the element,
-    canonical index), built in O((N + covers) log N).  Max mode builds the
-    same extension of the reversed order along the reversed ordering, so
-    its blocks are unions of up-sets, and hands out ranks from N down.
+    The ordering is read as :func:`_orientation` reads it, and ranks are
+    handed out block by block: the k-th block is the set of elements newly
+    covered by the running union of sets once the k-th query element is
+    read, filled along the lexicographically first linear extension of the
+    order read.  Min mode reads the down-sets from the bottom and hands out
+    ranks 1, 2, ...; max mode reads the up-sets from the top, walks the
+    cover pairs flipped, and hands out ranks N, N - 1, ....  This is the
+    least linear extension under the key (first block containing the
+    element, canonical index), built in O((N + covers) log N).
     """
     _check_scale(poset, scale)
     _validate_ordering(poset, query, perm)
-    if mode not in ("min", "max"):
-        raise ValidationError(f"mode must be 'min' or 'max', got {mode!r}")
-    n_total = poset.n
-    base, ranked = poset, range(1, n_total + 1)
-    if mode == "max":
-        base, perm = poset.reversed(), tuple(reversed(perm))
-        ranked = range(n_total, 0, -1)
+    sets, rank, sign = _orientation(poset, mode)
 
-    # The prefix unions are down-closed, so ordering by (key, index) fills
-    # each block along its lexicographically first extension.
+    # The running unions are down-closed in the order read, so ordering by
+    # (key, index) fills each block along its lexicographically first
+    # extension.
     idxs = query.indices
-    key = [len(perm)] * n_total
+    key = [len(perm)] * poset.n
     mask = 0
-    for k, p in enumerate(perm):
-        new = base.down[idxs[p]] & ~mask
+    for k, p in enumerate(perm[::sign]):
+        new = sets[idxs[p]] & ~mask
         mask |= new
         for bit in finditer("1", bin(new)[:1:-1]):  # character i is bit i
             key[bit.start()] = k
-    ranks = [0] * n_total
-    for r, e in zip(ranked, _first_extension(_cover_succs(base), key)):
-        ranks[e] = r
+    ranks = [0] * poset.n
+    for pos, e in enumerate(_first_extension(_cover_succs(poset, sign), key), 1):
+        ranks[e] = rank(pos)
     return MonotoneBijection(poset, scale, ranks)
 
 
@@ -281,7 +294,8 @@ def reverse_reduce(poset: Poset, scale: ValueScale, query: QuerySet):
     """Order-reversed instance whose minimum is the negated maximum.
 
     Returns the reversed poset, the negated-and-reversed scale, and the
-    query re-bound to the reversed poset (same labels).
+    query re-bound to the reversed poset (same labels).  No solver path
+    builds it: it is an independent reference for the maxima.
     """
     rposet = poset.reversed()
     rscale = ValueScale(tuple(-v for v in reversed(scale.values)))
@@ -292,9 +306,11 @@ def reverse_reduce(poset: Poset, scale: ValueScale, query: QuerySet):
 def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):
     """(min, max) closed forms when the query set is a chain.
 
-    min sums the values ranked by each element's down-set size; max sums
-    the values ranked N - |up-set| + 1.  The query may be given in any
-    order; elements are sorted along the chain internally.
+    A chain has one admissible ordering, and the running union along it is
+    the current element's down-set (up-set, read from the top): min sums
+    the values ranked by each element's down-set size, max the values
+    ranked N + 1 - |up-set|.  The query may be given in any order; it is
+    sorted along the chain once.
     """
     _check_scale(poset, scale)
     if len(query) == 0:
@@ -306,19 +322,11 @@ def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):
                 raise NotAChain(
                     f"{query.labels[a]!r} and {query.labels[b]!r} are incomparable"
                 )
-    ordered = sorted(idxs, key=lambda i: poset.down[i].bit_count())
-    n_total = poset.n
-    mn = sum(
-        (scale.value(poset.down[i].bit_count()) for i in ordered), Fraction(0)
+    chain = sorted(range(len(idxs)), key=lambda p: poset.down[idxs[p]].bit_count())
+    return (
+        _oriented_sum(poset, scale, idxs, chain, "min"),
+        _oriented_sum(poset, scale, idxs, chain, "max"),
     )
-    mx = sum(
-        (
-            scale.value(n_total - poset.up[i].bit_count() + 1)
-            for i in ordered
-        ),
-        Fraction(0),
-    )
-    return mn, mx
 
 
 def disjoint_bound(
@@ -326,17 +334,16 @@ def disjoint_bound(
 ) -> Fraction:
     """Closed form when the query elements' down-sets (up-sets) are disjoint.
 
-    For ``mode="min"`` the down-sets must be pairwise disjoint; sorting
-    their sizes ascending, the k-th term is the value ranked by the k-th
-    prefix sum.  ``mode="max"`` is the dual with up-sets and ranks counted
-    from the top.
+    For ``mode="min"`` the down-sets must be pairwise disjoint, and
+    ``mode="max"`` is the dual with up-sets.  The running union's size is
+    then the running sum of the set sizes, so reading the sets smallest
+    first, the k-th term is the value ranked by the k-th prefix sum (for
+    the maximum, N + 1 minus it).
     """
     _check_scale(poset, scale)
     if len(query) == 0:
         raise EmptyQuery("query set is empty")
-    if mode not in ("min", "max"):
-        raise ValidationError(f"mode must be 'min' or 'max', got {mode!r}")
-    sets = poset.down if mode == "min" else poset.up
+    sets, _, sign = _orientation(poset, mode)
     idxs = query.indices
     for a in range(len(idxs)):
         for b in range(a + 1, len(idxs)):
@@ -347,15 +354,9 @@ def disjoint_bound(
                     f"{query.labels[b]!r} intersect",
                     pair=(query.labels[a], query.labels[b]),
                 )
-    sizes = sorted(sets[i].bit_count() for i in idxs)
-    n_total = poset.n
-    total = Fraction(0)
-    prefix = 0
-    for s in sizes:
-        prefix += s
-        rank = prefix if mode == "min" else n_total - prefix + 1
-        total += scale.value(rank)
-    return total
+    # perm[::sign] is the reading order: smallest set first.
+    perm = sorted(range(len(idxs)), key=lambda p: sign * sets[idxs[p]].bit_count())
+    return _oriented_sum(poset, scale, idxs, perm, mode)
 
 
 def scale_from_m(m: MonotoneMap1D, n: int) -> ValueScale:

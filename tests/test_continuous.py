@@ -232,9 +232,11 @@ class TestGridExperiment:
         assert rec.discrete_bound == Fraction(3, 4)
 
     def test_discrete_sum_near_target(self):
-        rec = grid_experiment(0.5, 100, 10)
-        assert abs(float(rec.discrete_sum) - 0.25) <= 0.02
-        assert rec.discrete_sum == rec.discrete_bound / rec.n
+        for n in (100, 1000):
+            rec = grid_experiment(0.5, n, 10)
+            assert abs(float(rec.discrete_sum) - 0.25) <= 0.02
+            assert rec.discrete_sum == Fraction(rec.column * (n + 1), 2 * n * n)
+            assert rec.discrete_sum == rec.discrete_bound / rec.n
 
     def test_full_width_column(self):
         for n in (2, 10, 50):

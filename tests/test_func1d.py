@@ -160,6 +160,48 @@ def test_maps_match_plain_python_reference(m):
             assert close(m.inverse(u), reference_inverse(m, u)), u
 
 
+DOMAIN_MAPS = {
+    "identity": MonotoneMap1D.identity(),
+    "power": MonotoneMap1D.power(2),
+    "pwl": MonotoneMap1D.piecewise_linear([(0, 0), (0.4, 0.1), (1, 1)]),
+    "pwl-flat": MonotoneMap1D.constant(0.5),
+}
+ARRAY_METHODS = ["eval_many", "inverse_many", "lower_inverse_many"]
+
+
+# inverse_many on a map with a flat piece raises NotIncreasing whatever
+# the input, so that pair is left out.
+ARRAY_CASES = [
+    pytest.param(m, method, id=f"{kind}-{method}")
+    for kind, m in DOMAIN_MAPS.items()
+    for method in ARRAY_METHODS
+    if m.is_increasing_bijection or method != "inverse_many"
+]
+
+
+@pytest.mark.parametrize("m, method", ARRAY_CASES)
+class TestArrayDomain:
+    @pytest.mark.parametrize("bad", [
+        [math.nan, 2.0], [0.2, math.nan], [0.5, 1 + 1e-6], [-1e-6, 0.5], [math.inf],
+    ])
+    def test_rejects_nan_and_out_of_range(self, m, method, bad):
+        with pytest.raises(OutOfDomain):
+            getattr(m, method)(np.array(bad))
+
+    def test_in_range_entries_pass_unchanged(self, m, method):
+        # Entries within float noise of [0, 1] are not clamped first: the
+        # result equals the formula applied to the array as given.
+        xs = np.array([0.0, 0.3, 1.0, 1 + 1e-12])
+        got = getattr(m, method)(xs)
+        assert got.shape == xs.shape
+        if m.kind == "identity":
+            assert got.tolist() == xs.tolist()
+        elif m.kind == "power":
+            want = xs**2 if method == "eval_many" else np.sqrt(xs)
+            assert got.tolist() == want.tolist() and got[-1] != 1.0
+        assert getattr(m, method)(np.array([])).size == 0
+
+
 @st.composite
 def paths(draw):
     """Identity, power p in [0.3, 4], or pwl with abscissae on the 1/100

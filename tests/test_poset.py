@@ -257,7 +257,7 @@ class TestQueryCovers:
     def test_matches_definition(self, covers):
         p = build_poset([3, 7, 0, 5, 1, 6, 2, 4], covers)
         idxs = [p.index(lab) for lab in (6, 0, 2, 7, 4, 3)]
-        lower, upper = _query_covers(p, idxs)
+        lower, upper = _query_covers(p.down, idxs)
 
         def strictly_below(a, b):
             return a != b and p.leq_idx(a, b)

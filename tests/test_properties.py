@@ -2,8 +2,11 @@
 agreement, closure of the adjacent swap, the prefix property of minimizing
 witnesses, and the non-increasing rearrangement behind the process bound."""
 
+import io
+import json
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,16 +14,19 @@ from hypothesis import strategies as st
 
 from monoext import (
     MonotoneBijection,
+    Poset,
     QuerySet,
     ValueScale,
     admissible_permutations,
     brute_min_max,
     build_poset,
     build_witness,
+    chain_bounds,
     check_monotone_bijection,
     conditional_max,
     conditional_min,
     count_linear_extensions,
+    disjoint_bound,
     down_set,
     reverse_reduce,
     solve_max,
@@ -29,7 +35,8 @@ from monoext import (
     up_set,
 )
 from monoext import EmpiricalRV, ExtremalProcess, MonotoneMap1D
-from monoext.errors import NotIncomparable
+from monoext.cli import main
+from monoext.errors import NotIncomparable, PreconditionViolated
 
 
 @st.composite
@@ -141,12 +148,87 @@ def test_min_ordering_is_first_minimizer_in_enumeration_order(instance):
     assert res.witness_perm == best_perm
 
 
+def _chain_in(poset, labels):
+    """The labels, lowest first, kept greedily while comparable with all
+    labels kept so far."""
+    chain = []
+    for a in sorted(labels, key=lambda lab: len(down_set(poset, lab))):
+        if all(poset.leq(b, a) for b in chain):
+            chain.append(a)
+    return chain
+
+
 @given(poset_instances())
 @settings(max_examples=60, deadline=None)
 def test_duality_through_reversal(instance):
+    # Each max path equals the negated min of the order-reversed instance
+    # built by reverse_reduce, under the reversed ordering.
     poset, scale, query = instance
     rp, rs, rq = reverse_reduce(poset, scale, query)
     assert solve_max(poset, scale, query).objective == -solve_min(rp, rs, rq).objective
+    top = poset.n + 1
+    for perm in islice(admissible_permutations(poset, query), 24):
+        back = perm[::-1]
+        assert conditional_max(poset, scale, query, perm) == -conditional_min(
+            rp, rs, rq, back
+        )
+        ranks = build_witness(poset, scale, query, perm, "max").ranks
+        rranks = build_witness(rp, rs, rq, back, "min").ranks
+        assert list(ranks) == [top - r for r in rranks]
+
+    chain = _chain_in(poset, query.labels)
+    cmin, cmax = chain_bounds(poset, scale, QuerySet(poset, chain))
+    rmin, rmax = chain_bounds(rp, rs, QuerySet(rp, chain))
+    assert (cmin, cmax) == (-rmax, -rmin)
+
+    try:
+        dmax = disjoint_bound(poset, scale, query, "max")
+    except PreconditionViolated:
+        dmax = None
+    try:
+        rdmin = disjoint_bound(rp, rs, rq, "min")
+    except PreconditionViolated:
+        rdmin = None
+    assert (dmax is None) == (rdmin is None)
+    if dmax is not None:
+        assert dmax == -rdmin
+
+
+def test_no_max_path_builds_the_reversed_poset(tmp_path, monkeypatch):
+    labels = ["a", "b", "c", "d", "e", "f"]
+    covers = [("a", "c"), ("b", "c"), ("c", "d"), ("b", "e"), ("e", "f")]
+    poset = build_poset(labels, covers)
+    scale = ValueScale([Fraction(v, 3) for v in (-4, -1, 0, 2, 7, 9)])
+    query = QuerySet(poset, ["d", "a", "e", "b"])
+    rp, rs, rq = reverse_reduce(poset, scale, query)
+    perms = list(admissible_permutations(poset, query))
+    expected = [-conditional_min(rp, rs, rq, perm[::-1]) for perm in perms]
+    best = -solve_min(rp, rs, rq).objective
+
+    def refuse(self):
+        raise AssertionError("Poset.reversed called")
+
+    monkeypatch.setattr(Poset, "reversed", refuse)
+    assert solve_max(poset, scale, query).objective == best
+    assert [conditional_max(poset, scale, query, p) for p in perms] == expected
+    for perm in perms:
+        build_witness(poset, scale, query, perm, "max")
+    chain_bounds(poset, scale, QuerySet(poset, ["a", "c", "d"]))
+    disjoint_bound(poset, scale, QuerySet(poset, ["d", "f"]), "max")
+
+    argv = ["solve", "--mode", "both", "--witness"]
+    docs = {
+        "poset": {"labels": labels, "covers": [list(c) for c in covers]},
+        "scale": {"values": [str(v) for v in scale.values]},
+        "query": {"query": list(query.labels)},
+    }
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{name}", str(path)]
+    out = io.StringIO()
+    assert main(argv, stdout=out, stderr=io.StringIO()) == 0
+    assert Fraction(json.loads(out.getvalue())["max"]["objective"]) == best
 
 
 @given(poset_instances())
