@@ -50,7 +50,8 @@ MAX_GRID_EXP_N = 1000
 # The closure of a {"grid": {"n": n}} poset holds about n**4 / 8 bytes of
 # bitmasks (192 MB peak resident at the maximum).
 MAX_POSET_GRID = 160
-# Seeds key a Philox generator, whose key is 128 bits.
+# The seed keys proc-sim's Monte Carlo Philox generator, whose key is 128
+# bits.
 MAX_SEED = 2**128
 
 
@@ -285,7 +286,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="key of the Monte Carlo generator")
     p.add_argument("--verify", help="grid_t,grid_y for the membership check")
 
     p = sub.add_parser("selftest", help="run the acceptance checks")
@@ -430,7 +431,7 @@ def _cmd_proc_sim(args, config, stdout) -> int:
             )
     m = load_map(args.m)
     tau = load_samples(args.tau)
-    proc = make_extremal_process(m, tau, seed=config.seed)
+    proc = make_extremal_process(m, tau)
     bound = expectation_bound(m, tau, config.tol)
     value, stderr = expectation_at_tau(
         proc, "montecarlo", trials=args.trials, seed=config.seed

@@ -29,27 +29,24 @@ _UNIT_SLACK = 1e-9
 
 def _clamp_unit(x, what: str = "argument"):
     """A value in [0, 1] unchanged (Fractions included); any other value
-    through :func:`_clamp_unit_many`."""
+    through :func:`_unit_many`."""
     if 0 <= x <= 1:
         return x
-    return float(_clamp_unit_many(x, what))
+    return float(_unit_many(x, what))
 
 
 def _unit_many(x, what: str) -> np.ndarray:
-    """``x`` as a float array, unchanged; raises :class:`OutOfDomain` for NaN
-    or any value more than _UNIT_SLACK outside [0, 1].  One min and one max
-    reduction decide, as NaN propagates through both."""
+    """``x`` as a float array, float noise outside [0, 1] clamped into it;
+    raises :class:`OutOfDomain` for NaN or any value more than _UNIT_SLACK
+    outside [0, 1].  One min and one max reduction decide (NaN propagates
+    through both), and an array within [0, 1] is returned as it is."""
     x = np.asarray(x, dtype=float)
-    if x.size and not (-_UNIT_SLACK <= x.min() and x.max() <= 1 + _UNIT_SLACK):
+    if x.size and not (0.0 <= x.min() and x.max() <= 1.0):
         bad = (x < -_UNIT_SLACK) | (x > 1 + _UNIT_SLACK) | np.isnan(x)
-        raise OutOfDomain(f"{what} {float(x[bad].flat[0])!r} outside [0, 1]")
+        if bad.any():
+            raise OutOfDomain(f"{what} {float(x[bad].flat[0])!r} outside [0, 1]")
+        x = np.clip(x, 0.0, 1.0)
     return x
-
-
-def _clamp_unit_many(x, what: str) -> np.ndarray:
-    """Clamp values a hair outside [0, 1] (float noise); reject the rest,
-    NaN included."""
-    return np.minimum(np.maximum(_unit_many(x, what), 0.0), 1.0)
 
 
 def _interpolate(u, knots, images, side: str) -> np.ndarray:
@@ -158,7 +155,8 @@ class MonotoneMap1D:
         The pwl evaluation clamps each piece into its ordinate range, so the
         result is non-decreasing in x, piece boundaries included.  Raises
         :class:`OutOfDomain` for NaN or an entry outside [0, 1] by more than
-        float noise; entries within it are used as they are.
+        float noise; entries within it are clamped into [0, 1] first, as the
+        scalar methods do.
         """
         xs = _unit_many(xs, "argument")
         if self.kind == "identity":

@@ -5,8 +5,8 @@ Processes live on [0,1] with almost-surely non-decreasing trajectories in
 [0,1] and expected super-level-set measure at least 1 - m(s).  For a random
 time tau with non-increasing rearrangement r, the expectation at tau is at
 least the integral over y of m^{-1}(R(y)) with R(y) the integral of r over
-[1-y, 1].  The sample space is parameterized by the rank fraction
-y = P(tau' <= tau(omega)), which is uniform once ties are broken.
+[1-y, 1].  The sample space is the rank fraction y, uniform on [0, 1] by
+construction, so tau may have atoms (tied samples) and needs no tie-breaking.
 """
 
 from __future__ import annotations
@@ -21,16 +21,15 @@ from .continuous import MAX_SURFACE_GRID
 from .errors import (
     InvalidGrid,
     MembershipViolation,
-    OutOfDomain,
     ValidationError,
 )
 from .func1d import (
     EmpiricalRV,
     MonotoneMap1D,
     _clamp_unit,
-    _clamp_unit_many,
     _integrate_nodes,
     _level_set_deviation,
+    _unit_many,
 )
 from .poset import QuerySet, grid_poset
 from .solver import disjoint_bound, scale_from_m
@@ -88,8 +87,8 @@ class ExtremalProcess:
     m^{-1}(R(y)) up to the y-quantile of tau and the constant
     m^{-1}(E tau + y - R(y)) after it; both branches are non-decreasing in
     y and the second dominates the first, so trajectories are monotone.
-    :func:`make_extremal_process` breaks ties in tau by jitter so that
-    ranks are well defined.
+    Outcome y meets tau at its y-quantile, and y is uniform on [0, 1], so an
+    atom of tau is met by an interval of outcomes: ties need no breaking.
     """
 
     m: MonotoneMap1D
@@ -118,7 +117,7 @@ class ExtremalProcess:
     def tail_integral(self, y):
         """Integral of the non-increasing rearrangement over [1 - y, 1]."""
         m_count = self.tau.m
-        p = 1.0 - _clamp_unit_many(y, "y")
+        p = 1.0 - _unit_many(y, "y")
         i = np.clip(p * m_count, 0, m_count - 1).astype(np.int64)
         inner = ((i + 1) / m_count - p) * self._dsc[i] + self._tail[i + 1] / m_count
         inner = np.where(p <= 0.0, self._tail[0] / m_count, inner)
@@ -127,85 +126,20 @@ class ExtremalProcess:
     def quantile(self, y):
         """Value of tau at the sample of rank fraction y."""
         m_count = self.tau.m
-        rank = np.clip(np.ceil(_clamp_unit_many(y, "y") * m_count), 1, m_count)
+        rank = np.clip(np.ceil(_unit_many(y, "y") * m_count), 1, m_count)
         return self._asc[rank.astype(np.int64) - 1]
 
     def lower_branch(self, y):
-        level = _clamp_unit_many(self.tail_integral(y), "value")
-        return self.m.inverse_many(level)[()]
+        return self.m.inverse_many(self.tail_integral(y))[()]
 
     def upper_branch(self, y):
         level = self.mean_time + np.asarray(y, dtype=float) - self.tail_integral(y)
-        return self.m.inverse_many(_clamp_unit_many(level, "level"))[()]
+        return self.m.inverse_many(level)[()]
 
 
-def jitter_tau(tau: EmpiricalRV, delta: float = 1e-9, seed: int = 0) -> EmpiricalRV:
-    """Break ties among samples by adding tiny distinct offsets.
-
-    Tied groups are spread over a window of width at most ``delta``,
-    bounded by the next distinct sample and by 1 (exclusive), so sort
-    order is preserved and all samples end up pairwise distinct and in
-    [0, 1).  A group whose window above cannot hold it distinct (the next
-    sample a few float steps away, or the group at 1) is spread just below
-    its value instead, above the previous sample.  Untied inputs are
-    returned unchanged; :class:`ValidationError` when neither side has
-    room.
-    """
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
-    xs = list(tau.samples)
-    m_count = len(xs)
-    if len(set(xs)) == m_count:
-        return tau
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    out: list[float] = []
-    i = 0
-    while i < m_count:
-        j = i
-        while j < m_count and xs[j] == xs[i]:
-            j += 1
-        g = j - i
-        v = xs[i]
-        if g == 1:
-            out.append(v)
-            i = j
-            continue
-        nxt = xs[j] if j < m_count else 1.0
-        draws = rng.random(g)
-        spread = None
-        if v < nxt:
-            span = min(delta, nxt - v)
-            spread = [v + (kk + draws[kk]) / (g + 1) * span for kk in range(g)]
-            # The spread may reach ``nxt`` only where no sample stays
-            # there: at the bound 1, or when nxt is tied and spread itself.
-            stays = j < m_count and (j + 1 == m_count or xs[j + 1] != nxt)
-            if not _separated(out, spread) or (spread[-1] >= nxt and stays):
-                spread = None
-        if spread is None:
-            floor = out[-1] if out else max(0.0, v - delta)
-            span = min(delta, v - floor)
-            spread = [v - span + (kk + draws[kk]) / (g + 1) * span for kk in range(g)]
-            if not _separated(out, spread):
-                raise ValidationError("could not separate ties within delta")
-        out.extend(spread)
-        i = j
-    return EmpiricalRV.from_samples(out)
-
-
-def _separated(out: list, spread: list) -> bool:
-    """True iff ``spread`` is strictly increasing and starts above ``out``."""
-    prev = out[-1] if out else -1.0
-    return all(a < b for a, b in zip([prev] + spread, spread))
-
-
-def make_extremal_process(
-    m: MonotoneMap1D,
-    tau: EmpiricalRV,
-    delta: float = 1e-9,
-    seed: int = 0,
-) -> ExtremalProcess:
-    """Construct the extremal process, jittering tied samples first."""
-    return ExtremalProcess(m, jitter_tau(tau, delta, seed))
+def make_extremal_process(m: MonotoneMap1D, tau: EmpiricalRV) -> ExtremalProcess:
+    """The extremal process for ``m`` and ``tau``, tied samples included."""
+    return ExtremalProcess(m, tau)
 
 
 def _process_values(proc: ExtremalProcess, t, y) -> np.ndarray:

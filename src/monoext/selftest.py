@@ -30,7 +30,6 @@ from .process import (
     expectation_at_tau,
     expectation_bound,
     fubini_check,
-    jitter_tau,
     make_extremal_process,
     rows_grid_cross_check,
     verify_process_membership,
@@ -420,7 +419,7 @@ def criterion_process_membership(grid: int = 400) -> CriterionResult:
     taus = {
         "uniform": EmpiricalRV.uniform_grid(10**4),
         "two-point": EmpiricalRV.two_point(0.2, 0.8, 100),
-        "constant-with-jitter": jitter_tau(EmpiricalRV.constant(0.5, 100), 1e-6, 1),
+        "constant": EmpiricalRV.constant(0.5, 100),
     }
     worst = 0.0
     ok = True

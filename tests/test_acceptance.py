@@ -73,8 +73,8 @@ def test_criterion_8_process_bound():
 
 
 def test_criterion_9_process_membership():
-    # 400 x 400 for uniform, two-point and constant-with-jitter times,
-    # deviation <= 0.02.
+    # 400 x 400 for uniform, two-point and constant times, deviation
+    # <= 0.02; the constant time is 100 raw tied samples.
     _run(selftest.criterion_process_membership, grid=400)
 
 

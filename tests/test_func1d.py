@@ -189,17 +189,28 @@ class TestArrayDomain:
             getattr(m, method)(np.array(bad))
 
     def test_in_range_entries_pass_unchanged(self, m, method):
-        # Entries within float noise of [0, 1] are not clamped first: the
-        # result equals the formula applied to the array as given.
-        xs = np.array([0.0, 0.3, 1.0, 1 + 1e-12])
+        # Entries in [0, 1], -0.0 included, are not clamped: the result
+        # equals the formula applied to the array as given.
+        xs = np.array([0.0, -0.0, 0.3, 1.0])
         got = getattr(m, method)(xs)
         assert got.shape == xs.shape
         if m.kind == "identity":
-            assert got.tolist() == xs.tolist()
+            assert got.view(np.int64).tolist() == xs.view(np.int64).tolist()
         elif m.kind == "power":
             want = xs**2 if method == "eval_many" else np.sqrt(xs)
-            assert got.tolist() == want.tolist() and got[-1] != 1.0
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
         assert getattr(m, method)(np.array([])).size == 0
+
+    @pytest.mark.parametrize("noise, end", [(-1e-10, 0.0), (1 + 1e-10, 1.0)])
+    def test_float_noise_is_clamped(self, m, method, noise, end, recwarn):
+        # An entry within float noise of [0, 1] is clamped to the nearest
+        # end, as the scalar methods do: no NaN, no value outside [0, 1].
+        got = getattr(m, method)(np.array([noise, 0.5]))
+        assert got.tolist() == getattr(m, method)(np.array([end, 0.5])).tolist()
+        scalar = {"eval_many": m.eval, "inverse_many": m.inverse}.get(method)
+        if scalar is not None:
+            assert got[0] == scalar(noise)
+        assert not recwarn.list
 
 
 @st.composite

@@ -14,7 +14,6 @@ from monoext import (
     expectation_at_tau,
     expectation_bound,
     fubini_check,
-    jitter_tau,
     line_integral_bound,
     make_extremal_process,
     rows_grid_cross_check,
@@ -382,54 +381,34 @@ class TestProcessMembership:
             verify_process_membership(proc, 3, 2, values=values)
 
 
-class TestJitter:
-    def test_distinct_input_unchanged(self):
-        rv = EmpiricalRV.from_samples([0.1, 0.5, 0.9])
-        assert jitter_tau(rv) is rv
+# Times with atoms, down to ties at 1 and a tied group one float step
+# below the next sample: the process takes them as they are.
+TIED_TAUS = {
+    "two-point-bench": EmpiricalRV.from_samples([0.2] * 5000 + [0.8] * 5000),
+    "constant-half": EmpiricalRV.constant(0.5, 100),
+    "constant-one": EmpiricalRV.constant(1.0, 3),
+    "zeros-then-subnormal": EmpiricalRV.from_samples([0.0, 0.0, 0.0, 5e-324]),
+}
 
-    def test_constant_input_separated(self):
-        rv = EmpiricalRV.constant(0.5, 4)
-        out = jitter_tau(rv, 1e-6, seed=0)
-        assert len(set(out.samples)) == 4
-        assert all(abs(s - 0.5) < 1e-6 for s in out.samples)
 
-    def test_ties_at_one_stay_below_one(self):
-        out = jitter_tau(EmpiricalRV.constant(1.0, 3), 1e-6, seed=0)
-        assert len(set(out.samples)) == 3
-        assert all(s < 1.0 for s in out.samples)
+@pytest.mark.parametrize("m", [ID, SQ], ids=["id", "power2"])
+@pytest.mark.parametrize("tau", TIED_TAUS.values(), ids=TIED_TAUS.keys())
+class TestTiedTau:
+    def test_process_keeps_tau(self, m, tau):
+        assert make_extremal_process(m, tau).tau is tau
 
-    def test_sort_order_preserved(self):
-        rv = EmpiricalRV.from_samples([0.2, 0.2, 0.2 + 1e-8, 0.7, 0.7])
-        out = jitter_tau(rv, 1e-6, seed=5)
-        assert list(out.samples) == sorted(out.samples)
-        assert len(set(out.samples)) == 5
+    def test_membership(self, m, tau):
+        proc = make_extremal_process(m, tau)
+        for grid in (120, 400):
+            assert verify_process_membership(proc, grid, grid).ok
 
-    def test_bound_continuity(self):
-        rv = EmpiricalRV.constant(0.5, 16)
-        before = expectation_bound(ID, rv)
-        after = expectation_bound(ID, jitter_tau(rv, 1e-6, seed=2))
-        assert abs(before - after) <= 1e-4
-
-    def test_bad_delta(self):
-        with pytest.raises(ValidationError):
-            jitter_tau(EmpiricalRV.constant(0.5, 2), 0.0)
-
-    def test_group_with_room_above_spreads_above(self):
-        out = jitter_tau(EmpiricalRV.from_samples([0.2, 0.5, 0.5, 0.9]), 1e-6, seed=3)
-        assert out.samples[0] == 0.2 and out.samples[3] == 0.9
-        assert 0.5 < out.samples[1] < out.samples[2] < 0.5 + 1e-6
-
-    def test_next_sample_one_step_above_spreads_below(self):
-        step = math.nextafter(0.5, 1.0)
-        rv = EmpiricalRV.from_samples([0.2, 0.5, 0.5, 0.5, step, 0.9])
-        out = jitter_tau(rv, 1e-6, seed=0).samples
-        assert (out[0], out[4], out[5]) == (0.2, step, 0.9)
-        assert 0.5 - 1e-6 <= out[1] < out[2] < out[3] <= 0.5
-
-    def test_no_room_on_either_side(self):
-        rv = EmpiricalRV.from_samples([0.0, 0.0, 0.0, 5e-324])
-        with pytest.raises(ValidationError, match="could not separate ties"):
-            jitter_tau(rv, 1e-6, seed=0)
+    def test_quadrature_equals_bound(self, m, tau):
+        tol = 1e-9
+        value, stderr = expectation_at_tau(
+            make_extremal_process(m, tau), "quadrature", tol=tol
+        )
+        assert stderr == 0.0
+        assert abs(value - expectation_bound(m, tau, tol)) <= 2 * tol
 
 
 class TestLowerBoundProperty:
@@ -446,7 +425,7 @@ class TestLowerBoundProperty:
         tau = EmpiricalRV.uniform_grid(m_samples)
         bound = expectation_bound(ID, tau)
         others = [tau]
-        for trial in range(19):
+        for _ in range(19):
             kind = rng.randrange(3)
             if kind == 0:
                 others.append(
@@ -461,9 +440,7 @@ class TestLowerBoundProperty:
                     )
                 )
             else:
-                others.append(
-                    jitter_tau(EmpiricalRV.constant(rng.random(), 100), 1e-6, trial)
-                )
+                others.append(EmpiricalRV.constant(rng.random(), 100))
         for other in others:
             member = make_extremal_process(ID, other)
             assert verify_process_membership(member, 80, 80).ok
@@ -473,16 +450,6 @@ class TestLowerBoundProperty:
                     member, tau.samples[i - 1], i / m_samples
                 )
             assert total / m_samples >= bound - 1e-3
-
-
-class TestImageMeasure:
-    def test_rank_fractions_are_uniform(self):
-        rv = jitter_tau(EmpiricalRV.constant(0.3, 64), 1e-9, seed=7)
-        m_count = rv.m
-        ranks = {
-            sum(1 for other in rv.samples if other <= s) for s in rv.samples
-        }
-        assert ranks == set(range(1, m_count + 1))
 
 
 class TestRowsGridCrossCheck:
