@@ -47,9 +47,11 @@ CAP_EXIT = 3
 # grid-exp fills an n x n numpy table of int64 (55 MB peak resident at the
 # maximum, 30 MB of it the interpreter with numpy).
 MAX_GRID_EXP_N = 1000
-# The closure of a {"grid": {"n": n}} poset holds about n**4 / 8 bytes of
-# bitmasks (192 MB peak resident at the maximum).
-MAX_POSET_GRID = 160
+# A {"grid": {"n": n}} poset computes the down-set and up-set of an element
+# only when they are read, but a scale and a witness hold n**2 values: a
+# column-chain `solve --mode both --witness` peaks at 174 MB resident at the
+# maximum (219 MB at n = 400).
+MAX_POSET_GRID = 350
 # The seed keys proc-sim's Monte Carlo Philox generator, whose key is 128
 # bits.
 MAX_SEED = 2**128

@@ -25,6 +25,9 @@ from .errors import (
 )
 
 _UNIT_SLACK = 1e-9
+# Entries per step of a pwl interpolation: its six temporaries then take
+# 3 MB, however large the input.
+_INTERP_CHUNK = 1 << 16
 
 
 def _clamp_unit(x, what: str = "argument"):
@@ -55,13 +58,19 @@ def _interpolate(u, knots, images, side: str) -> np.ndarray:
     Each u goes to the piece i = searchsorted(knots, u, side) - 1, kept
     within the first and last piece, and the result is clamped into that
     piece's image range, so it is non-decreasing in u.  A piece of zero
-    width divides by one instead.
+    width divides by one instead.  Entries are taken _INTERP_CHUNK at a
+    time, so the temporaries stay small beside the result.
     """
-    i = np.clip(np.searchsorted(knots, u, side=side) - 1, 0, len(knots) - 2)
-    k0, k1 = knots[i], knots[i + 1]
-    v0, v1 = images[i], images[i + 1]
-    v = v0 + (u - k0) * (v1 - v0) / np.where(k1 > k0, k1 - k0, 1.0)
-    return np.minimum(np.maximum(v, v0), v1)
+    out = np.empty(np.shape(u))
+    flat_u, flat_out = np.ravel(u), out.reshape(-1)
+    for start in range(0, flat_u.size, _INTERP_CHUNK):
+        c = flat_u[start:start + _INTERP_CHUNK]
+        i = np.clip(np.searchsorted(knots, c, side=side) - 1, 0, len(knots) - 2)
+        k0, k1 = knots[i], knots[i + 1]
+        v0, v1 = images[i], images[i + 1]
+        v = v0 + (c - k0) * (v1 - v0) / np.where(k1 > k0, k1 - k0, 1.0)
+        np.minimum(np.maximum(v, v0), v1, out=flat_out[start:start + _INTERP_CHUNK])
+    return out
 
 
 @dataclass(frozen=True)

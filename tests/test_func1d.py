@@ -256,6 +256,29 @@ def test_lower_inverse_flat_pieces():
     assert const.lower_inverse_many([0.0, 0.5]).tolist() == [0.0, 0.0]
 
 
+def test_pwl_chunks_match_one_pass(monkeypatch):
+    """A pwl map evaluates a large array a chunk at a time; every entry,
+    and the shape, must be what one pass over the whole array gives."""
+    from monoext import func1d
+
+    m = MonotoneMap1D.piecewise_linear([(0, 0), (0.3, 0.1), (0.6, 0.7), (1, 1)])
+    t = MonotoneMap1D.piecewise_linear([(0, 0), (0.3, 0.3), (0.6, 0.3), (1, 1)])
+    u = np.random.default_rng(3).random((300, 700))  # 210000 entries
+    u[0, :4] = [0.0, 0.3, 0.6, 1.0]
+    assert u.size > 3 * func1d._INTERP_CHUNK
+
+    def results():
+        return [m.inverse_many(u), m.eval_many(u), t.eval_many(u),
+                t.lower_inverse_many(u)]
+
+    chunked = results()
+    monkeypatch.setattr(func1d, "_INTERP_CHUNK", u.size)
+    for got, want in zip(chunked, results()):
+        assert got.shape == u.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert m.inverse(0.3) == float(m.inverse_many(0.3))
+
+
 class TestStepFunction:
     def test_right_continuity(self):
         f = StepFunction1D((0, Fraction(1, 2), 1), (1, 0))

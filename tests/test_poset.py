@@ -1,5 +1,13 @@
+import io
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
+import monoext
 from monoext import (
     ElementSet,
     QuerySet,
@@ -18,7 +26,8 @@ from monoext.errors import (
     InvalidGrid,
     UnknownElement,
 )
-from monoext.poset import _query_covers
+from monoext.cli import main
+from monoext.poset import _GridSets, _grid_poset, _query_covers
 
 
 def chain3():
@@ -269,3 +278,188 @@ class TestQueryCovers:
                 )
                 assert bool(lower[pa] >> pb & 1) == covered
                 assert (pa in upper[pb]) == covered
+
+
+def built_grid(nx, ny, kind):
+    """The grid of ``_grid_poset``, built by ``build_poset`` from cover
+    pairs written out from the definition."""
+    labels = [(i, j) for i in range(1, nx + 1) for j in range(1, ny + 1)]
+    covers = []
+    for i, j in labels:
+        if i < nx:
+            covers.append(((i, j), (i + 1, j)))
+        if kind == "product" and j < ny:
+            covers.append(((i, j), (i, j + 1)))
+    return build_poset(labels, covers)
+
+
+SMALL_GRIDS = [(nx, ny) for nx in range(1, 8) for ny in range(1, 8)]
+
+
+class TestGridSets:
+    """Grid posets compute each down-set and up-set on first use; every
+    mask must equal the closure that ``build_poset`` computes."""
+
+    @pytest.mark.parametrize("kind", ["product", "rows"])
+    def test_masks_and_covers_equal_the_closure(self, kind):
+        for nx, ny in SMALL_GRIDS:
+            g = _grid_poset(nx, ny, kind)
+            b = built_grid(nx, ny, kind)
+            assert list(g.down) == list(b.down), (nx, ny)
+            assert list(g.up) == list(b.up), (nx, ny)
+            assert g.covers == b.covers, (nx, ny)
+
+    @pytest.mark.parametrize("kind", ["product", "rows"])
+    def test_reversed_grid_equals_reversed_closure(self, kind):
+        for nx, ny in SMALL_GRIDS:
+            g = _grid_poset(nx, ny, kind).reversed()
+            b = built_grid(nx, ny, kind).reversed()
+            assert isinstance(g.down, _GridSets) and isinstance(g.up, _GridSets)
+            assert list(g.down) == list(b.down), (nx, ny)
+            assert list(g.up) == list(b.up), (nx, ny)
+            assert g.covers == b.covers, (nx, ny)
+
+    def test_reversal_keeps_the_lazy_sequences(self):
+        g = grid_poset(5, "product")
+        r = g.reversed()
+        assert r.down is g.up and r.up is g.down
+        assert r.reversed() == g
+        assert not g.down._cache and not g.up._cache
+
+    @pytest.mark.parametrize("kind", ["product", "rows"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_grid_equals_its_built_closure_and_hashes_alike(self, n, kind):
+        g = grid_poset(n, kind)
+        b = built_grid(n, n, kind)
+        assert g == b and b == g
+        assert hash(g) == hash(b)
+        assert g.reversed() == b.reversed()
+
+    def test_equal_grids_compare_without_reading_a_mask(self):
+        a, b = grid_poset(40, "product"), grid_poset(40, "product")
+        assert a == b and hash(a) == hash(b)
+        assert not a.down._cache and not b.down._cache
+        # Another order tells itself apart at its first masks.
+        assert a != grid_poset(40, "rows")
+        assert len(a.down._cache) <= 2
+
+    def test_sequence_equality_is_mask_equality(self):
+        # Different arguments can give equal masks: an nx x 1 grid is one
+        # chain under both orders, and a 1 x ny rows grid is an antichain.
+        seqs = [
+            _GridSets(nx, ny, kind, direction)
+            for nx in range(1, 4)
+            for ny in range(1, 4)
+            for kind in ("product", "rows")
+            for direction in ("down", "up")
+        ]
+        for a in seqs:
+            for b in seqs:
+                assert (a == b) == (list(a) == list(b)), (a.key, b.key)
+                assert (a == tuple(b)) == (tuple(a) == tuple(b))
+                assert (tuple(a) == b) == (tuple(a) == tuple(b))
+
+    def test_indexing(self):
+        g = grid_poset(3, "product")
+        assert len(g.down) == 9
+        assert g.down[-1] == g.down[8] == (1 << 9) - 1
+        with pytest.raises(IndexError):
+            g.down[9]
+
+
+@pytest.fixture
+def grid_sets(monkeypatch):
+    """Records every grid's mask sequences, and makes reading all the masks
+    of one (iterating it) an error."""
+    made = []
+    init = _GridSets.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    def refuse(self):
+        raise AssertionError(f"grid sets {self.key} read in full")
+
+    monkeypatch.setattr(_GridSets, "__init__", record)
+    monkeypatch.setattr(_GridSets, "__iter__", refuse)
+    return made
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestNoPathForcesTheClosure:
+    """The solver, witness and closed forms read a grid's masks only at the
+    query elements: at most k per direction for a k-element query."""
+
+    @pytest.mark.parametrize("n, kind, query", [
+        (60, "product", [[31, j] for j in range(1, 61)]),
+        (60, "product", [[28 + i, 35 - i] for i in range(8)]),
+        (60, "rows", [[3 + 8 * r, 3 + 10 * r] for r in range(6)]),
+    ], ids=["column", "antichain", "rows-disjoint"])
+    def test_solve_both_with_witness(self, tmp_path, grid_sets, n, kind, query):
+        argv = [
+            "solve", "--mode", "both", "--witness",
+            "--poset", _write(tmp_path, "poset", {"grid": {"n": n, "order": kind}}),
+            "--scale", _write(tmp_path, "scale", {"from_m": {"m": "id", "n": n}}),
+            "--query", _write(tmp_path, "query", {"query": query}),
+        ]
+        out = io.StringIO()
+        assert main(argv, stdout=out) == 0
+        assert "min" in json.loads(out.getvalue())
+        assert len(grid_sets) == 2
+        for seq in grid_sets:
+            assert 0 < len(seq._cache) <= len(query)
+
+    def test_closed_forms(self, grid_sets):
+        n = 60
+        scale = monoext.scale_from_m(monoext.MonotoneMap1D.identity(), n)
+        product = grid_poset(n, "product")
+        column = QuerySet(product, [(17, j) for j in range(1, n + 1)])
+        mn, mx = monoext.chain_bounds(product, scale, column)
+        assert mn < mx
+        rows = grid_poset(n, "rows")
+        query = QuerySet(rows, [(5 + r, 1 + 7 * r) for r in range(8)])
+        monoext.disjoint_bound(rows, scale, query, "min")
+        monoext.disjoint_bound(rows, scale, query, "max")
+        assert len(grid_sets) == 4
+        for seq in grid_sets[:2]:
+            assert len(seq._cache) <= n
+        for seq in grid_sets[2:]:
+            assert len(seq._cache) <= 8
+
+    def test_column_chain_bound_at_160(self, grid_sets):
+        assert monoext.column_chain_bound(160, 40) == Fraction(40 * 161, 320)
+        assert len(grid_sets) == 2
+        assert all(len(seq._cache) <= 160 for seq in grid_sets)
+
+    def test_rows_grid_cross_check(self, grid_sets):
+        n = 50
+        d = monoext.rows_grid_cross_check(
+            monoext.MonotoneMap1D.identity(), n, range(1, n + 1))
+        assert d["bound"] == d["closed_form"]
+        assert len(grid_sets) == 2
+        assert all(len(seq._cache) <= n for seq in grid_sets)
+
+
+def test_column_chain_bound_160_stays_small():
+    """The 160 x 160 grid's closure alone held about 190 MB.
+
+    The child reports the peak resident size of its own image, VmHWM:
+    its ``ru_maxrss`` would start from this test process's size, which
+    Linux carries over fork and exec.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monoext.__file__)))
+    code = (
+        "import monoext\n"
+        "monoext.column_chain_bound(160, 80)\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert int(proc.stdout) < 100 * 1024  # in kB
