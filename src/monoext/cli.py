@@ -32,6 +32,7 @@ from .func1d import EmpiricalRV, MonotoneMap1D
 from .oracle import brute_min_max
 from .poset import DEFAULT_CAP, Poset, QuerySet, build_poset, grid_poset
 from .process import (
+    check_trials,
     expectation_at_tau,
     expectation_bound,
     make_extremal_process,
@@ -431,6 +432,7 @@ def _cmd_proc_sim(args, config, stdout) -> int:
             raise ValidationError(
                 f"--verify grid sizes must be between 2 and {MAX_SURFACE_GRID}"
             )
+    check_trials(args.trials)
     m = load_map(args.m)
     tau = load_samples(args.tau)
     proc = make_extremal_process(m, tau)

@@ -31,8 +31,8 @@ from .solver import chain_bounds, scale_from_m
 
 # The largest grid side the membership checks accept.  They hold several
 # grid x grid float arrays, so memory grows with the square of the side: at
-# the maximum, cont-extremal peaks at about 367 MB resident when m is
-# piecewise linear (the worst map kind) and 220 MB for identity and power.
+# the maximum, cont-extremal peaks at about 219 MB resident, for a piecewise
+# linear m as for the identity (in-process ru_maxrss).
 MAX_SURFACE_GRID = 2000
 
 

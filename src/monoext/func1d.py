@@ -52,25 +52,35 @@ def _unit_many(x, what: str) -> np.ndarray:
     return x
 
 
-def _interpolate(u, knots, images, side: str) -> np.ndarray:
-    """Piecewise-linear interpolation of ``u`` from ``knots`` to ``images``.
-
-    Each u goes to the piece i = searchsorted(knots, u, side) - 1, kept
-    within the first and last piece, and the result is clamped into that
-    piece's image range, so it is non-decreasing in u.  A piece of zero
-    width divides by one instead.  Entries are taken _INTERP_CHUNK at a
-    time, so the temporaries stay small beside the result.
+def _by_piece(u, knots, side: str, piece) -> np.ndarray:
+    """``piece(c, i)`` over the entries c of ``u``, with i the piece of
+    each entry: searchsorted(knots, c, side) - 1, kept within the first and
+    last piece.  Entries are taken _INTERP_CHUNK at a time, so the
+    temporaries stay small beside the result.
     """
     out = np.empty(np.shape(u))
     flat_u, flat_out = np.ravel(u), out.reshape(-1)
     for start in range(0, flat_u.size, _INTERP_CHUNK):
         c = flat_u[start:start + _INTERP_CHUNK]
         i = np.clip(np.searchsorted(knots, c, side=side) - 1, 0, len(knots) - 2)
-        k0, k1 = knots[i], knots[i + 1]
-        v0, v1 = images[i], images[i + 1]
-        v = v0 + (c - k0) * (v1 - v0) / np.where(k1 > k0, k1 - k0, 1.0)
-        np.minimum(np.maximum(v, v0), v1, out=flat_out[start:start + _INTERP_CHUNK])
+        flat_out[start:start + _INTERP_CHUNK] = piece(c, i)
     return out
+
+
+def _lerp(c, i, knots, images) -> np.ndarray:
+    """Linear interpolation of ``c`` on piece ``i`` from ``knots`` to
+    ``images``, clamped into the piece's image range, so it is
+    non-decreasing in c.  A piece of zero width divides by one instead."""
+    k0, k1 = knots[i], knots[i + 1]
+    v0, v1 = images[i], images[i + 1]
+    v = v0 + (c - k0) * (v1 - v0) / np.where(k1 > k0, k1 - k0, 1.0)
+    return np.minimum(np.maximum(v, v0), v1)
+
+
+def _interpolate(u, knots, images, side: str) -> np.ndarray:
+    """Piecewise-linear interpolation of ``u`` from ``knots`` to ``images``
+    (:func:`_lerp` on the piece :func:`_by_piece` finds)."""
+    return _by_piece(u, knots, side, lambda c, i: _lerp(c, i, knots, images))
 
 
 @dataclass(frozen=True)
@@ -185,6 +195,35 @@ class MonotoneMap1D:
         if not self.is_increasing_bijection:
             raise NotIncreasing("map is not an increasing bijection")
         return _interpolate(ys, self._ys_np, self._xs_np, "right")
+
+    def inverse_integral_many(self, ys: np.ndarray) -> np.ndarray:
+        """G(y), the integral of the inverse over [0, y], at every entry of
+        ``ys``.  The domain and bijection checks of :meth:`inverse_many`
+        apply.
+
+        Closed form for every kind: y^2/2 for the identity,
+        y^(1+1/p)/(1+1/p) for a power map, and for a pwl map the trapezoids
+        of the inverse up to the ordinate below y plus the partial
+        trapezoid from there to y.
+        """
+        ys = _unit_many(ys, "value")
+        if self.kind == "identity":
+            return ys * ys / 2.0
+        if self.kind == "power":
+            q = 1.0 + 1.0 / self.p
+            return ys**q / q
+        if not self.is_increasing_bijection:
+            raise NotIncreasing("map is not an increasing bijection")
+        knots, images = self._ys_np, self._xs_np
+        below = np.concatenate(
+            ([0.0], np.cumsum(np.diff(knots) * (images[:-1] + images[1:]) / 2.0))
+        )
+
+        def piece(c, i):
+            v = _lerp(c, i, knots, images)
+            return below[i] + (c - knots[i]) * (images[i] + v) / 2.0
+
+        return _by_piece(ys, knots, "right", piece)
 
     def lower_inverse_many(self, xs: np.ndarray) -> np.ndarray:
         """Generalized inverse: the least s in [0, 1] with t(s) >= x, for

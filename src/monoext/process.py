@@ -48,11 +48,11 @@ def expectation_bound(
     m: MonotoneMap1D, tau: EmpiricalRV, tol: float = 1e-9
 ) -> float:
     """Integral over y of m^{-1}(R(y)), R(y) = tail integral of the
-    rearrangement of tau.  The inner integral is exact (the rearrangement
-    is a step function); the outer one is adaptive to ``tol``.  The
-    integrand is the extremal process's lower branch.
+    rearrangement of tau: the mean of the closed-form cell means (see
+    :func:`_cell_means`).  The integrand is the extremal process's lower
+    branch.  ``tol`` is accepted for compatibility and unused.
     """
-    return _integrate_nodes(ExtremalProcess(m, tau).lower_branch, 0.0, 1.0, tol)
+    return float(_cell_means(ExtremalProcess(m, tau)).mean())
 
 
 def simplified_bound(tau: EmpiricalRV) -> Fraction:
@@ -70,12 +70,15 @@ def simplified_bound(tau: EmpiricalRV) -> Fraction:
 
 
 def fubini_check(tau: EmpiricalRV, tol: float = 1e-9) -> float:
-    """|expectation_bound(identity, tau) - simplified_bound(tau)|.
+    """|quadrature of the identity's lower branch - simplified_bound(tau)|.
 
     The two sides differ only by the order of integration, so the
-    deviation is bounded by twice the quadrature tolerance.
+    deviation is bounded by twice the quadrature tolerance.  The
+    quadrature runs over the lower branch itself, not the cell means of
+    :func:`expectation_bound`, so it checks that closed form too.
     """
-    direct = expectation_bound(MonotoneMap1D.identity(), tau, tol)
+    proc = ExtremalProcess(MonotoneMap1D.identity(), tau)
+    direct = _integrate_nodes(proc.lower_branch, 0.0, 1.0, tol)
     return abs(direct - float(simplified_bound(tau)))
 
 
@@ -165,9 +168,58 @@ def eval_extremal_process(proc: ExtremalProcess, t: float, y: float) -> float:
     return float(_process_values(proc, t, y))
 
 
-# Monte Carlo ranks are drawn and counted this many at a time, so memory is
-# O(M) for any trial count; chunked draws equal one-shot draws.
-_MC_CHUNK = 2**20
+# A cell mean is taken as a difference of G = integral of m^{-1} only
+# where that difference exceeds this share of G at the cell's right end
+# (about the cube root of the float epsilon, where the cancellation error
+# of the difference and the midpoint rule's error are of one size) and
+# _G_FLOOR, below which G has lost digits to underflow.
+_CELL_SHARE = 2.0**-17
+_G_FLOOR = 2.0**-1000
+
+# The largest Monte Carlo trial count: every count up to it is exact as a
+# float, so the weighted sums see the counts drawn.
+MAX_TRIALS = 2**53
+
+
+def _cell_means(proc: ExtremalProcess) -> np.ndarray:
+    """Mean of the lower branch m^{-1}(R(y)) over each rank cell
+    [k/M, (k+1)/M], k = 0..M-1.
+
+    R is linear on cell k, from R_k = tail[M - k] / M to R_{k+1}, so the
+    mean is (G(R_{k+1}) - G(R_k)) / (R_{k+1} - R_k) with G the integral of
+    m^{-1} (:meth:`MonotoneMap1D.inverse_integral_many`).  A cell of width
+    0, or too narrow for the difference to keep its digits, takes
+    m^{-1} at its midpoint instead.  Each mean is kept within m^{-1} at its
+    cell's ends, which bound it, so the means never decrease with rank.
+    """
+    m_count = proc.sample_count
+    edges = proc._tail[::-1] / m_count
+    g = proc.m.inverse_integral_many(edges)
+    lo, hi = edges[:-1], edges[1:]
+    dg = np.diff(g)
+    narrow = dg <= np.maximum(_CELL_SHARE * g[1:], _G_FLOOR)
+    means = np.empty(m_count)
+    wide = ~narrow
+    means[wide] = dg[wide] / (hi[wide] - lo[wide])
+    means[narrow] = proc.m.inverse_many(0.5 * (lo[narrow] + hi[narrow]))
+    ends = proc.m.inverse_many(edges)
+    return np.minimum(np.maximum(means, ends[:-1]), ends[1:])
+
+
+def check_trials(trials: int) -> None:
+    """Raise :class:`ValidationError` unless 1 <= trials <= MAX_TRIALS."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValidationError(
+            f"trials must be between 1 and {MAX_TRIALS}, got {trials}"
+        )
+
+
+def _rank_counts(m_count: int, trials: int, seed: int) -> np.ndarray:
+    """How many of ``trials`` uniform outcomes fall in each of the
+    ``m_count`` rank cells: one multinomial draw from a Philox generator
+    keyed by ``seed``, so the counts depend on nothing else."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return rng.multinomial(trials, np.full(m_count, 1.0 / m_count))
 
 
 def expectation_at_tau(
@@ -181,9 +233,12 @@ def expectation_at_tau(
 
     ``"quadrature"`` integrates the trajectory value at its own time over
     the (uniform) rank fraction and reports (value, 0.0).  ``"montecarlo"``
-    draws outcomes uniformly among the samples with a counter-based
-    generator keyed by ``seed`` (deterministic regardless of scheduling)
-    and reports (mean, standard error).
+    draws how many of ``trials`` outcomes fall in each rank cell, in one
+    multinomial draw from a counter-based generator keyed by ``seed``,
+    weights each cell by its mean (:func:`_cell_means`) and reports (mean,
+    standard error).  Its expectation is exactly
+    :func:`expectation_bound`, and its time and memory are O(M) for any
+    trial count up to :data:`MAX_TRIALS`.
     """
     if mode == "quadrature":
         value = _integrate_nodes(
@@ -192,24 +247,13 @@ def expectation_at_tau(
         return value, 0.0
     if mode != "montecarlo":
         raise ValidationError(f"mode must be 'quadrature' or 'montecarlo', got {mode!r}")
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
-    m_count = proc.sample_count
-    # At its own time each outcome sits on the lower branch; rank i has
-    # R = tail[M - i] / M exactly (a whole number of rearrangement pieces).
-    tail = proc._tail
-    by_rank = proc.m.inverse_many(tail[:m_count][::-1] / m_count)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    counts = np.zeros(m_count + 1, dtype=np.int64)
-    for start in range(0, trials, _MC_CHUNK):
-        size = min(_MC_CHUNK, trials - start)
-        counts += np.bincount(rng.integers(1, m_count + 1, size=size),
-                              minlength=m_count + 1)
-    counts = counts[1:]
-    mean = float(counts @ by_rank / trials)
+    check_trials(trials)
+    means = _cell_means(proc)
+    counts = _rank_counts(proc.sample_count, trials, seed)
+    mean = float(counts @ means / trials)
     if trials == 1:
         return mean, 0.0
-    variance = float(counts @ (by_rank - mean) ** 2 / (trials - 1))
+    variance = float(counts @ (means - mean) ** 2 / (trials - 1))
     return mean, math.sqrt(variance) / math.sqrt(trials)
 
 

@@ -21,6 +21,7 @@ from monoext.cli import (
     main,
 )
 from monoext.continuous import _surface_grid
+from monoext.process import MAX_TRIALS
 
 GRID_POSET = {"grid": {"n": 2, "order": "product"}}
 SCALE = {"values": [1, 2, 3, 4]}
@@ -314,6 +315,29 @@ class TestProcess:
         )
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**30, 0, -5])
+    def test_proc_sim_trials_checked_before_loading(self, fixtures, monkeypatch,
+                                                    trials):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("tau was loaded")
+
+        monkeypatch.setattr("monoext.cli.load_samples", unreachable)
+        code, out, err = run_cli(
+            ["proc-sim", "--m", "id", "--tau", fixtures["tau"],
+             "--trials", str(trials)]
+        )
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert str(MAX_TRIALS) in error["message"]
+
+    def test_proc_sim_largest_trial_count(self, fixtures):
+        code, out, _ = run_cli(["proc-sim", "--m", "id", "--tau", fixtures["tau"],
+                                "--trials", str(MAX_TRIALS)])
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["expectation"] - payload["bound"]) <= 3 * payload["stderr"]
 
     def test_proc_sim_inseparable_ties(self, tmp_path):
         # Ties no float can separate are taken as they are.

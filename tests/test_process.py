@@ -1,10 +1,12 @@
+import decimal
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from monoext import (
@@ -29,7 +31,7 @@ from monoext.errors import (
     ValidationError,
 )
 
-from test_func1d import recursive_simpson
+from test_func1d import exact_inverse_integral, recursive_simpson
 
 ID = MonotoneMap1D.identity()
 SQ = MonotoneMap1D.power(2)
@@ -71,7 +73,9 @@ class TestExpectationBound:
     ])
     def test_matches_recursive_reference(self, monkeypatch, m, tau):
         # The recursive adaptive Simpson rule over an exact rational tail
-        # integral; the batched engine must visit as many nodes.
+        # integral, against quadrature mode, which integrates the bound's
+        # integrand (the lower branch) with the batched engine: it must
+        # visit as many nodes.
         m_count = tau.m
         dsc = sorted((Fraction(v) for v in tau.samples), reverse=True)
 
@@ -94,9 +98,113 @@ class TestExpectationBound:
 
         monkeypatch.setattr(process, "_integrate_nodes", counted)
         want, want_nodes = recursive_simpson(reference, 0.0, 1.0, 1e-9)
-        got = expectation_bound(m, tau)
+        got, _ = expectation_at_tau(make_extremal_process(m, tau), "quadrature")
         assert nodes == want_nodes
         assert abs(got - want) <= 4 * math.ulp(want)
+
+
+    @pytest.mark.parametrize("m", [ID, PWL], ids=["id", "pwl"])
+    @pytest.mark.parametrize("xs", [
+        [0.1, 0.4, 0.4, 0.4, 0.9],
+        [(i + 0.5) / 9 for i in range(9)],
+        [0.2] * 3 + [0.8] * 3,
+        [0.0, 0.0, 0.3, 0.6, 1.0, 1.0],
+        [0.05, 1 / 3, 0.7],
+    ], ids=["ties", "grid", "two-point", "ends", "thirds"])
+    def test_matches_exact_cell_means(self, m, xs):
+        # Per rank cell, in exact rationals: R runs linearly from R_k to
+        # R_{k+1}, so the cell mean of m^{-1}(R) is the difference of the
+        # antiderivative over the width, or m^{-1}(R_k) on a cell of width 0.
+        tau = EmpiricalRV.from_samples(xs)
+        m_count = tau.m
+        edges = [Fraction(0)]
+        for v in tau.samples:
+            edges.append(edges[-1] + Fraction(v) / m_count)
+        total = Fraction(0)
+        for lo, hi in zip(edges, edges[1:]):
+            if hi == lo:
+                total += exact_inverse(m, lo)
+            else:
+                g = exact_inverse_integral
+                total += (g(m, hi) - g(m, lo)) / (hi - lo)
+        want = total / m_count
+        assert abs(Fraction(expectation_bound(m, tau)) - want) <= 1e-15
+
+    def test_tol_is_unused(self):
+        tau = EmpiricalRV.two_point(0.2, 0.8, 6)
+        assert expectation_bound(SQ, tau, 1e-3) == expectation_bound(SQ, tau, 1e-12)
+
+
+def exact_inverse(m, y):
+    """m^{-1}(y) in exact rationals, for the identity and pwl maps."""
+    if m.kind == "identity":
+        return y
+    pts = [(Fraction(a), Fraction(b)) for a, b in m.points]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if y <= y1:
+            return x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+    raise AssertionError(y)
+
+
+class TestDegenerateTau:
+    """Cells of width 0 and cells too narrow for a difference of
+    antiderivatives, where the cell mean is m^{-1} at the midpoint."""
+
+    MAPS = [ID, SQ, MonotoneMap1D.power(3), PWL]
+
+    @pytest.mark.parametrize("m", MAPS, ids=["id", "power2", "power3", "pwl"])
+    @pytest.mark.parametrize("xs", [[0.0] * 7, [0.0, 0.0, 0.0, 5e-324]],
+                             ids=["zeros", "zeros-then-subnormal"])
+    def test_zero_time(self, m, xs):
+        proc = make_extremal_process(m, EmpiricalRV.from_samples(xs))
+        assert expectation_bound(m, proc.tau) == 0.0
+        assert process._cell_means(proc).tolist() == [0.0] * len(xs)
+        assert expectation_at_tau(proc, "montecarlo", trials=100, seed=3) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("m", MAPS, ids=["id", "power2", "power3", "pwl"])
+    def test_zeros_then_one(self, m):
+        # Only the last cell has width: R runs from 0 to 1/M on it, so the
+        # bound is G(1/M) exactly.
+        m_count = 8
+        tau = EmpiricalRV.from_samples([0.0] * (m_count - 1) + [1.0])
+        got = expectation_bound(m, tau)
+        want = float(m.inverse_integral_many(1.0 / m_count))
+        assert abs(got - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("m", MAPS, ids=["id", "power2", "power3", "pwl"])
+    def test_narrow_cells_at_large_rank(self, m):
+        # A constant time alpha over 10^6 samples: cell k has width alpha/M
+        # at R = k alpha / M, narrower than process._CELL_SHARE allows from
+        # k of about 10^5 on.  Each cell mean must hold to 1e-10 of the
+        # mean over its own (float) ends, worked out in 40 digits, on both
+        # sides of the switch.
+        alpha, m_count = 0.6, 10**6
+        proc = make_extremal_process(m, EmpiricalRV.constant(alpha, m_count))
+        means = process._cell_means(proc)
+        edges = proc._tail[::-1] / m_count
+        ends = m.inverse_many(edges)
+        assert (ends[:-1] <= means).all() and (means <= ends[1:]).all()
+        narrow = np.diff(edges) < process._CELL_SHARE * edges[1:]
+        assert narrow[-1] and not narrow[: m_count // 100].any()
+        for k in [*range(0, m_count, 49999), m_count - 1]:
+            lo, hi = Fraction(edges[k]), Fraction(edges[k + 1])
+            want = (precise_inverse_integral(m, hi)
+                    - precise_inverse_integral(m, lo)) / (hi - lo)
+            assert abs(Fraction(means[k]) - want) <= 1e-10 * want, k
+        # The tail sums drift by about M float steps from k alpha / M.
+        want = float(m.inverse_integral_many(alpha)) / alpha
+        assert abs(expectation_bound(m, proc.tau) - want) <= m_count * 2**-52 * alpha
+
+
+def precise_inverse_integral(m, y: Fraction) -> Fraction:
+    """G(y) exactly for the identity and pwl maps, to 40 digits for a
+    power map."""
+    if m.kind != "power":
+        return exact_inverse_integral(m, y)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        q = 1 + 1 / decimal.Decimal(m.p)
+        d = decimal.Decimal(y.numerator) / decimal.Decimal(y.denominator)
+        return Fraction(d**q / q)
 
 
 class TestSimplifiedBound:
@@ -300,7 +408,7 @@ class TestExpectationAtTau:
         proc = make_extremal_process(ID, UNIFORM)
         bound = expectation_bound(ID, UNIFORM)
         value, stderr = expectation_at_tau(proc, "montecarlo", trials=10**5, seed=1)
-        assert abs(value - bound) <= 3 * stderr + 1.0 / UNIFORM.m
+        assert abs(value - bound) <= 3 * stderr
 
     def test_seed_reproducible(self):
         proc = make_extremal_process(ID, UNIFORM)
@@ -310,20 +418,66 @@ class TestExpectationAtTau:
         assert a == b
         assert a[0] != c[0]
 
-    def test_rank_counts_match_per_draw_estimate(self):
-        proc = make_extremal_process(SQ, EmpiricalRV.uniform_grid(50))
-        mean, stderr = expectation_at_tau(proc, "montecarlo", trials=20000, seed=5)
-        rng = np.random.Generator(np.random.Philox(key=5))
-        ranks = rng.integers(1, 51, size=20000)
-        draws = np.array([proc.lower_branch(r / 50) for r in range(1, 51)])[ranks - 1]
-        assert mean == pytest.approx(draws.mean(), abs=1e-12)
-        assert stderr == pytest.approx(draws.std(ddof=1) / math.sqrt(20000), rel=1e-9)
+    def test_rank_counts_are_multinomial(self):
+        m_count, trials = 50, 20000
+        proc = make_extremal_process(SQ, EmpiricalRV.uniform_grid(m_count))
+        for seed in (0, 5, 2**100):
+            counts = process._rank_counts(m_count, trials, seed)
+            assert counts.shape == (m_count,) and counts.sum() == trials
+            assert counts.tolist() == process._rank_counts(m_count, trials, seed).tolist()
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            want = rng.multinomial(trials, [1 / m_count] * m_count)
+            assert counts.tolist() == want.tolist()
+            # Chi-squared with 49 degrees of freedom: P(> 90) is about 3e-4.
+            expected = trials / m_count
+            assert ((counts - expected) ** 2 / expected).sum() < 90
+            # The estimate is the count-weighted mean of the cell means.
+            means = process._cell_means(proc)
+            draws = np.repeat(means, counts)
+            mean, stderr = expectation_at_tau(proc, "montecarlo", trials=trials,
+                                              seed=seed)
+            assert mean == pytest.approx(draws.mean(), abs=1e-12)
+            assert stderr == pytest.approx(draws.std(ddof=1) / math.sqrt(trials),
+                                           rel=1e-9)
 
-    def test_chunked_draws_equal_one_shot(self, monkeypatch):
+    @pytest.mark.parametrize("m", [ID, SQ, PWL], ids=["id", "power2", "pwl"])
+    def test_unbiased_over_seeds(self, m):
+        # Over 400 seeds on M = 5 the z-scores average near 0: right-end
+        # weights instead of cell means would put them near +8.
+        tau = EmpiricalRV.from_samples([0.1, 0.3, 0.3, 0.6, 0.9])
+        proc = make_extremal_process(m, tau)
+        bound = expectation_bound(m, tau)
+        zs = []
+        for seed in range(400):
+            value, stderr = expectation_at_tau(proc, "montecarlo", trials=200,
+                                               seed=seed)
+            zs.append((value - bound) / stderr)
+        assert abs(np.mean(zs)) <= 0.25
+        assert 0.8 <= np.std(zs) <= 1.25
+
+    def test_trials_bounded(self):
+        proc = make_extremal_process(SQ, EmpiricalRV.uniform_grid(10))
+        value, stderr = expectation_at_tau(proc, "montecarlo",
+                                           trials=process.MAX_TRIALS, seed=2)
+        assert abs(value - expectation_bound(SQ, proc.tau)) <= 3 * stderr
+        for bad in (0, -1, process.MAX_TRIALS + 1, 10**30):
+            with pytest.raises(ValidationError):
+                expectation_at_tau(proc, "montecarlo", trials=bad)
+
+    def test_cost_does_not_grow_with_trials(self):
+        # 10^12 trials on 10^4 ranks: one multinomial draw, O(M) memory.
         proc = make_extremal_process(SQ, UNIFORM)
-        one_shot = expectation_at_tau(proc, "montecarlo", trials=5000, seed=4)
-        monkeypatch.setattr(process, "_MC_CHUNK", 999)
-        assert expectation_at_tau(proc, "montecarlo", trials=5000, seed=4) == one_shot
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            expectation_at_tau(proc, "montecarlo", trials=10**12, seed=1)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * UNIFORM.m
+        assert elapsed < 2.0
+        assert not hasattr(process, "_MC_CHUNK")
 
     def test_montecarlo_memory_is_bounded(self):
         proc = make_extremal_process(ID, EmpiricalRV.uniform_grid(100))
@@ -409,6 +563,34 @@ class TestTiedTau:
         )
         assert stderr == 0.0
         assert abs(value - expectation_bound(m, tau, tol)) <= 2 * tol
+
+
+MAP_KINDS = {"id": ID, "power2": SQ, "power0.5": MonotoneMap1D.power(0.5),
+             "power3": MonotoneMap1D.power(3), "pwl": PWL}
+
+
+@pytest.mark.parametrize("m", MAP_KINDS.values(), ids=MAP_KINDS.keys())
+@pytest.mark.parametrize("tau", TIED_TAUS.values(), ids=TIED_TAUS.keys())
+def test_bound_matches_quadrature_mode(m, tau):
+    """The closed-form bound against quadrature mode, which integrates the
+    trajectory at its own time by adaptive Simpson."""
+    value, _ = expectation_at_tau(make_extremal_process(m, tau), "quadrature")
+    assert abs(expectation_bound(m, tau) - value) <= 1e-8
+
+
+@given(bijections(), _TAU_SAMPLES, st.integers(0, 3))
+@example(  # m^{-1} is flat to the last bit on the cell: G's quotient rounds past it
+    MonotoneMap1D.piecewise_linear([(0, 0), (0.78125, 5e-324), (0.875, 0.5), (1, 1)]),
+    [1e-300], 0)
+@settings(max_examples=200, deadline=None)
+def test_cell_means_lie_between_cell_ends(m, xs, repeat):
+    """Each cell mean lies between m^{-1} at its cell's ends, so the Monte
+    Carlo weights never decrease with rank, ties and subnormals included."""
+    proc = make_extremal_process(m, EmpiricalRV.from_samples(xs + xs[:repeat]))
+    means = process._cell_means(proc)
+    ends = m.inverse_many(proc._tail[::-1] / proc.sample_count)
+    assert (ends[:-1] <= means).all() and (means <= ends[1:]).all()
+    assert abs(float(means.mean()) - expectation_bound(m, proc.tau)) <= 1e-15
 
 
 class TestLowerBoundProperty:
