@@ -283,7 +283,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--simplified", action="store_true")
-    p.add_argument("--tol", type=float)
 
     p = sub.add_parser("proc-sim", help="extremal process simulation")
     p.add_argument("--m", required=True)
@@ -415,7 +414,7 @@ def _cmd_cont_extremal(args, config, stdout) -> int:
 def _cmd_proc_bound(args, config, stdout) -> int:
     m = load_map(args.m)
     tau = load_samples(args.tau)
-    payload = {"bound": expectation_bound(m, tau, config.tol)}
+    payload = {"bound": expectation_bound(m, tau)}
     if args.simplified:
         payload["simplified"] = _frac(simplified_bound(tau))
     _emit(payload, stdout)
@@ -436,7 +435,7 @@ def _cmd_proc_sim(args, config, stdout) -> int:
     m = load_map(args.m)
     tau = load_samples(args.tau)
     proc = make_extremal_process(m, tau)
-    bound = expectation_bound(m, tau, config.tol)
+    bound = expectation_bound(m, tau)
     value, stderr = expectation_at_tau(
         proc, "montecarlo", trials=args.trials, seed=config.seed
     )

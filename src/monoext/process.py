@@ -44,13 +44,11 @@ def _tail_sums(tau: EmpiricalRV):
     return asc, dsc, tail
 
 
-def expectation_bound(
-    m: MonotoneMap1D, tau: EmpiricalRV, tol: float = 1e-9
-) -> float:
+def expectation_bound(m: MonotoneMap1D, tau: EmpiricalRV) -> float:
     """Integral over y of m^{-1}(R(y)), R(y) = tail integral of the
     rearrangement of tau: the mean of the closed-form cell means (see
     :func:`_cell_means`).  The integrand is the extremal process's lower
-    branch.  ``tol`` is accepted for compatibility and unused.
+    branch.
     """
     return float(_cell_means(ExtremalProcess(m, tau)).mean())
 

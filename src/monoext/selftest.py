@@ -396,6 +396,20 @@ def criterion_process_bound(
             )
             checks.append(gap <= 1e-8)
 
+    # The Monte Carlo estimate is weighted by the same closed-form cell
+    # means as the bound, so the bound is checked here against quadrature
+    # mode, which integrates the process at tau by adaptive Simpson.
+    two_point = EmpiricalRV.two_point(0.2, 0.8, m_samples)
+    quad_gap = max(
+        abs(
+            expectation_bound(m, tau)
+            - expectation_at_tau(make_extremal_process(m, tau), "quadrature")[0]
+        )
+        for tau in (uniform, two_point)
+        for m in (identity, MonotoneMap1D.power(2))
+    )
+    checks.append(quad_gap <= 1e-8)
+
     proc = make_extremal_process(identity, uniform)
     mc, stderr = expectation_at_tau(proc, "montecarlo", trials=trials, seed=MC_SEED)
     z = abs(mc - bound) / stderr if stderr > 0 else 0.0
@@ -408,6 +422,7 @@ def criterion_process_bound(
         "process expectation bound",
         all(checks) and dt < 30.0,
         f"bound {bound:.6f} (target 1/6), fubini {fubini_check(uniform):.1e}, "
+        f"closed form vs quadrature {quad_gap:.1e}, "
         f"monte carlo z={z:.2f} at {trials} trials",
         dt,
     )

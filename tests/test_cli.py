@@ -292,6 +292,13 @@ class TestProcess:
         assert abs(payload["bound"] - 1 / 6) <= 5e-3
         assert "/" in payload["simplified"]
 
+    def test_proc_bound_takes_no_tol(self, fixtures):
+        # The bound is a closed form; a tolerance would be silently ignored.
+        code, _, _ = run_cli(
+            ["proc-bound", "--m", "id", "--tau", fixtures["tau"], "--tol", "1e-3"]
+        )
+        assert code == 64
+
     def test_proc_sim_reproducible(self, fixtures):
         argv = ["proc-sim", "--m", "id", "--tau", fixtures["tau"],
                 "--trials", "2000", "--seed", "4", "--verify", "60,60"]

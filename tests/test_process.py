@@ -130,10 +130,6 @@ class TestExpectationBound:
         want = total / m_count
         assert abs(Fraction(expectation_bound(m, tau)) - want) <= 1e-15
 
-    def test_tol_is_unused(self):
-        tau = EmpiricalRV.two_point(0.2, 0.8, 6)
-        assert expectation_bound(SQ, tau, 1e-3) == expectation_bound(SQ, tau, 1e-12)
-
 
 def exact_inverse(m, y):
     """m^{-1}(y) in exact rationals, for the identity and pwl maps."""
@@ -562,7 +558,7 @@ class TestTiedTau:
             make_extremal_process(m, tau), "quadrature", tol=tol
         )
         assert stderr == 0.0
-        assert abs(value - expectation_bound(m, tau, tol)) <= 2 * tol
+        assert abs(value - expectation_bound(m, tau)) <= 2 * tol
 
 
 MAP_KINDS = {"id": ID, "power2": SQ, "power0.5": MonotoneMap1D.power(0.5),
