@@ -49,9 +49,10 @@ CAP_EXIT = 3
 # maximum, 30 MB of it the interpreter with numpy).
 MAX_GRID_EXP_N = 1000
 # A {"grid": {"n": n}} poset computes the down-set and up-set of an element
-# only when they are read, but a scale and a witness hold n**2 values: a
-# column-chain `solve --mode both --witness` peaks at 174 MB resident at the
-# maximum (219 MB at n = 400).
+# only when they are read, and a from_m scale holds integers, but a witness
+# holds n**2 ranks and its output n**2 printed values: a column-chain
+# `solve --mode both --witness` peaks at 132 MB resident at the maximum for
+# the scale id, 153 MB for power:2 (161 MB and 189 MB at n = 400).
 MAX_POSET_GRID = 350
 # The seed keys proc-sim's Monte Carlo Philox generator, whose key is 128
 # bits.
@@ -89,7 +90,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _frac(v) -> str:
-    f = Fraction(v)
+    f = v if isinstance(v, Fraction) else Fraction(v)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -98,12 +99,6 @@ def _labelize(obj):
     if isinstance(obj, list):
         return tuple(_labelize(x) for x in obj)
     return obj
-
-
-def _label_json(lab):
-    if isinstance(lab, tuple):
-        return [_label_json(x) for x in lab]
-    return lab
 
 
 def _load_json(path: str) -> dict:
@@ -226,14 +221,23 @@ def load_samples(path: str) -> EmpiricalRV:
         raise ValidationError(f"{path}: non-numeric sample line ({e})") from e
 
 
-def _bound_result_json(res: BoundResult, include_witness: bool) -> dict:
+def _scale_texts(scale: ValueScale) -> list:
+    """The "p/q" text of every scale value, in rank order."""
+    return [f"{p}/{q}" for p, q in scale.ratios()]
+
+
+def _bound_result_json(res: BoundResult, texts: list | None) -> dict:
+    """The JSON of ``res``; with ``texts``, the scale's values as
+    :func:`_scale_texts` formats them, it includes the witness.  Tuple
+    labels are written as arrays by ``json.dumps``."""
     out = {
         "objective": _frac(res.objective),
         "witness_perm": [p + 1 for p in res.witness_perm],
     }
-    if include_witness:
+    if texts is not None:
+        fn = res.witness_fn
         out["witness_fn"] = [
-            [_label_json(lab), _frac(val)] for lab, val in res.witness_fn.items()
+            [lab, texts[r - 1]] for lab, r in zip(fn.poset.labels, fn.ranks)
         ]
         out["per_node_values"] = [_frac(v) for v in res.per_node_values]
     return out
@@ -324,14 +328,15 @@ def _cmd_solve(args, config, stdout) -> int:
     poset = load_poset(args.poset)
     scale = load_scale(args.scale, poset.n)
     query = load_query(args.query, poset)
+    texts = _scale_texts(scale) if args.witness else None
     payload = {}
     if args.mode in ("min", "both"):
         payload["min"] = _bound_result_json(
-            solve_min(poset, scale, query, cap=config.cap), args.witness
+            solve_min(poset, scale, query, cap=config.cap), texts
         )
     if args.mode in ("max", "both"):
         payload["max"] = _bound_result_json(
-            solve_max(poset, scale, query, cap=config.cap), args.witness
+            solve_max(poset, scale, query, cap=config.cap), texts
         )
     if args.mode != "both":
         payload = payload[args.mode]
@@ -344,9 +349,10 @@ def _cmd_oracle(args, config, stdout) -> int:
     scale = load_scale(args.scale, poset.n)
     query = load_query(args.query, poset)
     bmin, bmax, count = brute_min_max(poset, scale, query, cap=config.cap)
+    texts = _scale_texts(scale) if args.witness else None
     payload = {
-        "min": _bound_result_json(bmin, args.witness),
-        "max": _bound_result_json(bmax, args.witness),
+        "min": _bound_result_json(bmin, texts),
+        "max": _bound_result_json(bmax, texts),
         "count": count,
     }
     _emit(payload, stdout)

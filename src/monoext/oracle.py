@@ -2,7 +2,8 @@
 
 Searches every monotone bijection (one per linear extension) exhaustively
 and takes the min/max of the query sum directly from the definition.
-Shares only the poset layer with the solver, so agreement between the two
+Shares only the poset layer and the scale's integer form
+(``values._integer_ratios``) with the solver, so agreement between the two
 is a meaningful check.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     CapExceeded,
@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .poset import DEFAULT_CAP, Poset, QuerySet, _cover_succs
-from .values import BoundResult, MonotoneBijection, ValueScale
+from .values import BoundResult, MonotoneBijection, ValueScale, _integer_ratios
 
 
 def brute_min_max(
@@ -46,10 +46,7 @@ def brute_min_max(
         raise ValidationError(
             f"scale has {len(scale)} values for a poset of {poset.n} elements"
         )
-    den = 1
-    for v in scale.values:
-        den = lcm(den, v.denominator)
-    ints = [int(v * den) for v in scale.values]
+    ints, den = _integer_ratios(scale.values)
     qmask = 0
     for i in query.indices:
         qmask |= 1 << i

@@ -33,6 +33,7 @@ from .func1d import (
 )
 from .poset import QuerySet, grid_poset
 from .solver import disjoint_bound, scale_from_m
+from .values import _integer_ratios
 
 
 def _tail_sums(tau: EmpiricalRV):
@@ -58,12 +59,12 @@ def simplified_bound(tau: EmpiricalRV) -> Fraction:
 
     Piecewise closed form against the step rearrangement: piece i of width
     1/M contributes its value times (2i+1)/(2M^2).  Each sample is n/d
-    with d a power of two, so the sum is one integer over 2M^2 * max(d).
+    with d a power of two, so the sum is one integer over 2M^2 * max(d),
+    max(d) being the samples' common denominator.
     """
     m_count = tau.m
-    ratios = [v.as_integer_ratio() for v in reversed(tau.samples)]
-    den = max(d for _, d in ratios)
-    num = sum((2 * i + 1) * n * (den // d) for i, (n, d) in enumerate(ratios))
+    nums, den = _integer_ratios(reversed(tau.samples))
+    num = sum((2 * i + 1) * n for i, n in enumerate(nums))
     return Fraction(num, 2 * m_count * m_count * den)
 
 

@@ -15,7 +15,6 @@ top of the order (:func:`_orientation`); no reversed instance is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from re import finditer
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
 from .func1d import MonotoneMap1D
 from .poset import DEFAULT_CAP, Poset, QuerySet, _query_covers
 from .poset import _cover_succs, _first_extension
-from .values import BoundResult, MonotoneBijection, ValueScale
+from .values import BoundResult, MonotoneBijection, ValueScale, _integer_ratios
 
 
 def _check_scale(poset: Poset, scale: ValueScale) -> None:
@@ -216,9 +215,8 @@ def _search(sets, idxs, value, sign: int, cap: int):
     # Integer weights over the common denominator of the values at the
     # sizes reached; the empty ideal is charged nothing.
     reached = set().union(*(level.values() for level in sizes[1:]))
-    vals = {k: value(k) for k in reached}
-    den = lcm(*(v.denominator for v in vals.values()))
-    weight = {k: sign * v.numerator * (den // v.denominator) for k, v in vals.items()}
+    nums, den = _integer_ratios([value(k) for k in reached])
+    weight = {k: sign * num for k, num in zip(reached, nums)}
     weight[0] = 0
 
     # Backward: ``ahead`` holds, for the layer after the current one, the
@@ -362,10 +360,12 @@ def disjoint_bound(
 def scale_from_m(m: MonotoneMap1D, n: int) -> ValueScale:
     """The scale of preimages m^{-1}(i / n^2), i = 1..n^2.
 
-    Identity maps produce the exact rationals i / n^2.  Other kinds go
-    through one :meth:`~MonotoneMap1D.inverse_many` call on the correctly
-    rounded floats i / n^2, whose results the scale then holds exactly.
-    Strict increase is re-checked by the scale.
+    Identity maps produce the exact rationals i / n^2, held as the
+    numerators ``range(1, n^2 + 1)`` over n^2.  Other kinds go through one
+    :meth:`~MonotoneMap1D.inverse_many` call on the correctly rounded
+    floats i / n^2, whose results the scale then holds exactly, as
+    integers over their common power-of-two denominator.  Strict increase
+    is re-checked on the integers.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
@@ -373,5 +373,6 @@ def scale_from_m(m: MonotoneMap1D, n: int) -> ValueScale:
         raise ValidationError("map must be an increasing bijection")
     n2 = n * n
     if m.kind == "identity":
-        return ValueScale(Fraction(i, n2) for i in range(1, n2 + 1))
-    return ValueScale(m.inverse_many(np.arange(1, n2 + 1) / n2).tolist())
+        return ValueScale.over(range(1, n2 + 1), n2)
+    inverse = m.inverse_many(np.arange(1, n2 + 1) / n2).tolist()
+    return ValueScale.over(*_integer_ratios(inverse))

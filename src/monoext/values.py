@@ -2,14 +2,19 @@
 
 Scale entries are held as exact rationals; float inputs are converted to
 their exact binary value, so sums and comparisons in the discrete solvers
-carry no rounding at all.
+carry no rounding at all.  A scale whose values share a denominator (the
+scales derived from a map) holds only the integer numerators, and builds
+the rational of a position when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from itertools import islice, repeat
+from math import gcd, lcm
+from operator import eq, lt
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import NotIncreasing, ValidationError
 from .poset import Poset
@@ -27,21 +32,107 @@ def to_fraction(v: Rational) -> Fraction:
     raise ValidationError(f"cannot interpret {v!r} as a scale value")
 
 
+def _integer_ratios(values) -> tuple:
+    """``(nums, den)`` with ``values[k] == nums[k] / den`` exactly: the
+    values (ints, floats or Fractions) brought to the least common multiple
+    of their denominators.  The values of a :class:`_Ratios` sequence are
+    already over one denominator and are returned as they are held."""
+    if isinstance(values, _Ratios):
+        return values.nums, values.den
+    nums = [v.as_integer_ratio() for v in values]
+    den = lcm(*{d for _, d in nums})
+    # In place, so that each pair is freed as its numerator replaces it.
+    for k, (n, d) in enumerate(nums):
+        nums[k] = n * (den // d)
+    return nums, den
+
+
+class _Ratios:
+    """The rationals ``nums[k] / den`` as a read-only sequence that holds
+    only the integers and builds the :class:`Fraction` of a position when
+    it is read.
+
+    Sequences with equal ``nums`` and ``den`` compare equal without
+    building a value; any other comparison runs value by value.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: Sequence[int], den: int):
+        self.nums = nums
+        self.den = den
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(Fraction, self.nums[k], repeat(self.den)))
+        return Fraction(self.nums[k], self.den)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return map(Fraction, self.nums, repeat(self.den))
+
+    def __reversed__(self) -> Iterator[Fraction]:
+        return map(Fraction, reversed(self.nums), repeat(self.den))
+
+    def __eq__(self, other) -> bool:
+        same_den = isinstance(other, _Ratios) and other.den == self.den
+        if same_den and other.nums == self.nums:
+            return True
+        if not isinstance(other, (_Ratios, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def ratios(self) -> Iterator[tuple]:
+        den = self.den
+        for num in self.nums:
+            g = gcd(num, den)
+            yield num // g, den // g
+
+
+def _check_increasing(values: Sequence, keys: Sequence) -> None:
+    """Raise unless ``keys``, which order like ``values``, strictly
+    increase; the error names the first offending pair of values."""
+    if not values:
+        raise ValidationError("scale must be nonempty")
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        k = next(k for k in range(len(keys) - 1) if keys[k] >= keys[k + 1])
+        raise NotIncreasing(
+            f"scale values not strictly increasing: {values[k]} >= {values[k + 1]}"
+        )
+
+
 class ValueScale:
-    """Strictly increasing finite sequence of exact rational values."""
+    """Strictly increasing finite sequence of exact rational values.
+
+    ``ValueScale(values)`` holds one :class:`Fraction` per value.
+    :meth:`over` holds integer numerators over one denominator instead.
+    """
 
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[Rational]):
         vals = tuple(to_fraction(v) for v in values)
-        if not vals:
-            raise ValidationError("scale must be nonempty")
-        for a, b in zip(vals, vals[1:]):
-            if a >= b:
-                raise NotIncreasing(
-                    f"scale values not strictly increasing: {a} >= {b}"
-                )
+        _check_increasing(vals, vals)
         self.values = vals
+
+    @classmethod
+    def over(cls, numerators: Sequence[int], denominator: int) -> "ValueScale":
+        """The scale ``numerators[k] / denominator``, k = 0, 1, ....
+
+        Only the integers are held (a ``range`` stays a ``range``), and
+        strict increase is checked on them.
+        """
+        if not (isinstance(denominator, int) and denominator > 0):
+            raise ValidationError(
+                f"denominator must be a positive integer, got {denominator!r}"
+            )
+        vals = _Ratios(numerators, denominator)
+        _check_increasing(vals, numerators)
+        scale = cls.__new__(cls)
+        scale.values = vals
+        return scale
 
     def __len__(self) -> int:
         return len(self.values)
@@ -51,6 +142,13 @@ class ValueScale:
         if not 1 <= rank <= len(self.values):
             raise ValidationError(f"rank {rank} outside 1..{len(self.values)}")
         return self.values[rank - 1]
+
+    def ratios(self) -> Iterator[tuple]:
+        """Each value's ``(numerator, denominator)`` in lowest terms, in
+        increasing order of the values."""
+        if isinstance(self.values, _Ratios):
+            return self.values.ratios()
+        return ((v.numerator, v.denominator) for v in self.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValueScale):

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -116,6 +117,49 @@ class TestSolve:
         assert error["type"] == "CapExceeded"
         assert error["cap"] == 100
         assert run_cli(argv + ["--cap", "1024"])[0] == 0
+
+
+@pytest.mark.parametrize("m", ["id", "power:2", "pwl:0,0;0.5,0.25;1,1"])
+@pytest.mark.parametrize(
+    "command, n, order, query",
+    [
+        ("solve", 9, "product", [[3, j] for j in range(1, 10)]),
+        ("solve", 9, "product", [[1, 9], [4, 4], [9, 1], [6, 7]]),
+        ("solve", 8, "rows", [[i, i] for i in range(1, 9)]),
+        ("oracle", 3, "product", [[1, 2], [2, 1], [3, 3]]),
+    ],
+)
+def test_from_m_witness_matches_explicit_values(tmp_path, m, command, n, order, query):
+    """A ``from_m`` scale and the same values written out as explicit
+    "p/q" strings print the same bytes, witnesses included."""
+    n2 = n * n
+    if m == "id":
+        values = [Fraction(i, n2) for i in range(1, n2 + 1)]
+    else:
+        grid = np.arange(1, n2 + 1) / n2
+        values = [Fraction(v) for v in load_map(m).inverse_many(grid).tolist()]
+    docs = {
+        "poset": {"grid": {"n": n, "order": order}},
+        "query": {"query": query},
+        "lazy": {"from_m": {"m": m, "n": n}},
+        "eager": {"values": [f"{v.numerator}/{v.denominator}" for v in values]},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    outs = []
+    for scale in ("lazy", "eager"):
+        argv = [command, "--poset", str(paths["poset"]), "--scale",
+                str(paths[scale]), "--query", str(paths["query"]), "--witness"]
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    payload = json.loads(outs[0])
+    texts = {f"{v.numerator}/{v.denominator}" for v in values}
+    for mode in ("min", "max"):
+        assert {val for _, val in payload[mode]["witness_fn"]} == texts
 
 
 class TestOracle:

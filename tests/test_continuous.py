@@ -256,6 +256,27 @@ class TestGridExperiment:
             rec = grid_experiment(0.4, n, 1)
             assert column_chain_bound(n, rec.column) == rec.discrete_bound
 
+    def test_column_chain_reads_few_scale_values(self, monkeypatch):
+        """The chain closed form reads O(n) of the n^2 scale values."""
+        from monoext.values import _Ratios
+
+        reads = []
+        getitem = _Ratios.__getitem__
+
+        def counted(self, k):
+            reads.append(k)
+            return getitem(self, k)
+
+        def whole(self, *args):
+            raise AssertionError("the whole scale was read")
+
+        monkeypatch.setattr(_Ratios, "__getitem__", counted)
+        for name in ("__iter__", "__reversed__", "ratios"):
+            monkeypatch.setattr(_Ratios, name, whole)
+        n = 160
+        assert column_chain_bound(n, 7) == Fraction(7 * (n + 1), 2 * n)
+        assert 0 < len(reads) <= 2 * n
+
     def test_error_scales_like_one_over_n(self):
         errs = [float(grid_experiment(0.5, n, 1).abs_error) for n in (10, 20, 40)]
         assert errs[0] > errs[1] > errs[2]

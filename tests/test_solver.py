@@ -54,6 +54,71 @@ class TestValueScale:
         with pytest.raises(ValidationError):
             s.value(0)
 
+    @pytest.mark.parametrize(
+        "nums, den, error",
+        [
+            ([], 4, ValidationError),
+            (range(1, 1), 4, ValidationError),
+            ([1, 2, 2, 3], 4, NotIncreasing),
+            ([1, 3, 2], 4, NotIncreasing),
+            (range(3, 0, -1), 4, NotIncreasing),
+            ([1, 2], 0, ValidationError),
+            ([1, 2], -4, ValidationError),
+        ],
+    )
+    def test_over_rejects(self, nums, den, error):
+        with pytest.raises(error):
+            ValueScale.over(nums, den)
+
+    def test_over_error_names_the_values(self):
+        with pytest.raises(NotIncreasing, match="3/4 >= 1/2"):
+            ValueScale.over([1, 3, 2], 4)
+
+    def test_over_equals_eager(self):
+        eager = ValueScale([Fraction(i, 12) for i in range(-3, 9)])
+        for nums in (range(-3, 9), list(range(-3, 9))):
+            lazy = ValueScale.over(nums, 12)
+            assert lazy == eager and eager == lazy
+            assert lazy.values == eager.values and eager.values == lazy.values
+            assert lazy.values == tuple(eager.values)
+        assert ValueScale.over(range(-3, 9), 12) == ValueScale.over(range(-6, 18, 2), 24)
+        assert ValueScale.over(range(1, 5), 4) != ValueScale.over(range(1, 5), 5)
+        assert ValueScale.over(range(1, 5), 4) != ValueScale([1, 2, 3])
+
+    def test_equal_integers_compare_without_values(self, monkeypatch):
+        from monoext.values import _Ratios
+
+        a = ValueScale.over(range(1, 10**5), 10**5)
+        b = ValueScale.over(range(1, 10**5), 10**5)
+
+        def unread(self, *args):
+            raise AssertionError("a value was built")
+
+        for name in ("__getitem__", "__iter__", "__reversed__"):
+            monkeypatch.setattr(_Ratios, name, unread)
+        assert a == b
+
+    def test_ratios_in_lowest_terms(self):
+        s = scale_from_m(MonotoneMap1D.identity(), 6)
+        got = list(s.ratios())
+        assert got[17] == (1, 2)  # 18/36
+        assert got[35] == (1, 1)
+        assert got == [(v.numerator, v.denominator) for v in s.values]
+        eager = ValueScale([0.5, Fraction(2, 3), 2])
+        assert list(eager.ratios()) == [(1, 2), (2, 3), (2, 1)]
+
+    def test_ratios_sequence_protocol(self):
+        s = ValueScale.over(range(1, 7), 6)
+        want = tuple(Fraction(i, 6) for i in range(1, 7))
+        assert tuple(s.values) == want
+        assert list(reversed(s.values)) == list(reversed(want))
+        for k in (slice(1, 4), slice(None, None, -2), slice(4, 1, -1), slice(9, 12)):
+            assert s.values[k] == want[k]
+        assert s.values[-1] == Fraction(1) and s.value(3) == Fraction(1, 2)
+        assert Fraction(1, 3) in s.values and Fraction(1, 7) not in s.values
+        with pytest.raises(IndexError):
+            s.values[6]
+
 
 class TestConditionalValues:
     def test_grid_singleton(self):
@@ -527,6 +592,43 @@ class TestScaleFromM:
             m = MonotoneMap1D.power(p)
             want = tuple(Fraction(v) for v in m.inverse_many(grid).tolist())
             assert scale_from_m(m, n).values == want
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 97])
+    @pytest.mark.parametrize(
+        "m",
+        [
+            MonotoneMap1D.identity(),
+            MonotoneMap1D.power(0.5),
+            MonotoneMap1D.power(2),
+            MonotoneMap1D.power(3.3),
+            MonotoneMap1D.piecewise_linear([(0, 0), (0.5, 0.25), (1, 1)]),
+            # A nearly flat piece of m, then a steep one: the inverse jumps.
+            MonotoneMap1D.piecewise_linear([(0, 0), (0.5, 1e-12), (0.6, 0.9), (1, 1)]),
+        ],
+        ids=["id", "power0.5", "power2", "power3.3", "pwl", "pwl-flat"],
+    )
+    def test_equals_eager_fraction_scale(self, m, n):
+        """The integer scale holds the values the eager Fraction scale
+        holds, and gives the same lowest-terms ratios."""
+        n2 = n * n
+        if m.kind == "identity":
+            eager = ValueScale(Fraction(i, n2) for i in range(1, n2 + 1))
+        else:
+            eager = ValueScale(m.inverse_many(np.arange(1, n2 + 1) / n2).tolist())
+        lazy = scale_from_m(m, n)
+        assert lazy == eager and eager == lazy
+        assert tuple(lazy.values) == eager.values
+        assert list(lazy.ratios()) == list(eager.ratios())
+
+    def test_identity_scale_holds_no_values(self):
+        tracemalloc.start()
+        try:
+            s = scale_from_m(MonotoneMap1D.identity(), 350)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == 350**2
+        assert peak < 2**20
 
 
 class TestMonotoneBijection:
