@@ -48,11 +48,12 @@ CAP_EXIT = 3
 # grid-exp fills an n x n numpy table of int64 (55 MB peak resident at the
 # maximum, 30 MB of it the interpreter with numpy).
 MAX_GRID_EXP_N = 1000
-# A {"grid": {"n": n}} poset computes the down-set and up-set of an element
-# only when they are read, and a from_m scale holds integers, but a witness
-# holds n**2 ranks and its output n**2 printed values: a column-chain
-# `solve --mode both --witness` peaks at 132 MB resident at the maximum for
-# the scale id, 153 MB for power:2 (161 MB and 189 MB at n = 400).
+# A {"grid": {"n": n}} poset holds no per-element object and computes the
+# down-set and up-set of an element only when they are read, and a from_m
+# scale holds integers, but a witness holds n**2 ranks and its output n**2
+# printed values: a column-chain `solve --mode both --witness` peaks at
+# 103 MB resident at the maximum for the scale id, 122 MB for power:2
+# (124 MB and 151 MB at n = 400).
 MAX_POSET_GRID = 350
 # The seed keys proc-sim's Monte Carlo Philox generator, whose key is 128
 # bits.
@@ -121,12 +122,20 @@ def _malformed(what: str):
         raise ValidationError(f"malformed {what}: {type(e).__name__}: {e}") from e
 
 
+def _grid_side(n, what: str) -> int:
+    """``n`` if it is a JSON integer; a float, string or bool is rejected
+    rather than truncated."""
+    if not _is_int(n):
+        raise ValidationError(f"{what} must be an integer, got {n!r}")
+    return n
+
+
 def load_poset(path: str) -> Poset:
     doc = _load_json(path)
     with _malformed(f"poset {path}"):
         if "grid" in doc:
             g = doc["grid"]
-            n = int(g["n"])
+            n = _grid_side(g["n"], "grid n")
             if n > MAX_POSET_GRID:
                 raise ValidationError(f"grid n must be at most {MAX_POSET_GRID}")
             return grid_poset(n, g.get("order", "product"))
@@ -187,7 +196,7 @@ def load_scale(path: str, size: int | None = None) -> ValueScale:
             return ValueScale(vals)
         if "from_m" in doc:
             sub = doc["from_m"]
-            n = int(sub["n"])
+            n = _grid_side(sub["n"], "from_m n")
             if size is not None and n * n != size:
                 raise ValidationError(
                     f"scale has {n * n} values for a poset of {size} elements"

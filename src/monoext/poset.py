@@ -5,16 +5,21 @@ defining list is its canonical index, and every deterministic tie-break in
 this package (enumeration order, witness construction) uses that index.
 Reachability is one Python-int bitmask per element and direction, which
 keeps down-set unions and cardinalities cheap even for posets with tens of
-thousands of elements.  :func:`build_poset` computes every mask once;
-:func:`grid_poset` computes each one on first use, since a grid's down-sets
-and up-sets are rectangles.
+thousands of elements.  :func:`build_poset` computes every mask once and
+holds its labels, covers and label index as a tuple, a tuple and a dict.
+:func:`grid_poset` holds no per-element object at all: element e of an
+``nx x ny`` grid is ``(e // ny + 1, e % ny + 1)``, so its labels, covers
+and index are the views of :mod:`monoext.grid`, computed from (i, j)
+arithmetic when read, and each down-set and up-set, a rectangle, is
+computed on first use.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from heapq import heapify, heappop, heappush
-from operator import eq, itemgetter
-from typing import Hashable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Hashable
 
 from .errors import (
     CapExceeded,
@@ -23,6 +28,7 @@ from .errors import (
     InvalidGrid,
     UnknownElement,
 )
+from .grid import _GridCovers, _GridIndex, _GridLabels, _GridSequence, _GridSets
 
 DEFAULT_CAP = 10**6
 
@@ -36,20 +42,26 @@ class Poset:
     relation is reflexive, so bit ``i`` is always set); ``up`` is the
     transpose.  ``covers`` holds the given cover pairs as canonical index
     pairs ``(i, j)`` meaning ``labels[i] < labels[j]``, without repeats and
-    in input order.  Instances are constructed through :func:`build_poset`,
-    which computes the closure, or :func:`grid_poset`, whose ``down`` and
-    ``up`` are :class:`_GridSets` that compute each mask on first use and
-    are kept as they are.
+    in input order.  ``rising`` is True when every cover pair has i < j.
+    Instances are constructed through :func:`build_poset`, which computes
+    the closure, or :func:`grid_poset`, whose labels, covers and sets are
+    the read-only views of :mod:`monoext.grid`, kept as they are.
     """
 
-    __slots__ = ("labels", "covers", "down", "up", "_index")
+    __slots__ = ("labels", "covers", "down", "up", "rising", "_index")
 
     def __init__(self, labels, covers, down, up):
-        self.labels: tuple = tuple(labels)
-        self.covers: tuple = tuple(covers)
-        self.down: Sequence[int] = down if isinstance(down, _GridSets) else tuple(down)
-        self.up: Sequence[int] = up if isinstance(up, _GridSets) else tuple(up)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self.labels: Sequence = _keep(labels)
+        self.covers: Sequence[tuple] = _keep(covers)
+        self.down: Sequence[int] = _keep(down)
+        self.up: Sequence[int] = _keep(up)
+        self.rising: bool = isinstance(self.covers, _GridCovers) or all(
+            i < j for i, j in self.covers
+        )
+        if isinstance(self.labels, _GridLabels):
+            self._index = _GridIndex(*self.labels.key)
+        else:
+            self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     @property
     def n(self) -> int:
@@ -89,9 +101,9 @@ class Poset:
         return self.labels == other.labels and self.down == other.down
 
     def __hash__(self) -> int:
-        # Equal posets share their labels; hashing no mask keeps a grid's
-        # masks uncomputed.
-        return hash(self.labels)
+        # Equal posets share their labels; hashing only the size and the end
+        # labels keeps a grid's labels and masks uncomputed.
+        return hash((self.n, self.labels[:1], self.labels[-1:]))
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={len(self.covers)})"
@@ -248,75 +260,17 @@ def _grid_poset(nx: int, ny: int, order_kind: str) -> Poset:
         raise InvalidGrid("grid size must be at least 1")
     if order_kind not in ("product", "rows"):
         raise InvalidGrid(f"unknown order kind {order_kind!r}")
-    labels = [(i, j) for i in range(1, nx + 1) for j in range(1, ny + 1)]
-    # Element e is (e // ny + 1, e % ny + 1); its covers in the order
-    # build_poset would store them: the next i, then the next j.
-    n = nx * ny
-    covers = []
-    for e in range(n):
-        if e + ny < n:
-            covers.append((e, e + ny))
-        if order_kind == "product" and (e + 1) % ny:
-            covers.append((e, e + 1))
     return Poset(
-        labels,
-        covers,
+        _GridLabels(nx, ny),
+        _GridCovers(nx, ny, order_kind),
         _GridSets(nx, ny, order_kind, "down"),
         _GridSets(nx, ny, order_kind, "up"),
     )
 
 
-class _GridSets:
-    """The down-sets (``direction`` "down") or up-sets ("up") of the
-    ``nx x ny`` grid of :func:`_grid_poset`, as a read-only sequence of
-    bitmasks that computes each mask the first time it is read and caches
-    it.
-
-    Element e = i * ny + j (0-based i, j) lies at bit e.  Its set is a
-    rectangle: rows 0..i (down) or i..nx-1 (up), and in each of them the
-    columns lo..hi-1, which are 0..j or j..ny-1 under the product order
-    and j alone under the rows order.  With ``rows`` the mask of the first
-    bit of each row taken, the set is ``rows * (2**hi - 2**lo)``.
-
-    Sequences of the same grid, order and direction compare equal without
-    reading a mask; any other comparison runs mask by mask.
-    """
-
-    __slots__ = ("key", "_rows", "_cache")
-
-    def __init__(self, nx: int, ny: int, order_kind: str, direction: str):
-        self.key = (nx, ny, order_kind, direction)
-        self._rows = int(("0" * (ny - 1) + "1") * nx, 2)  # bit i * ny, every i
-        self._cache = {}
-
-    def __len__(self) -> int:
-        return self.key[0] * self.key[1]
-
-    def __getitem__(self, e: int) -> int:
-        mask = self._cache.get(e)
-        if mask is None:
-            nx, ny, order_kind, direction = self.key
-            e = range(nx * ny)[e]
-            i, j = divmod(e, ny)
-            product = order_kind == "product"
-            if direction == "down":
-                rows = self._rows & (1 << (i + 1) * ny) - 1
-                lo, hi = (0 if product else j), j + 1
-            else:
-                rows = self._rows >> i * ny << i * ny
-                lo, hi = j, (ny if product else j + 1)
-            mask = self._cache[e] = (rows << hi) - (rows << lo)
-        return mask
-
-    def __iter__(self) -> Iterator[int]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _GridSets) and other.key == self.key:
-            return True
-        if not isinstance(other, (_GridSets, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+def _keep(seq) -> Sequence:
+    """A grid view as it is; any other sequence as a tuple."""
+    return seq if isinstance(seq, _GridSequence) else tuple(seq)
 
 
 def down_set(poset: Poset, alpha: Label) -> ElementSet:

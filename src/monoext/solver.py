@@ -15,6 +15,9 @@ top of the order (:func:`_orientation`); no reversed instance is built.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, groupby
+from operator import or_
 from re import finditer
 
 import numpy as np
@@ -28,6 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .func1d import MonotoneMap1D
+from .grid import _GridCovers
 from .poset import DEFAULT_CAP, Poset, QuerySet, _query_covers
 from .poset import _cover_succs, _first_extension
 from .values import BoundResult, MonotoneBijection, ValueScale, _integer_ratios
@@ -265,27 +269,83 @@ def build_witness(
     ranks 1, 2, ...; max mode reads the up-sets from the top, walks the
     cover pairs flipped, and hands out ranks N, N - 1, ....  This is the
     least linear extension under the key (first block containing the
-    element, canonical index), built in O((N + covers) log N).
+    element, canonical index), which :func:`_fill_order` finds.
     """
     _check_scale(poset, scale)
     _validate_ordering(poset, query, perm)
-    sets, rank, sign = _orientation(poset, mode)
+    sets, _, sign = _orientation(poset, mode)
 
     # The running unions are down-closed in the order read, so ordering by
     # (key, index) fills each block along its lexicographically first
     # extension.
     idxs = query.indices
-    key = [len(perm)] * poset.n
+    n = poset.n
+    key = [len(perm)] * n
     mask = 0
     for k, p in enumerate(perm[::sign]):
         new = sets[idxs[p]] & ~mask
         mask |= new
         for bit in finditer("1", bin(new)[:1:-1]):  # character i is bit i
             key[bit.start()] = k
-    ranks = [0] * poset.n
-    for pos, e in enumerate(_first_extension(_cover_succs(poset, sign), key), 1):
-        ranks[e] = rank(pos)
+    ranks = [0] * n
+    for e, r in zip(_fill_order(poset, key, sign), range(1, n + 1)[::sign]):
+        ranks[e] = r
     return MonotoneBijection(poset, scale, ranks)
+
+
+def _fill_order(poset: Poset, key: list, sign: int):
+    """The least linear extension under ``(key[e], e)`` of the order read in
+    the direction ``sign`` (+1 along the cover pairs, -1 against them), for
+    a ``key`` that never decreases along that order.
+
+    - Every cover pair (i, j) has i < j, read along the pairs: (key, index)
+      is itself an extension, so it is the stable sort of ``key``.
+    - Read against the pairs of a grid (max mode): a sort by a key of
+      :func:`_grid_max_order`.
+    - Any other: Kahn's algorithm with a heap, :func:`_first_extension`.
+    """
+    if sign > 0 and poset.rising:
+        return sorted(range(poset.n), key=key.__getitem__)
+    if sign < 0 and isinstance(poset.covers, _GridCovers):
+        return _grid_max_order(*poset.covers.key, key)
+    return _first_extension(_cover_succs(poset, sign), key)
+
+
+def _grid_max_order(nx: int, ny: int, order_kind: str, key: list) -> list:
+    """:func:`_fill_order` against the cover pairs of the ``nx x ny`` grid,
+    whose element ``i * ny + j`` lies in row i and column j (0-based).
+
+    The heap would take, of the available elements of the current block,
+    the one of least index, which is the one of least row; the placed set
+    is up-closed.
+    - Product order: the lowest placed row does not increase with the
+      column, so the available elements lie in distinct rows, and the one
+      of least row is in the rightmost column the block has left.  The
+      heap walks that column down, so the order is by (key, -column,
+      -row): the stable sort of the key over the columns listed right to
+      left, each from its top row down.
+    - Rows order: the chains are the columns, and a block meets each in a
+      run of rows.  The heap walks one run down at a time, taking next the
+      run with the lowest top row, then the lowest column, so the order is
+      by (key, top row of the element's run, column, -row).
+    """
+    def column(j):  # the elements of column j, top row first
+        return range((nx - 1) * ny + j, j - 1, -ny)
+
+    if order_kind == "product":
+        return sorted(chain.from_iterable(map(column, reversed(range(ny)))),
+                      key=key.__getitem__)
+    # The key does not decrease down a column, so each block meets it in
+    # one run of equal keys.
+    runs = []
+    for j in range(ny):
+        top = nx - 1
+        for k, run in groupby(column(j), key.__getitem__):
+            run = list(run)
+            runs.append((k, top, j, run))
+            top -= len(run)
+    runs.sort()
+    return [e for *_, run in runs for e in run]
 
 
 def reverse_reduce(poset: Poset, scale: ValueScale, query: QuerySet):
@@ -308,22 +368,26 @@ def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):
     the current element's down-set (up-set, read from the top): min sums
     the values ranked by each element's down-set size, max the values
     ranked N + 1 - |up-set|.  The query may be given in any order; it is
-    sorted along the chain once.
+    sorted along the chain once.  Sorted by down-set size, the query is a
+    chain exactly when each element lies below the next: k - 1 checks.
+    Only when one fails are the pairs scanned, to name the first
+    incomparable pair in query order.
     """
     _check_scale(poset, scale)
     if len(query) == 0:
         raise EmptyQuery("query set is empty")
     idxs = query.indices
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            if not poset.comparable_idx(idxs[a], idxs[b]):
-                raise NotAChain(
-                    f"{query.labels[a]!r} and {query.labels[b]!r} are incomparable"
-                )
-    chain = sorted(range(len(idxs)), key=lambda p: poset.down[idxs[p]].bit_count())
+    order = sorted(range(len(idxs)), key=lambda p: poset.down[idxs[p]].bit_count())
+    if not all(poset.leq_idx(idxs[a], idxs[b]) for a, b in zip(order, order[1:])):
+        for a in range(len(idxs)):
+            for b in range(a + 1, len(idxs)):
+                if not poset.comparable_idx(idxs[a], idxs[b]):
+                    raise NotAChain(
+                        f"{query.labels[a]!r} and {query.labels[b]!r} are incomparable"
+                    )
     return (
-        _oriented_sum(poset, scale, idxs, chain, "min"),
-        _oriented_sum(poset, scale, idxs, chain, "max"),
+        _oriented_sum(poset, scale, idxs, order, "min"),
+        _oriented_sum(poset, scale, idxs, order, "max"),
     )
 
 
@@ -336,24 +400,29 @@ def disjoint_bound(
     ``mode="max"`` is the dual with up-sets.  The running union's size is
     then the running sum of the set sizes, so reading the sets smallest
     first, the k-th term is the value ranked by the k-th prefix sum (for
-    the maximum, N + 1 minus it).
+    the maximum, N + 1 minus it).  The sets are disjoint exactly when
+    their union is as large as their sizes together, which takes one
+    pass.  Only when it is smaller are the pairs scanned, to name the first
+    intersecting pair in query order.
     """
     _check_scale(poset, scale)
     if len(query) == 0:
         raise EmptyQuery("query set is empty")
     sets, _, sign = _orientation(poset, mode)
     idxs = query.indices
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            if sets[idxs[a]] & sets[idxs[b]]:
-                kind = "down-sets" if mode == "min" else "up-sets"
-                raise PreconditionViolated(
-                    f"{kind} of {query.labels[a]!r} and "
-                    f"{query.labels[b]!r} intersect",
-                    pair=(query.labels[a], query.labels[b]),
-                )
+    sizes = [sets[i].bit_count() for i in idxs]
+    if reduce(or_, (sets[i] for i in idxs)).bit_count() != sum(sizes):
+        for a in range(len(idxs)):
+            for b in range(a + 1, len(idxs)):
+                if sets[idxs[a]] & sets[idxs[b]]:
+                    kind = "down-sets" if mode == "min" else "up-sets"
+                    raise PreconditionViolated(
+                        f"{kind} of {query.labels[a]!r} and "
+                        f"{query.labels[b]!r} intersect",
+                        pair=(query.labels[a], query.labels[b]),
+                    )
     # perm[::sign] is the reading order: smallest set first.
-    perm = sorted(range(len(idxs)), key=lambda p: sign * sets[idxs[p]].bit_count())
+    perm = sorted(range(len(idxs)), key=lambda p: sign * sizes[p])
     return _oriented_sum(poset, scale, idxs, perm, mode)
 
 

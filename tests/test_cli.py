@@ -498,6 +498,35 @@ class TestErrorsAndConfig:
         if code:
             assert json.loads(err)["error"]["type"] == "ValidationError"
 
+    @staticmethod
+    def _grid_solve(tmp_path, grid_n, scale_n):
+        argv = ["solve"]
+        for name, doc in (("poset", {"grid": {"n": grid_n}}),
+                          ("scale", {"from_m": {"m": "id", "n": scale_n}}),
+                          ("query", {"query": [[1, 2]]})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            argv += [f"--{name}", str(path)]
+        return run_cli(argv)
+
+    def test_integer_grid_side_runs(self, tmp_path):
+        code, out, _ = self._grid_solve(tmp_path, 3, 3)
+        assert code == 0 and json.loads(out)["min"]["objective"] == "2/9"
+
+    @pytest.mark.parametrize("side", [3.9, 3.0, "3", True, None, [3]],
+                             ids=["float", "integral-float", "string", "bool",
+                                  "null", "list"])
+    @pytest.mark.parametrize("where", ["grid", "from_m"])
+    def test_grid_side_must_be_an_integer(self, tmp_path, where, side):
+        # Each side converts to 3 (or to 1, for true) and used to be
+        # truncated to it; it is rejected instead.
+        grid_n, scale_n = (side, 3) if where == "grid" else (3, side)
+        code, out, err = self._grid_solve(tmp_path, grid_n, scale_n)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"] == f"{where} n must be an integer, got {side!r}"
+
     @pytest.mark.parametrize(
         "config, flags, env_seed",
         [

@@ -1,5 +1,7 @@
+import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 from monoext import (
     MonotoneBijection,
     MonotoneMap1D,
+    Poset,
     QuerySet,
     ValueScale,
     admissible_permutations,
     build_poset,
     build_witness,
     chain_bounds,
+    column_chain_bound,
     conditional_max,
     conditional_min,
     disjoint_bound,
@@ -33,6 +37,9 @@ from monoext.errors import (
     PreconditionViolated,
     ValidationError,
 )
+from monoext import solver
+from monoext.poset import _cover_succs, _first_extension, _grid_poset
+from monoext.solver import _orientation
 
 
 def chain3():
@@ -468,6 +475,103 @@ def test_witness_matches_block_reference(instance):
         assert list(w.ranks) == reference_witness(poset, query, perm, mode)
 
 
+def heap_witness_ranks(poset, query, perm, mode):
+    """The witness ranks by the heap: the key of :func:`build_witness`
+    (the first block whose union holds the element, read bit by bit) and
+    the least linear extension under (key, index) that
+    :func:`_first_extension` builds along the cover pairs read."""
+    sets, rank, sign = _orientation(poset, mode)
+    key = [len(perm)] * poset.n
+    mask = 0
+    for k, p in enumerate(perm[::sign]):
+        new = sets[query.indices[p]] & ~mask
+        mask |= new
+        for e in range(poset.n):
+            if new >> e & 1:
+                key[e] = k
+    ranks = [0] * poset.n
+    for pos, e in enumerate(_first_extension(_cover_succs(poset, sign), key), 1):
+        ranks[e] = rank(pos)
+    return tuple(ranks)
+
+
+@pytest.fixture
+def no_heap(monkeypatch):
+    """Makes the heap an error inside build_witness."""
+    def refuse(succs, key):
+        raise AssertionError("build_witness used the heap")
+    monkeypatch.setattr(solver, "_first_extension", refuse)
+
+
+class TestWitnessBySort:
+    """Grid witnesses and min-mode witnesses of posets whose covers rise in
+    index come from a sort; each must equal the heap's."""
+
+    @pytest.mark.parametrize("kind", ["product", "rows"])
+    def test_small_grids_exhaustively(self, kind):
+        for nx in range(1, 5):
+            for ny in range(1, 5):
+                g = _grid_poset(nx, ny, kind)
+                scale = ValueScale(range(1, g.n + 1))
+                for k in range(1, 4):
+                    for labels in combinations(g.labels, k):
+                        q = QuerySet(g, labels)
+                        for perm in admissible_permutations(g, q):
+                            for mode in ("min", "max"):
+                                got = build_witness(g, scale, q, perm, mode).ranks
+                                want = heap_witness_ranks(g, q, perm, mode)
+                                assert got == want, (nx, ny, labels, perm, mode)
+
+    @pytest.mark.parametrize("kind", ["product", "rows"])
+    def test_larger_grids(self, kind):
+        rng = random.Random(16)
+        for _ in range(40):
+            g = _grid_poset(rng.randint(1, 9), rng.randint(1, 9), kind)
+            scale = ValueScale(range(1, g.n + 1))
+            q = QuerySet(g, rng.sample(g.labels, rng.randint(1, min(g.n, 6))))
+            perms = list(islice(admissible_permutations(g, q), 200))
+            for perm in rng.sample(perms, min(len(perms), 5)):
+                for mode in ("min", "max"):
+                    got = build_witness(g, scale, q, perm, mode).ranks
+                    assert got == heap_witness_ranks(g, q, perm, mode)
+
+    def test_grids_never_use_the_heap(self, no_heap):
+        for kind in ("product", "rows"):
+            g = grid_poset(7, kind)
+            scale = ValueScale(range(1, g.n + 1))
+            q = QuerySet(g, [(2, 5), (4, 1), (6, 6)])
+            for mode in ("min", "max"):
+                build_witness(g, scale, q, solve_min(g, scale, q).witness_perm, mode)
+
+    def test_min_mode_on_rising_dags(self, no_heap):
+        rng = random.Random(7)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            covers = [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if rng.random() < rng.uniform(0.1, 0.6)]
+            p = build_poset(list(range(n)), rng.sample(covers, len(covers)))
+            assert p.rising
+            scale = ValueScale(range(1, n + 1))
+            q = QuerySet(p, rng.sample(range(n), rng.randint(1, n)))
+            for perm in islice(admissible_permutations(p, q), 20):
+                got = build_witness(p, scale, q, perm, "min").ranks
+                assert got == heap_witness_ranks(p, q, perm, "min")
+
+    def test_other_posets_keep_the_heap(self, monkeypatch):
+        calls = []
+        heap = solver._first_extension
+        monkeypatch.setattr(solver, "_first_extension",
+                            lambda succs, key: calls.append(1) or heap(succs, key))
+        falling = build_poset(["c", "b", "a"], [("a", "b"), ("b", "c")])
+        assert not falling.rising
+        scale = ValueScale([1, 2, 3])
+        w = build_witness(falling, scale, QuerySet(falling, ["b"]), (0,), "min")
+        assert dict(w.items()) == {"a": 1, "b": 2, "c": 3}
+        rising = chain3()
+        build_witness(rising, scale, QuerySet(rising, ["b"]), (0,), "max")
+        assert len(calls) == 2
+
+
 class TestReverseReduce:
     def test_chain_reversed(self):
         p = chain3()
@@ -523,6 +627,22 @@ class TestChainBounds:
         with pytest.raises(NotAChain):
             chain_bounds(p, s, QuerySet(p, [(1, 2), (2, 1)]))
 
+    def test_not_a_chain_names_the_first_pair_in_query_order(self):
+        p = grid_poset(3, "product")
+        s = ValueScale(range(1, 10))
+        q = QuerySet(p, [(1, 1), (2, 2), (1, 3), (3, 1)])
+        with pytest.raises(NotAChain) as exc:
+            chain_bounds(p, s, q)
+        assert str(exc.value) == "(2, 2) and (1, 3) are incomparable"
+
+    def test_chain_checked_in_k_minus_one_steps(self, monkeypatch):
+        calls = []
+        leq = Poset.leq_idx
+        monkeypatch.setattr(Poset, "leq_idx",
+                            lambda self, i, j: calls.append(1) or leq(self, i, j))
+        assert column_chain_bound(40, 7) == Fraction(7 * 41, 80)
+        assert len(calls) == 39
+
 
 class TestDisjointBound:
     def test_antichain(self):
@@ -546,6 +666,16 @@ class TestDisjointBound:
         with pytest.raises(PreconditionViolated) as exc:
             disjoint_bound(p, s, q, "min")
         assert set(exc.value.pair) == {"a", "b"}
+
+    @pytest.mark.parametrize("mode, kind", [("min", "down"), ("max", "up")])
+    def test_precondition_names_the_first_pair_in_query_order(self, mode, kind):
+        p = grid_poset(3, "rows")
+        s = ValueScale(range(1, 10))
+        q = QuerySet(p, [(1, 1), (1, 2), (2, 2), (3, 1)])
+        with pytest.raises(PreconditionViolated) as exc:
+            disjoint_bound(p, s, q, mode)
+        assert str(exc.value) == f"{kind}-sets of (1, 1) and (3, 1) intersect"
+        assert exc.value.pair == ((1, 1), (3, 1))
 
     def test_bad_mode(self):
         p = chain3()
