@@ -21,16 +21,10 @@ from .func1d import (
 from .oracle import CheckResult, brute_min_max, check_monotone_bijection, swap_adjacent
 from .poset import (
     DEFAULT_CAP,
-    ElementSet,
     Poset,
     QuerySet,
-    admissible_permutations,
     build_poset,
-    count_linear_extensions,
-    down_set,
     grid_poset,
-    linear_extensions,
-    up_set,
 )
 from .process import (
     ExtremalProcess,
@@ -50,7 +44,6 @@ from .solver import (
     conditional_max,
     conditional_min,
     disjoint_bound,
-    reverse_reduce,
     scale_from_m,
     solve_max,
     solve_min,
@@ -63,7 +56,6 @@ __all__ = [
     "BoundResult",
     "CheckResult",
     "DEFAULT_CAP",
-    "ElementSet",
     "EmpiricalRV",
     "ExtremalProcess",
     "GridExperiment",
@@ -75,7 +67,6 @@ __all__ = [
     "QuerySet",
     "StepFunction1D",
     "ValueScale",
-    "admissible_permutations",
     "brute_min_max",
     "build_poset",
     "build_witness",
@@ -84,9 +75,7 @@ __all__ = [
     "column_chain_bound",
     "conditional_max",
     "conditional_min",
-    "count_linear_extensions",
     "disjoint_bound",
-    "down_set",
     "errors",
     "eval_extremal_process",
     "eval_extremal_surface",
@@ -98,16 +87,13 @@ __all__ = [
     "integrate",
     "line_integral_bound",
     "line_integral_on_surface",
-    "linear_extensions",
     "make_extremal_process",
-    "reverse_reduce",
     "rows_grid_cross_check",
     "scale_from_m",
     "simplified_bound",
     "solve_max",
     "solve_min",
     "swap_adjacent",
-    "up_set",
     "verify_membership",
     "verify_process_membership",
 ]

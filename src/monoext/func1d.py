@@ -302,27 +302,6 @@ class StepFunction1D:
                 total += Fraction(v) * (hi - lo)
         return total
 
-    def canonical(self) -> "StepFunction1D":
-        """Merge adjacent pieces with equal values."""
-        brs = [self.breaks[0]]
-        vals = []
-        for k, v in enumerate(self.values):
-            if vals and v == vals[-1]:
-                brs[-1] = self.breaks[k + 1]
-            else:
-                vals.append(v)
-                brs.append(self.breaks[k + 1])
-        return StepFunction1D(tuple(brs), tuple(vals), self.orientation)
-
-    def same_function(self, other: "StepFunction1D") -> bool:
-        """Pointwise equality, exact (compares canonical forms)."""
-        a, b = self.canonical(), other.canonical()
-        if len(a.values) != len(b.values):
-            return False
-        return all(x == y for x, y in zip(a.breaks, b.breaks)) and all(
-            x == y for x, y in zip(a.values, b.values)
-        )
-
 
 @dataclass(frozen=True)
 class EmpiricalRV:

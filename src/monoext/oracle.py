@@ -20,7 +20,8 @@ from .errors import (
     ValidationError,
 )
 from .poset import DEFAULT_CAP, Poset, QuerySet, _cover_succs
-from .values import BoundResult, MonotoneBijection, ValueScale, _integer_ratios
+from .values import BoundResult, MonotoneBijection, ValueScale
+from .values import _integer_ratios, _rank
 
 
 def brute_min_max(
@@ -148,9 +149,11 @@ def check_monotone_bijection(poset: Poset, scale: ValueScale, f) -> CheckResult:
         ranks = f.ranks
     else:
         try:
-            ranks = [int(f[lab]) for lab in poset.labels]
+            ranks = [_rank(f[lab]) for lab in poset.labels]
         except (KeyError, TypeError):
             return CheckResult(False, None, "rank map does not cover the ground set")
+        except ValidationError as e:
+            return CheckResult(False, None, str(e))
     if len(scale) != poset.n or sorted(ranks) != list(range(1, poset.n + 1)):
         return CheckResult(False, None, "not a bijection onto the scale")
     for i, j in poset.covers:

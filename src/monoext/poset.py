@@ -1,8 +1,8 @@
-"""Finite posets with bitmask reachability and deterministic enumeration.
+"""Finite posets with bitmask reachability.
 
 Elements are identified by hashable labels.  The position of a label in the
 defining list is its canonical index, and every deterministic tie-break in
-this package (enumeration order, witness construction) uses that index.
+this package (ordering search, witness construction) uses that index.
 Reachability is one Python-int bitmask per element and direction, which
 keeps down-set unions and cardinalities cheap even for posets with tens of
 thousands of elements.  :func:`build_poset` computes every mask once and
@@ -16,13 +16,12 @@ computed on first use.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Hashable
 
 from .errors import (
-    CapExceeded,
     CycleError,
     DuplicateLabelError,
     InvalidGrid,
@@ -73,9 +72,6 @@ class Poset:
         except KeyError:
             raise UnknownElement(f"{label!r} is not an element of the poset") from None
 
-    def label(self, i: int) -> Label:
-        return self.labels[i]
-
     def leq_idx(self, i: int, j: int) -> bool:
         """True iff element i is below-or-equal element j."""
         return bool(self.down[j] >> i & 1)
@@ -85,15 +81,6 @@ class Poset:
 
     def comparable_idx(self, i: int, j: int) -> bool:
         return self.leq_idx(i, j) or self.leq_idx(j, i)
-
-    def reversed(self) -> "Poset":
-        """The same ground set under the reversed order."""
-        return Poset(
-            self.labels,
-            tuple((j, i) for i, j in self.covers),
-            self.up,
-            self.down,
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
@@ -107,37 +94,6 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={len(self.covers)})"
-
-
-class ElementSet:
-    """Subset of a poset's ground set with bitset semantics."""
-
-    __slots__ = ("poset", "mask")
-
-    def __init__(self, poset: Poset, mask: int):
-        self.poset = poset
-        self.mask = mask
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, label: Label) -> bool:
-        return bool(self.mask >> self.poset.index(label) & 1)
-
-    @property
-    def labels(self) -> tuple:
-        m = self.mask
-        return tuple(
-            lab for i, lab in enumerate(self.poset.labels) if m >> i & 1
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ElementSet):
-            return NotImplemented
-        return self.poset == other.poset and self.mask == other.mask
-
-    def __repr__(self) -> str:
-        return f"ElementSet({self.labels!r})"
 
 
 class QuerySet:
@@ -273,16 +229,6 @@ def _keep(seq) -> Sequence:
     return seq if isinstance(seq, _GridSequence) else tuple(seq)
 
 
-def down_set(poset: Poset, alpha: Label) -> ElementSet:
-    """All elements below-or-equal ``alpha``, including ``alpha`` itself."""
-    return ElementSet(poset, poset.down[poset.index(alpha)])
-
-
-def up_set(poset: Poset, alpha: Label) -> ElementSet:
-    """All elements above-or-equal ``alpha``, including ``alpha`` itself."""
-    return ElementSet(poset, poset.up[poset.index(alpha)])
-
-
 def _query_below(downs: Sequence[int], idxs: Sequence[int]) -> list:
     """Per entry p of ``idxs``, the bitmask of entries strictly below it in
     the order whose down-sets are ``downs`` (a poset's ``down``, or its
@@ -328,74 +274,6 @@ def _query_covers(downs: Sequence[int], idxs: Sequence[int]):
     return lower, upper
 
 
-def _walk(
-    below: Sequence[int],
-    succs: Sequence[Sequence[int]],
-    chosen: list,
-    cap: int,
-) -> Iterator:
-    """Iterative depth-first walk over the linear extensions of a poset on
-    the elements ``0..n-1``.
-
-    ``below[j]`` is the bitmask of the elements strictly below j (or only
-    of those j covers: the placed set is down-closed), and ``succs[i]``
-    lists the elements above i along a set of pairs that generates the
-    order (the covers, or any superset of them).  Placing i can make only
-    these minimal: a j whose last unplaced predecessor is i covers i.
-
-    At every complete extension ``chosen[pos]`` is the element placed at
-    position pos, and the walk yields None.  Candidates are taken lowest
-    element first, so extensions come in lexicographic order.  Raises
-    :class:`CapExceeded` on the (cap+1)-th extension.
-    """
-    n = len(below)
-    if n == 0:  # the empty poset has one, empty, extension
-        if cap < 1:
-            raise CapExceeded(cap)
-        yield
-        return
-    # Per depth: the minimal unplaced elements, those of them still to try
-    # and the placed elements.
-    avail = [0] * n
-    todo = [0] * n
-    used = [0] * n
-    minimal = 0
-    for j, strict in enumerate(below):
-        if not strict:
-            minimal |= 1 << j
-    avail[0] = todo[0] = minimal
-    last = n - 1
-    penult = n - 2
-    full = (1 << n) - 1
-    count = 0
-    d = 0
-    while d >= 0:
-        c = todo[d]
-        if not c:
-            d -= 1
-            continue
-        low = c & -c
-        todo[d] = c ^ low
-        i = low.bit_length() - 1
-        chosen[d] = i
-        u = used[d] | low
-        if d >= penult:  # a complete extension
-            if d == penult:  # the one element left goes last
-                chosen[last] = (full ^ u).bit_length() - 1
-            count += 1
-            if count > cap:
-                raise CapExceeded(cap)
-            yield
-            continue
-        a = avail[d] ^ low
-        for j in succs[i]:
-            if not below[j] & ~u:
-                a |= 1 << j
-        d += 1
-        used[d] = u
-        avail[d] = todo[d] = a
-
-
 def _cover_succs(poset: Poset, sign: int = 1) -> list:
     """Per element, the elements above it along the stored cover pairs;
     with ``sign`` -1 each pair is flipped, giving the successors in the
@@ -405,47 +283,3 @@ def _cover_succs(poset: Poset, sign: int = 1) -> list:
     for i, j in pairs:
         succs[i].append(j)
     return succs
-
-
-def _walk_poset(poset: Poset, chosen: list, cap: int) -> Iterator:
-    """:func:`_walk` over the whole ground set, its successors taken from
-    the stored cover pairs."""
-    below = [d ^ 1 << i for i, d in enumerate(poset.down)]
-    return _walk(below, _cover_succs(poset), chosen, cap)
-
-
-def admissible_permutations(
-    poset: Poset, query: QuerySet, cap: int = DEFAULT_CAP
-) -> Iterator[tuple]:
-    """Orderings of the query set compatible with the partial order.
-
-    Yields tuples ``perm`` of 0-based positions into ``query``: ``perm[k]``
-    is the query element placed k-th, smallest value first.  An ordering is
-    admissible when no element appears before another element lying
-    strictly below it, i.e. the sequence is a linear extension of the
-    induced subposet on the query set.  Yield order is lexicographic in
-    the canonical indices of the emitted sequence.  Raises
-    :class:`CapExceeded` on the (cap+1)-th result.
-    """
-    idxs = query.indices
-    order = sorted(range(len(idxs)), key=idxs.__getitem__)
-    lower, upper = _query_covers(poset.down, [idxs[p] for p in order])
-    chosen = [0] * len(order)
-    for _ in _walk(lower, upper, chosen, cap):
-        yield tuple(order[r] for r in chosen)
-
-
-def linear_extensions(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
-    """All linear extensions of the full ground set.
-
-    Yields tuples of element indices in extension order, lexicographically
-    by canonical index, with the same cap discipline as
-    :func:`admissible_permutations`.
-    """
-    chosen = [0] * poset.n
-    for _ in _walk_poset(poset, chosen, cap):
-        yield tuple(chosen)
-
-
-def count_linear_extensions(poset: Poset, cap: int = DEFAULT_CAP) -> int:
-    return sum(1 for _ in _walk_poset(poset, [0] * poset.n, cap))

@@ -189,8 +189,8 @@ def _search(sets, idxs, value, sign: int, cap: int):
 
     # Forward: per layer, ideal -> size of the union of its down-sets; the
     # unions themselves are kept for one layer only.  Each ideal's minimal
-    # unplaced elements are updated along the covers, as the extension
-    # walker does.
+    # unplaced elements are updated along the covers: placing r can make
+    # minimal only an element covering r.
     sizes = [{0: 0}]
     states = 1
     layer = {0: 0}
@@ -346,19 +346,6 @@ def _grid_max_order(nx: int, ny: int, order_kind: str, key: list) -> list:
             top -= len(run)
     runs.sort()
     return [e for *_, run in runs for e in run]
-
-
-def reverse_reduce(poset: Poset, scale: ValueScale, query: QuerySet):
-    """Order-reversed instance whose minimum is the negated maximum.
-
-    Returns the reversed poset, the negated-and-reversed scale, and the
-    query re-bound to the reversed poset (same labels).  No solver path
-    builds it: it is an independent reference for the maxima.
-    """
-    rposet = poset.reversed()
-    rscale = ValueScale(tuple(-v for v in reversed(scale.values)))
-    rquery = QuerySet(rposet, query.labels)
-    return rposet, rscale, rquery
 
 
 def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):

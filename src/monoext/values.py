@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, lcm
-from operator import eq, lt
+from operator import eq, index, lt
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import NotIncreasing, ValidationError
@@ -159,6 +159,18 @@ class ValueScale:
         return f"ValueScale({[str(v) for v in self.values]})"
 
 
+def _rank(r) -> int:
+    """A rank as an int.  Any integer but a bool is taken (``True`` is not
+    rank 1); anything else, ``1.5`` or ``"2"`` included, is a
+    :class:`ValidationError`, never truncated."""
+    if not isinstance(r, bool):
+        try:
+            return index(r)
+        except TypeError:
+            pass
+    raise ValidationError(f"rank {r!r} is not an integer")
+
+
 class MonotoneBijection:
     """Bijective assignment of scale values to poset elements.
 
@@ -179,9 +191,9 @@ class MonotoneBijection:
             if len(ranks) != poset.n:
                 raise ValidationError("rank map does not cover the ground set")
             for lab, r in ranks.items():
-                seq[poset.index(lab)] = int(r)
+                seq[poset.index(lab)] = _rank(r)
         else:
-            seq = [int(r) for r in ranks]
+            seq = [_rank(r) for r in ranks]
             if len(seq) != poset.n:
                 raise ValidationError("rank sequence has wrong length")
         if sorted(seq) != list(range(1, poset.n + 1)):

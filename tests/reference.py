@@ -1,0 +1,49 @@
+"""Brute-force references for the tests, written from the definitions.
+
+Each one filters all permutations, so it shares no code with the solver's
+ordering search, the oracle's enumeration or the witness builder, and is
+meant for posets of a few elements only.
+"""
+
+from itertools import permutations
+
+from monoext import QuerySet, ValueScale, build_poset
+
+
+def admissible_orderings(poset, query):
+    """The admissible orderings of ``query``: tuples of 0-based positions
+    into it, smallest value first, in which no element comes after an
+    element it lies strictly below.  They come in lexicographic order of
+    the canonical indices they list."""
+    idxs = query.indices
+    order = sorted(range(len(idxs)), key=idxs.__getitem__)
+    for perm in permutations(order):
+        seq = [idxs[p] for p in perm]
+        if not any(
+            poset.leq_idx(later, earlier)
+            for k, earlier in enumerate(seq)
+            for later in seq[k + 1:]
+        ):
+            yield perm
+
+
+def linear_extensions(poset):
+    """The linear extensions of ``poset``: tuples of element indices, lowest
+    first, that place i before j for every cover pair (i, j); in
+    lexicographic order."""
+    covers = tuple(poset.covers)
+    for ext in permutations(range(poset.n)):
+        pos = sorted(range(poset.n), key=ext.__getitem__)
+        if all(pos[i] < pos[j] for i, j in covers):
+            yield ext
+
+
+def reversed_instance(poset, scale, query):
+    """The order-reversed instance, whose minimum is the negated maximum:
+    the poset rebuilt from the flipped cover pairs (so its closure is
+    computed afresh), the scale negated and reversed, and the query's
+    labels bound to the new poset."""
+    labels = poset.labels
+    rposet = build_poset(labels, [(labels[j], labels[i]) for i, j in poset.covers])
+    rscale = ValueScale([-v for v in reversed(scale.values)])
+    return rposet, rscale, QuerySet(rposet, query.labels)

@@ -364,10 +364,6 @@ class TestStepFunction:
         with pytest.raises(ValidationError):
             StepFunction1D((0, 0.5, 1), (0.2, 0.4), "non-increasing")
 
-    def test_canonical_merges(self):
-        f = StepFunction1D((0, Fraction(1, 4), Fraction(1, 2), 1), (1, 1, 0))
-        assert len(f.canonical().values) == 2
-
     def test_exact_integral(self):
         f = StepFunction1D((0, Fraction(1, 2), 1), (Fraction(4, 5), Fraction(1, 5)))
         assert f.integral() == Fraction(1, 2)

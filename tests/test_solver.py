@@ -14,7 +14,6 @@ from monoext import (
     Poset,
     QuerySet,
     ValueScale,
-    admissible_permutations,
     build_poset,
     build_witness,
     chain_bounds,
@@ -23,7 +22,6 @@ from monoext import (
     conditional_min,
     disjoint_bound,
     grid_poset,
-    reverse_reduce,
     scale_from_m,
     solve_max,
     solve_min,
@@ -40,6 +38,7 @@ from monoext.errors import (
 from monoext import solver
 from monoext.poset import _cover_succs, _first_extension, _grid_poset
 from monoext.solver import _orientation
+from reference import admissible_orderings, reversed_instance
 
 
 def chain3():
@@ -301,13 +300,13 @@ def first_optimal(poset, scale, query, mode):
     reversed order, which run from the top, and reports each reversed."""
     best_val = best_perm = None
     if mode == "min":
-        for perm in admissible_permutations(poset, query):
+        for perm in admissible_orderings(poset, query):
             v = conditional_min(poset, scale, query, perm)
             if best_val is None or v < best_val:
                 best_val, best_perm = v, perm
         return best_val, best_perm
-    rposet = poset.reversed()
-    for top_down in admissible_permutations(rposet, QuerySet(rposet, query.labels)):
+    rposet, _, rquery = reversed_instance(poset, scale, query)
+    for top_down in admissible_orderings(rposet, rquery):
         perm = top_down[::-1]
         v = conditional_max(poset, scale, query, perm)
         if best_val is None or v > best_val:
@@ -432,7 +431,7 @@ def shuffled_orderings(draw, max_n=7):
     query = QuerySet(
         poset, draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
     )
-    perm = draw(st.sampled_from(list(admissible_permutations(poset, query))))
+    perm = draw(st.sampled_from(list(admissible_orderings(poset, query))))
     return poset, query, perm
 
 
@@ -516,7 +515,7 @@ class TestWitnessBySort:
                 for k in range(1, 4):
                     for labels in combinations(g.labels, k):
                         q = QuerySet(g, labels)
-                        for perm in admissible_permutations(g, q):
+                        for perm in admissible_orderings(g, q):
                             for mode in ("min", "max"):
                                 got = build_witness(g, scale, q, perm, mode).ranks
                                 want = heap_witness_ranks(g, q, perm, mode)
@@ -529,7 +528,7 @@ class TestWitnessBySort:
             g = _grid_poset(rng.randint(1, 9), rng.randint(1, 9), kind)
             scale = ValueScale(range(1, g.n + 1))
             q = QuerySet(g, rng.sample(g.labels, rng.randint(1, min(g.n, 6))))
-            perms = list(islice(admissible_permutations(g, q), 200))
+            perms = list(islice(admissible_orderings(g, q), 200))
             for perm in rng.sample(perms, min(len(perms), 5)):
                 for mode in ("min", "max"):
                     got = build_witness(g, scale, q, perm, mode).ranks
@@ -553,7 +552,7 @@ class TestWitnessBySort:
             assert p.rising
             scale = ValueScale(range(1, n + 1))
             q = QuerySet(p, rng.sample(range(n), rng.randint(1, n)))
-            for perm in islice(admissible_permutations(p, q), 20):
+            for perm in islice(admissible_orderings(p, q), 20):
                 got = build_witness(p, scale, q, perm, "min").ranks
                 assert got == heap_witness_ranks(p, q, perm, "min")
 
@@ -570,26 +569,6 @@ class TestWitnessBySort:
         rising = chain3()
         build_witness(rising, scale, QuerySet(rising, ["b"]), (0,), "max")
         assert len(calls) == 2
-
-
-class TestReverseReduce:
-    def test_chain_reversed(self):
-        p = chain3()
-        rp, _, _ = reverse_reduce(p, ValueScale([1, 2, 3]), QuerySet(p, ["a"]))
-        assert rp.leq("c", "a")
-
-    def test_scale_negated_and_reversed(self):
-        p = chain3()
-        _, rs, _ = reverse_reduce(p, ValueScale([1, 2, 3]), QuerySet(p, ["a"]))
-        assert rs.values == (Fraction(-3), Fraction(-2), Fraction(-1))
-
-    def test_max_recovered_through_reduction(self):
-        p = grid_poset(2, "product")
-        s = ValueScale([1, 2, 3, 4])
-        q = QuerySet(p, [(1, 2)])
-        rp, rs, rq = reverse_reduce(p, s, q)
-        assert solve_max(p, s, q).objective == -solve_min(rp, rs, rq).objective
-        assert solve_max(p, s, q).objective == 3
 
 
 class TestChainBounds:
