@@ -29,7 +29,6 @@ from .poset import (
 from .process import (
     ExtremalProcess,
     ProcessMembershipReport,
-    eval_extremal_process,
     expectation_at_tau,
     expectation_bound,
     fubini_check,
@@ -77,7 +76,6 @@ __all__ = [
     "conditional_min",
     "disjoint_bound",
     "errors",
-    "eval_extremal_process",
     "eval_extremal_surface",
     "expectation_at_tau",
     "expectation_bound",

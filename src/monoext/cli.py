@@ -15,6 +15,8 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import add
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .continuous import (
 )
 from .errors import CapExceeded, MonoextError, ValidationError
 from .func1d import EmpiricalRV, MonotoneMap1D
+from .grid import _GridLabels
 from .oracle import brute_min_max
 from .poset import DEFAULT_CAP, Poset, QuerySet, build_poset, grid_poset
 from .process import (
@@ -40,7 +43,7 @@ from .process import (
     verify_process_membership,
 )
 from .solver import scale_from_m, solve_max, solve_min
-from .values import BoundResult, ValueScale
+from .values import BoundResult, MonotoneBijection, ValueScale
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
@@ -52,8 +55,8 @@ MAX_GRID_EXP_N = 1000
 # down-set and up-set of an element only when they are read, and a from_m
 # scale holds integers, but a witness holds n**2 ranks and its output n**2
 # printed values: a column-chain `solve --mode both --witness` peaks at
-# 103 MB resident at the maximum for the scale id, 122 MB for power:2
-# (124 MB and 151 MB at n = 400).
+# 81 MB resident at the maximum for the scale id, 106 MB for power:2
+# (98 MB and 126 MB at n = 400).
 MAX_POSET_GRID = 350
 # The seed keys proc-sim's Monte Carlo Philox generator, whose key is 128
 # bits.
@@ -230,32 +233,71 @@ def load_samples(path: str) -> EmpiricalRV:
         raise ValidationError(f"{path}: non-numeric sample line ({e})") from e
 
 
-def _scale_texts(scale: ValueScale) -> list:
-    """The "p/q" text of every scale value, in rank order."""
-    return [f"{p}/{q}" for p, q in scale.ratios()]
+class _JSONText(str):
+    """Text that :func:`_json_chunks` writes as it is, already JSON."""
 
 
-def _bound_result_json(res: BoundResult, texts: list | None) -> dict:
-    """The JSON of ``res``; with ``texts``, the scale's values as
-    :func:`_scale_texts` formats them, it includes the witness.  Tuple
-    labels are written as arrays by ``json.dumps``."""
+def _json_chunks(obj):
+    """The text of ``json.dumps(obj, sort_keys=True)``, in chunks, for an
+    ``obj`` whose dicts have string keys; a :class:`_JSONText` value is
+    written as the text it holds."""
+    if isinstance(obj, _JSONText):
+        yield obj
+    elif isinstance(obj, dict):
+        sep = "{"
+        for key in sorted(obj):
+            yield f"{sep}{json.dumps(key)}: "
+            yield from _json_chunks(obj[key])
+            sep = ", "
+        yield "}" if obj else "{}"
+    else:
+        yield json.dumps(obj, sort_keys=True)
+
+
+def _witness_writer(poset: Poset, scale: ValueScale):
+    """The function that writes the ``witness_fn`` JSON of a bijection of
+    ``poset`` onto ``scale``: ``[[label, "p/q"], ...]`` in element order.
+
+    Each element's opening text ``[label, `` and each rank's closing text
+    ``"p/q"]`` are formatted once, here; a witness joins the two along its
+    ranks.  A grid's labels are formatted from (i, j) arithmetic, any
+    other label by the json encoder.
+    """
+    closing = [""]  # ranks count from 1
+    closing += [f'"{p}/{q}"]' for p, q in scale.ratios()]
+    labels = poset.labels
+    if isinstance(labels, _GridLabels):
+        nx, ny = labels.key
+        columns = [f"{j}], " for j in range(1, ny + 1)]
+        opening = [f"[[{i}, {c}" for i in range(1, nx + 1) for c in columns]
+    else:
+        opening = [f"[{text}, " for text in map(json.dumps, labels)]
+
+    def write(fn: MonotoneBijection) -> _JSONText:
+        entries = map(add, opening, map(closing.__getitem__, fn.ranks))
+        return _JSONText(f"[{', '.join(entries)}]")
+
+    return write
+
+
+def _bound_result_json(res: BoundResult, witness) -> dict:
+    """The JSON of ``res``; with ``witness``, a :func:`_witness_writer` for
+    its poset and scale, it includes the witness."""
     out = {
         "objective": _frac(res.objective),
         "witness_perm": [p + 1 for p in res.witness_perm],
     }
-    if texts is not None:
-        fn = res.witness_fn
-        out["witness_fn"] = [
-            [lab, texts[r - 1]] for lab, r in zip(fn.poset.labels, fn.ranks)
-        ]
+    if witness is not None:
+        out["witness_fn"] = witness(res.witness_fn)
         out["per_node_values"] = [_frac(v) for v in res.per_node_values]
     return out
 
 
 def _emit(payload: dict, stream) -> None:
-    print(json.dumps(payload, sort_keys=True), file=stream)
+    print("".join(_json_chunks(payload)), file=stream)
 
 
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="monoext")
     parser.add_argument("--config", help="JSON file with RunConfig overrides")
@@ -337,15 +379,15 @@ def _cmd_solve(args, config, stdout) -> int:
     poset = load_poset(args.poset)
     scale = load_scale(args.scale, poset.n)
     query = load_query(args.query, poset)
-    texts = _scale_texts(scale) if args.witness else None
+    witness = _witness_writer(poset, scale) if args.witness else None
     payload = {}
     if args.mode in ("min", "both"):
         payload["min"] = _bound_result_json(
-            solve_min(poset, scale, query, cap=config.cap), texts
+            solve_min(poset, scale, query, cap=config.cap), witness
         )
     if args.mode in ("max", "both"):
         payload["max"] = _bound_result_json(
-            solve_max(poset, scale, query, cap=config.cap), texts
+            solve_max(poset, scale, query, cap=config.cap), witness
         )
     if args.mode != "both":
         payload = payload[args.mode]
@@ -358,10 +400,10 @@ def _cmd_oracle(args, config, stdout) -> int:
     scale = load_scale(args.scale, poset.n)
     query = load_query(args.query, poset)
     bmin, bmax, count = brute_min_max(poset, scale, query, cap=config.cap)
-    texts = _scale_texts(scale) if args.witness else None
+    witness = _witness_writer(poset, scale) if args.witness else None
     payload = {
-        "min": _bound_result_json(bmin, texts),
-        "max": _bound_result_json(bmax, texts),
+        "min": _bound_result_json(bmin, witness),
+        "max": _bound_result_json(bmax, witness),
         "count": count,
     }
     _emit(payload, stdout)

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .poset import DEFAULT_CAP, Poset, QuerySet, _cover_succs
 from .values import BoundResult, MonotoneBijection, ValueScale
-from .values import _integer_ratios, _rank
+from .values import _integer_ratios, _is_permutation, _rank
 
 
 def brute_min_max(
@@ -154,7 +154,9 @@ def check_monotone_bijection(poset: Poset, scale: ValueScale, f) -> CheckResult:
             return CheckResult(False, None, "rank map does not cover the ground set")
         except ValidationError as e:
             return CheckResult(False, None, str(e))
-    if len(scale) != poset.n or sorted(ranks) != list(range(1, poset.n + 1)):
+        if len(f) != poset.n:
+            return CheckResult(False, None, "rank map has labels outside the ground set")
+    if len(scale) != poset.n or not _is_permutation(ranks, poset.n):
         return CheckResult(False, None, "not a bijection onto the scale")
     for i, j in poset.covers:
         if ranks[i] > ranks[j]:

@@ -26,7 +26,6 @@ from .errors import (
 from .func1d import (
     EmpiricalRV,
     MonotoneMap1D,
-    _clamp_unit,
     _integrate_nodes,
     _level_set_deviation,
     _unit_many,
@@ -154,17 +153,6 @@ def _process_values(proc: ExtremalProcess, t, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     return np.where(np.asarray(t, dtype=float) <= proc.quantile(y),
                     proc.lower_branch(y), proc.upper_branch(y))
-
-
-def eval_extremal_process(proc: ExtremalProcess, t: float, y: float) -> float:
-    """Trajectory value at time t for the outcome of rank fraction y.
-
-    The one-point case of the grid evaluator, so it returns exactly the
-    values :func:`verify_process_membership` checks.
-    """
-    t = _clamp_unit(t, "t")
-    y = _clamp_unit(y, "y")
-    return float(_process_values(proc, t, y))
 
 
 # A cell mean is taken as a difference of G = integral of m^{-1} only

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, groupby
 from operator import or_
-from re import finditer
 
 import numpy as np
 
@@ -35,6 +34,10 @@ from .grid import _GridCovers
 from .poset import DEFAULT_CAP, Poset, QuerySet, _query_covers
 from .poset import _cover_succs, _first_extension
 from .values import BoundResult, MonotoneBijection, ValueScale, _integer_ratios
+
+# From this many elements up, a grid witness is built with numpy arrays;
+# below it, lists cost less than the arrays' set-up.
+_GRID_ARRAYS_MIN = 1024
 
 
 def _check_scale(poset: Poset, scale: ValueScale) -> None:
@@ -269,51 +272,97 @@ def build_witness(
     ranks 1, 2, ...; max mode reads the up-sets from the top, walks the
     cover pairs flipped, and hands out ranks N, N - 1, ....  This is the
     least linear extension under the key (first block containing the
-    element, canonical index), which :func:`_fill_order` finds.
+    element, canonical index).
+
+    The running unions are down-closed in the order read, so the key never
+    decreases along it, and:
+    - on a poset whose cover pairs (i, j) all have i < j, read along the
+      pairs (min mode), (key, index) is itself an extension, so it is the
+      stable sort of the key;
+    - on a grid read against its pairs (max mode), it is a sort by the key
+      of :func:`_grid_max_order`;
+    - on any other, Kahn's algorithm with a heap finds it,
+      :func:`_first_extension`.
     """
     _check_scale(poset, scale)
     _validate_ordering(poset, query, perm)
     sets, _, sign = _orientation(poset, mode)
-
-    # The running unions are down-closed in the order read, so ordering by
-    # (key, index) fills each block along its lexicographically first
-    # extension.
-    idxs = query.indices
+    blocks = _blocks(sets, query.indices, perm[::sign])
     n = poset.n
+    grid = poset.covers.key if isinstance(poset.covers, _GridCovers) else None
+    if grid is not None and n >= _GRID_ARRAYS_MIN:
+        ranks = _grid_ranks(*grid, blocks, len(perm), sign)
+        return MonotoneBijection(poset, scale, ranks)
+
+    # Smaller grids and built posets: lists.  A built poset holds every set
+    # as an int already, so walking the bits of each block costs no more
+    # than building it did.
     key = [len(perm)] * n
-    mask = 0
-    for k, p in enumerate(perm[::sign]):
-        new = sets[idxs[p]] & ~mask
-        mask |= new
-        for bit in finditer("1", bin(new)[:1:-1]):  # character i is bit i
-            key[bit.start()] = k
+    for k, new in enumerate(blocks):
+        while new:
+            low = new & -new
+            key[low.bit_length() - 1] = k
+            new ^= low
+    if sign > 0 and poset.rising:
+        order = sorted(range(n), key=key.__getitem__)
+    elif grid is not None:
+        order = _grid_max_order(*grid, key)
+    else:
+        order = _first_extension(_cover_succs(poset, sign), key)
     ranks = [0] * n
-    for e, r in zip(_fill_order(poset, key, sign), range(1, n + 1)[::sign]):
+    for e, r in zip(order, range(1, n + 1)[::sign]):
         ranks[e] = r
     return MonotoneBijection(poset, scale, ranks)
 
 
-def _fill_order(poset: Poset, key: list, sign: int):
-    """The least linear extension under ``(key[e], e)`` of the order read in
-    the direction ``sign`` (+1 along the cover pairs, -1 against them), for
-    a ``key`` that never decreases along that order.
+def _blocks(sets, idxs, ordering):
+    """Per query position of ``ordering``, read in turn, the bitmask of the
+    elements that its set adds to the running union of those before."""
+    mask = 0
+    for p in ordering:
+        new = sets[idxs[p]] & ~mask
+        mask |= new
+        yield new
 
-    - Every cover pair (i, j) has i < j, read along the pairs: (key, index)
-      is itself an extension, so it is the stable sort of ``key``.
-    - Read against the pairs of a grid (max mode): a sort by a key of
-      :func:`_grid_max_order`.
-    - Any other: Kahn's algorithm with a heap, :func:`_first_extension`.
+
+def _bit_indices(mask: int) -> np.ndarray:
+    """The positions of the set bits of ``mask`` > 0, in increasing order.
+
+    Only the bytes from the lowest set bit to the highest are unpacked.
     """
-    if sign > 0 and poset.rising:
-        return sorted(range(poset.n), key=key.__getitem__)
-    if sign < 0 and isinstance(poset.covers, _GridCovers):
-        return _grid_max_order(*poset.covers.key, key)
-    return _first_extension(_cover_succs(poset, sign), key)
+    low = (mask & -mask).bit_length() - 1
+    span = mask >> low
+    packed = span.to_bytes((span.bit_length() + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+    return np.flatnonzero(bits) + low
 
 
-def _grid_max_order(nx: int, ny: int, order_kind: str, key: list) -> list:
-    """:func:`_fill_order` against the cover pairs of the ``nx x ny`` grid,
-    whose element ``i * ny + j`` lies in row i and column j (0-based).
+def _grid_ranks(nx: int, ny: int, order_kind: str, blocks, unread: int,
+                sign: int) -> list:
+    """The ranks of :func:`build_witness` on the ``nx x ny`` grid, found
+    with arrays: the key is set block by block (``unread`` in no block),
+    and the ranks are scattered along the least extension under (key,
+    index), the stable sort of the key in min mode and
+    :func:`_grid_max_order` in max mode.
+    """
+    n = nx * ny
+    key = np.full(n, unread)
+    for k, new in enumerate(blocks):
+        if new:
+            key[_bit_indices(new)] = k
+    if sign > 0:
+        order = np.argsort(key, kind="stable")
+    else:
+        order = _grid_max_order(nx, ny, order_kind, key)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(1, n + 1)[::sign]
+    return ranks.tolist()
+
+
+def _grid_max_order(nx: int, ny: int, order_kind: str, key):
+    """The least extension under ``(key[e], e)`` of the ``nx x ny`` grid
+    read against its cover pairs, for a key list or array; element
+    ``i * ny + j`` lies in row i and column j (0-based).
 
     The heap would take, of the available elements of the current block,
     the one of least index, which is the one of least row; the placed set
@@ -332,11 +381,17 @@ def _grid_max_order(nx: int, ny: int, order_kind: str, key: list) -> list:
     def column(j):  # the elements of column j, top row first
         return range((nx - 1) * ny + j, j - 1, -ny)
 
+    if order_kind == "product" and isinstance(key, np.ndarray):
+        # The same columns as arrays: column ny - 1 first, top row first.
+        columns = np.arange(nx * ny).reshape(nx, ny)[::-1, ::-1].T.ravel()
+        return columns[np.argsort(key[columns], kind="stable")]
     if order_kind == "product":
         return sorted(chain.from_iterable(map(column, reversed(range(ny)))),
                       key=key.__getitem__)
     # The key does not decrease down a column, so each block meets it in
     # one run of equal keys.
+    if isinstance(key, np.ndarray):
+        key = key.tolist()
     runs = []
     for j in range(ny):
         top = nx - 1

@@ -171,6 +171,12 @@ def _rank(r) -> int:
     raise ValidationError(f"rank {r!r} is not an integer")
 
 
+def _is_permutation(ranks, n: int) -> bool:
+    """True iff the ints ``ranks`` are 1..n in some order: n ranks that
+    cover 1..n are distinct."""
+    return len(ranks) == n and set(ranks).issuperset(range(1, n + 1))
+
+
 class MonotoneBijection:
     """Bijective assignment of scale values to poset elements.
 
@@ -193,10 +199,13 @@ class MonotoneBijection:
             for lab, r in ranks.items():
                 seq[poset.index(lab)] = _rank(r)
         else:
-            seq = [_rank(r) for r in ranks]
+            seq = tuple(ranks)
+            # Exact ints, the solver's ranks, need no per-rank conversion.
+            if not set(map(type, seq)) <= {int}:
+                seq = tuple(map(_rank, seq))
             if len(seq) != poset.n:
                 raise ValidationError("rank sequence has wrong length")
-        if sorted(seq) != list(range(1, poset.n + 1)):
+        if not _is_permutation(seq, poset.n):
             raise ValidationError("ranks are not a bijection onto 1..N")
         self.poset = poset
         self.scale = scale

@@ -1,13 +1,17 @@
-"""Brute-force references for the tests, written from the definitions.
+"""References for the tests.
 
-Each one filters all permutations, so it shares no code with the solver's
-ordering search, the oracle's enumeration or the witness builder, and is
-meant for posets of a few elements only.
+The brute-force ones are written from the definitions: each filters all
+permutations, so it shares no code with the solver's ordering search, the
+oracle's enumeration or the witness builder, and is meant for posets of a
+few elements only.  :func:`eval_extremal_process` is the one-point case of
+the process grid evaluator, which no program path needs.
 """
 
 from itertools import permutations
 
 from monoext import QuerySet, ValueScale, build_poset
+from monoext.func1d import _clamp_unit
+from monoext.process import _process_values
 
 
 def admissible_orderings(poset, query):
@@ -47,3 +51,12 @@ def reversed_instance(poset, scale, query):
     rposet = build_poset(labels, [(labels[j], labels[i]) for i, j in poset.covers])
     rscale = ValueScale([-v for v in reversed(scale.values)])
     return rposet, rscale, QuerySet(rposet, query.labels)
+
+
+def eval_extremal_process(proc, t: float, y: float) -> float:
+    """Trajectory value of ``proc`` at time t for the outcome of rank
+    fraction y: the one-point case of the grid evaluator, so it returns
+    exactly the values :func:`monoext.verify_process_membership` checks."""
+    t = _clamp_unit(t, "t")
+    y = _clamp_unit(y, "y")
+    return float(_process_values(proc, t, y))

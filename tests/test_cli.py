@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoext import errors, eval_extremal_surface
+from monoext import (
+    QuerySet,
+    ValueScale,
+    build_poset,
+    cli,
+    errors,
+    eval_extremal_surface,
+    solve_max,
+    solve_min,
+)
 from monoext.cli import (
     MAX_GRID_EXP_N,
     MAX_POSET_GRID,
@@ -22,6 +31,7 @@ from monoext.cli import (
     main,
 )
 from monoext.continuous import _surface_grid
+from monoext.poset import _grid_poset
 from monoext.process import MAX_TRIALS
 
 GRID_POSET = {"grid": {"n": 2, "order": "product"}}
@@ -722,6 +732,86 @@ def test_document_fuzz(command, documents):
     assert code in (0, 2, 3, 64)
     if code != 0:
         assert isinstance(json.loads(err)["error"], dict)
+
+
+def test_one_parser_per_process(fixtures, capsys):
+    cli._build_parser.cache_clear()
+    argv = ["solve", "--poset", fixtures["poset"], "--scale", fixtures["scale"],
+            "--query", fixtures["query"]]
+    assert run_cli(argv)[0] == 0
+    assert run_cli(argv)[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
+    # Usage errors on the shared parser keep their exit code and message.
+    errors = []
+    for _ in range(2):
+        assert run_cli(["solve", "--mode", "sideways"])[0] == 64
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "invalid choice: 'sideways'" in errors[0]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=6))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.text(max_size=4), kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(payload):
+    assert "".join(cli._json_chunks(payload)) == json.dumps(payload, sort_keys=True)
+
+
+_LABELS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+def _old_result_json(res):
+    """The result JSON as a dict of lists, the way it was built before the
+    witness text was joined from per-label and per-rank texts."""
+    texts = [f"{v.numerator}/{v.denominator}" for v in res.witness_fn.scale.values]
+    fn = res.witness_fn
+    return {
+        "objective": f"{res.objective.numerator}/{res.objective.denominator}",
+        "witness_perm": [p + 1 for p in res.witness_perm],
+        "witness_fn": [[lab, texts[r - 1]] for lab, r in zip(fn.poset.labels, fn.ranks)],
+        "per_node_values": [f"{v.numerator}/{v.denominator}"
+                            for v in res.per_node_values],
+    }
+
+
+@given(st.lists(_LABELS, min_size=1, max_size=8), st.randoms(use_true_random=False),
+       st.sampled_from(["explicit", "product", "rows"]))
+@settings(max_examples=200, deadline=None)
+def test_witness_writer_matches_old_dict(labels, rng, kind):
+    if kind == "explicit":
+        labels = list(dict.fromkeys(labels))
+        covers = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
+                  if rng.random() < 0.3]
+        poset = build_poset(labels, covers)
+    else:
+        poset = _grid_poset(rng.randint(1, 4), rng.randint(1, 4), kind)
+    values, v = [], Fraction(rng.randint(-5, 5))
+    for _ in range(poset.n):
+        v += Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        values.append(rng.choice([v, float(v)]))
+    scale = ValueScale(values)
+    query = QuerySet(poset, rng.sample(list(poset.labels), rng.randint(1, poset.n)))
+    witness = cli._witness_writer(poset, scale)
+    for solve in (solve_min, solve_max):
+        res = solve(poset, scale, query)
+        payload = {"min": cli._bound_result_json(res, witness)}
+        assert "".join(cli._json_chunks(payload)) == json.dumps(
+            {"min": _old_result_json(res)}, sort_keys=True)
 
 
 class TestSelftest:

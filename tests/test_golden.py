@@ -1,0 +1,157 @@
+"""Pinned stdout of ``solve`` and ``oracle``.
+
+Each instance runs ``solve --mode min|max|both``, with and without
+``--witness``, and ``oracle`` with and without ``--witness`` where the
+brute force is small enough.  The sha256 of the runs' exit codes and
+stdout, in that order, is pinned per instance, so any change to the bytes
+written (separators, escapes, number formats, key order) fails here.
+"""
+
+import hashlib
+import io
+import json
+
+import pytest
+
+from monoext.cli import main
+
+PWL = "pwl:0,0;0.4,0.1;1,1"
+
+# Labels that JSON writes with escapes, separators inside strings, numbers
+# whose text is not their Python repr, and nested arrays.
+AWKWARD = [
+    "é", "a\"b\\c", "x\", \"y", "]", "[", 1e16, -0.0, True,
+    None, [1, [2, "z"]], 2**64 + 3, "😀", "tab\tnl\n", -2**70, 0.1, "\u2028",
+]
+
+
+def _grid_instances():
+    for n in (3, 6):
+        for order in ("product", "rows"):
+            for m in ("id", "power:2", PWL):
+                poset = {"grid": {"n": n, "order": order}}
+                scale = {"from_m": {"n": n, "m": m}}
+                column = [[i, 2] for i in range(1, n + 1)]
+                if order == "product":
+                    other = [[i, n + 1 - i] for i in range(1, n + 1)]
+                else:
+                    other = [[2, j] for j in range(1, n + 1)] + [[n, 1]]
+                for qname, query in (("column", column), ("other", other)):
+                    yield (f"grid{n}-{order}-{m}-{qname}", poset, scale, query,
+                           n == 3)
+
+
+def _awkward_instances():
+    small = AWKWARD[:8]
+    covers8 = [[small[0], small[1]], [small[1], small[2]], [small[0], small[3]],
+               [small[4], small[5]], [small[3], small[6]], [small[5], small[7]]]
+    values8 = [-3, "-7/3", -1.5, "0", 0.1, "1/3", 2, 1e16]
+    yield ("awkward8", {"labels": small, "covers": covers8},
+           {"values": values8}, [small[2], small[4], small[7], small[3]], True)
+    # 16 labels as a 4 x 4 product grid, row-major.
+    grid = [AWKWARD[4 * i:4 * i + 4] for i in range(4)]
+    covers16 = []
+    for i in range(4):
+        for j in range(4):
+            if i < 3:
+                covers16.append([grid[i][j], grid[i + 1][j]])
+            if j < 3:
+                covers16.append([grid[i][j], grid[i][j + 1]])
+    values16 = [f"{k}/3" for k in range(1, 17)]
+    values16[0], values16[2], values16[5], values16[6] = 1e-300, 1.0, 2.0, 2.3
+    labels16 = AWKWARD
+    for sname, scale in (("values", {"values": values16}),
+                         ("power2", {"from_m": {"n": 4, "m": "power:2"}})):
+        for qname, query in (("diag", [grid[3][0], grid[2][1], grid[1][2], grid[0][3]]),
+                             ("mixed", [grid[1][1], grid[0][3], grid[3][3], grid[2][0]])):
+            yield (f"awkward16-{sname}-{qname}",
+                   {"labels": labels16, "covers": covers16}, scale, query, True)
+
+
+INSTANCES = list(_grid_instances()) + list(_awkward_instances())
+
+PINNED = {
+    "grid3-product-id-column":
+        "4d54c90a29afa63b7958d19eecd2e71141d44babf2adbb1bbfce4cd2cfa2e801",
+    "grid3-product-id-other":
+        "bb4d247a63ab0c1097730e2f37c3490a166b00c951f409db00c9f23b1c41e050",
+    "grid3-product-power:2-column":
+        "c529b4e925f8252e22432f25279861475754f6e87a2601b4766e70e48e4d0d67",
+    "grid3-product-power:2-other":
+        "36e3b49af49e2ccb848314a7259052ffcf1a25371f35424674bace50f6fdfd7d",
+    "grid3-product-pwl:0,0;0.4,0.1;1,1-column":
+        "d73fdce6ad16a13d4925da28d129a4c766e5124ecc9a4eb3a5671807f4beb796",
+    "grid3-product-pwl:0,0;0.4,0.1;1,1-other":
+        "5cf550fb0ffc99ce8fe2263bb0d4add825aeb8f385ef4963d5108ce450008fb7",
+    "grid3-rows-id-column":
+        "a56302fafd77fe36dd4ef942ab8a20fee7d23e727ca6da06cac54f0940702218",
+    "grid3-rows-id-other":
+        "7232897df47b6762ba8af4a726678b596ef70db7b3f5345ea94a128a7c09be1b",
+    "grid3-rows-power:2-column":
+        "0a553cd833993a9bae73eafac69c7a4239a3aa46dc9e78277af5eca3d766513e",
+    "grid3-rows-power:2-other":
+        "b8ac1c1129cd24f90d2f6cd440a93d3c8d62ff50ae70f111065fb3439997049f",
+    "grid3-rows-pwl:0,0;0.4,0.1;1,1-column":
+        "e872f3c77af177be76f03abf779c63e26135966937b07b1c8c93e786c3c45fe6",
+    "grid3-rows-pwl:0,0;0.4,0.1;1,1-other":
+        "2bcf1918a43623da7e7c51b339a211dc1d7915244bba755507ede52d11305449",
+    "grid6-product-id-column":
+        "6e157c690158fbc0f880075fa18ce9921ebda9e16a09038ab06d96e41557c131",
+    "grid6-product-id-other":
+        "71ed975537d0a3f439cd49a2b815c3fb34912f753e9e1754357e9a83a78bdbbe",
+    "grid6-product-power:2-column":
+        "1d411a76c7d21cf7171f7d307be167e03f733e59d3e7f7cdf91646c310d731e2",
+    "grid6-product-power:2-other":
+        "1290d6dfdcbdc0dc5da14c9a5a432b3930466a19f1d7cea5edf37e2d3d243228",
+    "grid6-product-pwl:0,0;0.4,0.1;1,1-column":
+        "6d56059e642c200b6b693c6f505e41a31b30854968ef228a0d604ba15bd0b9be",
+    "grid6-product-pwl:0,0;0.4,0.1;1,1-other":
+        "9fac34674043617857abdfd6fba891b671bc227d667b5eabc03ba8249f61e37b",
+    "grid6-rows-id-column":
+        "88427b91009765e7e7b0dca717669e54b7ff5f9bc8a129c704ea2357549c6f25",
+    "grid6-rows-id-other":
+        "6e760b9354f0a6f90705270c58de5423d38650b6faa46efb95a36cd02bd209fd",
+    "grid6-rows-power:2-column":
+        "aca924cd46b74267fad56631156309a9070c0ce3e8e4dfa5e3457d4320a9a30b",
+    "grid6-rows-power:2-other":
+        "2a6d17d5fc9e440eec811d6f5412bfd39f71df13f1d8d7104e8afb897eb5f674",
+    "grid6-rows-pwl:0,0;0.4,0.1;1,1-column":
+        "c02f2c210904281940f02b8bf33ddf9361fdd96c4905cfad01aaded3f1a5cff2",
+    "grid6-rows-pwl:0,0;0.4,0.1;1,1-other":
+        "bc90a3aa8c991044607c6200f8cd643eea071e28877a7f6247a154924343aa33",
+    "awkward8":
+        "cbd0ca6b7ee3cbb22837261b58a4dff06907e34a280a21986247fdc1ef83eb79",
+    "awkward16-values-diag":
+        "abb04c66ef398ad78724655e33fd057d7bdd4899cc6718065e88c19d9a2846a0",
+    "awkward16-values-mixed":
+        "8e809a2967cccb2d7101df41467de82bf790f3575aadabd791a5eff720026cd2",
+    "awkward16-power2-diag":
+        "bef7290e702df46e095c0b237217b350a4fa9abb63fa9f11d3e8beb9e860c713",
+    "awkward16-power2-mixed":
+        "b983c7e6835b0f9d04fc7c0b35ebf4857f353213b476e1b872e77eb117e3a2dd",
+}
+
+
+def _digest(tmp_path, poset, scale, query, oracle) -> str:
+    files = []
+    for name, doc in (("poset", poset), ("scale", scale), ("query", {"query": query})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        files += [f"--{name}", str(path)]
+    runs = [["solve", *files, "--mode", mode, *witness]
+            for mode in ("min", "max", "both") for witness in ([], ["--witness"])]
+    if oracle:
+        runs += [["oracle", *files, *witness] for witness in ([], ["--witness"])]
+    digest = hashlib.sha256()
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        code = main(argv, stdout=out, stderr=err)
+        assert code == 0, (argv, err.getvalue())
+        digest.update(f"{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name, poset, scale, query, oracle", INSTANCES,
+                         ids=[inst[0] for inst in INSTANCES])
+def test_stdout_is_pinned(tmp_path, name, poset, scale, query, oracle):
+    assert _digest(tmp_path, poset, scale, query, oracle) == PINNED[name]

@@ -204,6 +204,20 @@ class TestChecker:
         res = check_monotone_bijection(p, s, {"a": 1, "b": 1})
         assert not res and "bijection" in res.reason
 
+    def test_labels_outside_the_poset(self):
+        p = build_poset(["a", "b"], [("a", "b")])
+        s = ValueScale([1, 2])
+        res = check_monotone_bijection(p, s, {"a": 1, "b": 2, "c": 3})
+        assert not res and "outside the ground set" in res.reason
+        with pytest.raises(ValidationError, match="does not cover"):
+            MonotoneBijection(p, s, {"a": 1, "b": 2, "c": 3})
+
+    def test_bijection_of_another_poset(self):
+        f = MonotoneBijection(build_poset(["a", "b"], []), ValueScale([1, 2]), [2, 1])
+        p = build_poset(["a", "b", "c"], [("a", "b")])
+        res = check_monotone_bijection(p, ValueScale([1, 2, 3]), f)
+        assert not res and "bijection" in res.reason
+
     def test_partial_rank_map(self):
         p = build_poset(["a", "b"], [("a", "b")])
         res = check_monotone_bijection(p, ValueScale([1, 2]), {"a": 1})

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from monoext import (
     EmpiricalRV,
     MonotoneMap1D,
-    eval_extremal_process,
     expectation_at_tau,
     expectation_bound,
     fubini_check,
@@ -31,6 +30,7 @@ from monoext.errors import (
     ValidationError,
 )
 
+from reference import eval_extremal_process
 from test_func1d import exact_inverse_integral, recursive_simpson
 
 ID = MonotoneMap1D.identity()

@@ -522,6 +522,36 @@ class TestWitnessBySort:
                                 assert got == want, (nx, ny, labels, perm, mode)
 
     @pytest.mark.parametrize("kind", ["product", "rows"])
+    def test_small_grids_with_arrays(self, kind, monkeypatch):
+        # Grids from solver._GRID_ARRAYS_MIN elements up are built with
+        # numpy; forced on here, that path must give the heap's ranks too.
+        monkeypatch.setattr(solver, "_GRID_ARRAYS_MIN", 0)
+        rng = random.Random(18)
+        for nx in range(1, 6):
+            for ny in range(1, 6):
+                g = _grid_poset(nx, ny, kind)
+                scale = ValueScale(range(1, g.n + 1))
+                for _ in range(6):
+                    q = QuerySet(g, rng.sample(g.labels, rng.randint(1, min(g.n, 4))))
+                    for perm in islice(admissible_orderings(g, q), 6):
+                        for mode in ("min", "max"):
+                            got = build_witness(g, scale, q, perm, mode).ranks
+                            assert got == heap_witness_ranks(g, q, perm, mode)
+
+    @pytest.mark.parametrize("kind", ["product", "rows"])
+    def test_grids_above_the_array_threshold(self, kind, no_heap):
+        rng = random.Random(19)
+        g = _grid_poset(40, 30, kind)
+        assert g.n >= solver._GRID_ARRAYS_MIN
+        scale = ValueScale(range(1, g.n + 1))
+        for size in (1, 3, 5):
+            q = QuerySet(g, rng.sample(g.labels, size))
+            perm = solve_min(g, scale, q).witness_perm
+            for mode in ("min", "max"):
+                got = build_witness(g, scale, q, perm, mode).ranks
+                assert got == heap_witness_ranks(g, q, perm, mode)
+
+    @pytest.mark.parametrize("kind", ["product", "rows"])
     def test_larger_grids(self, kind):
         rng = random.Random(16)
         for _ in range(40):
@@ -748,6 +778,30 @@ class TestMonotoneBijection:
             MonotoneBijection(p, s, [1, 1, 2])
         with pytest.raises(ValidationError):
             MonotoneBijection(p, s, [1, 2])
+
+    @pytest.mark.parametrize("ranks, message", [
+        ([1, 1, 2], "not a bijection"),
+        ([0, 1, 2], "not a bijection"),
+        ([1, 2, 4], "not a bijection"),
+        ([3, 2, 1, 4], "wrong length"),
+        ([1, 2], "wrong length"),
+        ([1, 2.0, 3], "is not an integer"),
+        ([1, True, 3], "is not an integer"),
+    ])
+    def test_rank_sequence_errors(self, ranks, message):
+        p = chain3()
+        s = ValueScale([1, 2, 3])
+        with pytest.raises(ValidationError, match=message):
+            MonotoneBijection(p, s, ranks)
+        with pytest.raises(ValidationError, match=message):
+            MonotoneBijection(p, s, iter(ranks))
+
+    @pytest.mark.parametrize("ranks", [[3, 1, 2], (3, 1, 2), np.array([3, 1, 2]),
+                                       [np.int8(3), 1, 2]])
+    def test_rank_sequences_taken(self, ranks):
+        f = MonotoneBijection(chain3(), ValueScale([1, 2, 3]), ranks)
+        assert f.ranks == (3, 1, 2)
+        assert {type(r) for r in f.ranks} == {int}
 
     def test_dict_construction(self):
         p = chain3()
