@@ -55,8 +55,8 @@ MAX_GRID_EXP_N = 1000
 # down-set and up-set of an element only when they are read, and a from_m
 # scale holds integers, but a witness holds n**2 ranks and its output n**2
 # printed values: a column-chain `solve --mode both --witness` peaks at
-# 81 MB resident at the maximum for the scale id, 106 MB for power:2
-# (98 MB and 126 MB at n = 400).
+# 86 MB resident at the maximum for the scale id, 115 MB for power:2
+# (108 MB and 143 MB at n = 400; Python 3.11, numpy 2.4, glibc malloc).
 MAX_POSET_GRID = 350
 # The seed keys proc-sim's Monte Carlo Philox generator, whose key is 128
 # bits.
@@ -479,7 +479,7 @@ def _cmd_proc_bound(args, config, stdout) -> int:
 
 
 def _cmd_proc_sim(args, config, stdout) -> int:
-    if args.verify:
+    if args.verify is not None:
         try:
             gt, gy = (int(x) for x in args.verify.split(","))
         except ValueError:
@@ -497,7 +497,7 @@ def _cmd_proc_sim(args, config, stdout) -> int:
         proc, "montecarlo", trials=args.trials, seed=config.seed
     )
     payload = {"bound": bound, "expectation": value, "stderr": stderr}
-    if args.verify:
+    if args.verify is not None:
         report = verify_process_membership(proc, gt, gy)
         payload["membership_report"] = {
             "ok": report.ok,

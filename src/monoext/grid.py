@@ -14,6 +14,8 @@ from collections.abc import Iterator, Sequence
 from itertools import product
 from operator import eq
 
+import numpy as np
+
 
 @Sequence.register
 class _GridSequence:
@@ -160,3 +162,26 @@ class _GridSets(_GridSequence):
                 lo, hi = j, (ny if whole else j + 1)
             mask = self._cache[e] = (rows << hi) - (rows << lo)
         return mask
+
+    def first_holder(self, elements) -> np.ndarray:
+        """Per element e, the position in ``elements`` (distinct elements)
+        of the first whose set holds e, or ``len(elements)`` if none does.
+
+        The sets holding e are those of the elements above it (down-sets)
+        or below it (up-sets), which form a rectangle, so the answer is a
+        running minimum of the positions, placed at their grid cells:
+        along both axes under the product order and along the rows only
+        under the rows order, from the far corner for down-sets and from
+        the origin for up-sets.  It runs in place, on the grid turned half
+        round for down-sets.
+        """
+        nx, ny, order_kind, direction = self.key
+        key = np.full(nx * ny, len(elements))
+        key[np.asarray(elements, dtype=np.intp)] = np.arange(len(elements))
+        cells = key.reshape(nx, ny)
+        if direction == "down":
+            cells = cells[::-1, ::-1]
+        np.minimum.accumulate(cells, axis=0, out=cells)
+        if order_kind == "product":
+            np.minimum.accumulate(cells, axis=1, out=cells)
+        return key

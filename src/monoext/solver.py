@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, groupby
 from operator import or_
 
 import numpy as np
@@ -30,14 +29,10 @@ from .errors import (
     ValidationError,
 )
 from .func1d import MonotoneMap1D
-from .grid import _GridCovers
+from .grid import _GridSets
 from .poset import DEFAULT_CAP, Poset, QuerySet, _query_covers
 from .poset import _cover_succs, _first_extension
 from .values import BoundResult, MonotoneBijection, ValueScale, _integer_ratios
-
-# From this many elements up, a grid witness is built with numpy arrays;
-# below it, lists cost less than the arrays' set-up.
-_GRID_ARRAYS_MIN = 1024
 
 
 def _check_scale(poset: Poset, scale: ValueScale) -> None:
@@ -276,37 +271,38 @@ def build_witness(
 
     The running unions are down-closed in the order read, so the key never
     decreases along it, and:
-    - on a poset whose cover pairs (i, j) all have i < j, read along the
-      pairs (min mode), (key, index) is itself an extension, so it is the
-      stable sort of the key;
-    - on a grid read against its pairs (max mode), it is a sort by the key
-      of :func:`_grid_max_order`;
-    - on any other, Kahn's algorithm with a heap finds it,
+    - on a grid, the key is an array and the extension a sort by it,
+      :func:`_grid_order`;
+    - on a built poset, the key is found by walking each block's bits;
+      if its cover pairs (i, j) all have i < j, min mode reads along them,
+      and (key, index) is itself an extension, so it is the stable sort of
+      the key; otherwise Kahn's algorithm with a heap finds it,
       :func:`_first_extension`.
     """
     _check_scale(poset, scale)
     _validate_ordering(poset, query, perm)
     sets, _, sign = _orientation(poset, mode)
-    blocks = _blocks(sets, query.indices, perm[::sign])
+    reading = [query.indices[p] for p in perm[::sign]]
     n = poset.n
-    grid = poset.covers.key if isinstance(poset.covers, _GridCovers) else None
-    if grid is not None and n >= _GRID_ARRAYS_MIN:
-        ranks = _grid_ranks(*grid, blocks, len(perm), sign)
+    if isinstance(sets, _GridSets):
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[_grid_order(sets, reading, sign)] = np.arange(1, n + 1)[::sign]
+        ranks = ranks.tolist()  # the array is freed before the check
         return MonotoneBijection(poset, scale, ranks)
 
-    # Smaller grids and built posets: lists.  A built poset holds every set
-    # as an int already, so walking the bits of each block costs no more
-    # than building it did.
+    # A built poset holds every set as an int already, so walking the bits
+    # of each block costs no more than building it did.
     key = [len(perm)] * n
-    for k, new in enumerate(blocks):
+    mask = 0
+    for k, i in enumerate(reading):
+        new = sets[i] & ~mask
+        mask |= new
         while new:
             low = new & -new
             key[low.bit_length() - 1] = k
             new ^= low
     if sign > 0 and poset.rising:
         order = sorted(range(n), key=key.__getitem__)
-    elif grid is not None:
-        order = _grid_max_order(*grid, key)
     else:
         order = _first_extension(_cover_succs(poset, sign), key)
     ranks = [0] * n
@@ -315,58 +311,18 @@ def build_witness(
     return MonotoneBijection(poset, scale, ranks)
 
 
-def _blocks(sets, idxs, ordering):
-    """Per query position of ``ordering``, read in turn, the bitmask of the
-    elements that its set adds to the running union of those before."""
-    mask = 0
-    for p in ordering:
-        new = sets[idxs[p]] & ~mask
-        mask |= new
-        yield new
-
-
-def _bit_indices(mask: int) -> np.ndarray:
-    """The positions of the set bits of ``mask`` > 0, in increasing order.
-
-    Only the bytes from the lowest set bit to the highest are unpacked.
-    """
-    low = (mask & -mask).bit_length() - 1
-    span = mask >> low
-    packed = span.to_bytes((span.bit_length() + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
-    return np.flatnonzero(bits) + low
-
-
-def _grid_ranks(nx: int, ny: int, order_kind: str, blocks, unread: int,
-                sign: int) -> list:
-    """The ranks of :func:`build_witness` on the ``nx x ny`` grid, found
-    with arrays: the key is set block by block (``unread`` in no block),
-    and the ranks are scattered along the least extension under (key,
-    index), the stable sort of the key in min mode and
-    :func:`_grid_max_order` in max mode.
-    """
-    n = nx * ny
-    key = np.full(n, unread)
-    for k, new in enumerate(blocks):
-        if new:
-            key[_bit_indices(new)] = k
-    if sign > 0:
-        order = np.argsort(key, kind="stable")
-    else:
-        order = _grid_max_order(nx, ny, order_kind, key)
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(1, n + 1)[::sign]
-    return ranks.tolist()
-
-
-def _grid_max_order(nx: int, ny: int, order_kind: str, key):
-    """The least extension under ``(key[e], e)`` of the ``nx x ny`` grid
-    read against its cover pairs, for a key list or array; element
+def _grid_order(sets: _GridSets, reading, sign: int) -> np.ndarray:
+    """The least extension under ``(key[e], e)`` of the grid whose sets
+    are ``sets``, read along its cover pairs (``sign`` +1, min mode) or
+    against them (-1, max mode).  ``key[e]`` is the position in
+    ``reading`` of the first set holding e,
+    :meth:`~monoext.grid._GridSets.first_holder`, and element
     ``i * ny + j`` lies in row i and column j (0-based).
 
-    The heap would take, of the available elements of the current block,
-    the one of least index, which is the one of least row; the placed set
-    is up-closed.
+    Read along the pairs, (key, index) is itself an extension, so it is
+    the stable sort of the key.  Read against them, the heap would take,
+    of the available elements of the current block, the one of least
+    index, which is the one of least row; the placed set is up-closed.
     - Product order: the lowest placed row does not increase with the
       column, so the available elements lie in distinct rows, and the one
       of least row is in the rightmost column the block has left.  The
@@ -378,29 +334,23 @@ def _grid_max_order(nx: int, ny: int, order_kind: str, key):
       run with the lowest top row, then the lowest column, so the order is
       by (key, top row of the element's run, column, -row).
     """
-    def column(j):  # the elements of column j, top row first
-        return range((nx - 1) * ny + j, j - 1, -ny)
-
-    if order_kind == "product" and isinstance(key, np.ndarray):
-        # The same columns as arrays: column ny - 1 first, top row first.
+    key = sets.first_holder(reading)
+    if sign > 0:
+        return np.argsort(key, kind="stable")
+    nx, ny, order_kind, _ = sets.key
+    if order_kind == "product":
+        # Column ny - 1 first, top row first.
         columns = np.arange(nx * ny).reshape(nx, ny)[::-1, ::-1].T.ravel()
         return columns[np.argsort(key[columns], kind="stable")]
-    if order_kind == "product":
-        return sorted(chain.from_iterable(map(column, reversed(range(ny)))),
-                      key=key.__getitem__)
     # The key does not decrease down a column, so each block meets it in
-    # one run of equal keys.
-    if isinstance(key, np.ndarray):
-        key = key.tolist()
-    runs = []
-    for j in range(ny):
-        top = nx - 1
-        for k, run in groupby(column(j), key.__getitem__):
-            run = list(run)
-            runs.append((k, top, j, run))
-            top -= len(run)
-    runs.sort()
-    return [e for *_, run in runs for e in run]
+    # one run of rows.  The top row of an element's run is the first row,
+    # from the element's up, whose next row holds another key or is off
+    # the grid.
+    row, column = np.divmod(np.arange(nx * ny), ny)
+    changes = np.diff(key.reshape(nx, ny), axis=0, append=-1) != 0
+    tops = np.where(changes, row.reshape(nx, ny), nx)
+    top = np.minimum.accumulate(tops[::-1], axis=0)[::-1]
+    return np.lexsort((-row, column, top.ravel(), key))
 
 
 def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):

@@ -23,9 +23,11 @@ Rational = Union[int, float, Fraction]
 
 
 def to_fraction(v: Rational) -> Fraction:
+    """A scale value as a Fraction.  A bool is refused, as :func:`_rank`
+    refuses it: ``True`` is not the value 1."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, float):
         return Fraction(v)  # exact binary expansion of the double

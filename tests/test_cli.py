@@ -364,7 +364,7 @@ class TestProcess:
         assert payload["stderr"] > 0
 
     @pytest.mark.parametrize("verify", ["abc", "1,5", f"{MAX_SURFACE_GRID + 1},10",
-                                        "10", "10,10,10"])
+                                        "10", "10,10,10", ""])
     def test_proc_sim_bad_verify_before_simulating(self, fixtures, monkeypatch, verify):
         def unreachable(*args, **kwargs):
             raise AssertionError("Monte Carlo ran")
@@ -492,6 +492,20 @@ class TestErrorsAndConfig:
              "--query", fixtures["query"]]
         )
         assert code == 2
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("values", [[True, 2, 3, 4], [0, 1, 2, False]],
+                             ids=["true", "false"])
+    def test_boolean_scale_value_is_validation_error(self, fixtures, tmp_path,
+                                                     values):
+        # JSON true is not the value 1, as it is not the rank 1.
+        scale = tmp_path / "scale.json"
+        scale.write_text(json.dumps({"values": values}))
+        code, out, err = run_cli(
+            ["solve", "--poset", fixtures["poset"], "--scale", str(scale),
+             "--query", fixtures["query"]]
+        )
+        assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "ValidationError"
 
     @pytest.mark.parametrize("side, code", [(2, 0), (3, 2), (10**6, 2)])

@@ -41,6 +41,27 @@ def _grid_instances():
                            n == 3)
 
 
+def _large_grid_instances():
+    # 1024 and 1089 elements.  Under the rows order the far row is an
+    # antichain, so every fourth column of it keeps the search small.
+    for n in (32, 33):
+        for order in ("product", "rows"):
+            for m in ("id", "power:2"):
+                poset = {"grid": {"n": n, "order": order}}
+                scale = {"from_m": {"n": n, "m": m}}
+                column = [[i, 2] for i in range(1, n + 1)]
+                if order == "product":
+                    antichain = [[i, n + 1 - i] for i in range(1, n + 1, 3)]
+                    far_row = [[n, j] for j in range(1, n + 1)]
+                else:
+                    antichain = [[1 + 7 * j % n, j] for j in range(1, n + 1, 3)]
+                    far_row = [[n, j] for j in range(1, n + 1, 4)]
+                for qname, query in (("column", column), ("antichain", antichain),
+                                     ("far-row", far_row)):
+                    yield (f"grid{n}-{order}-{m}-{qname}", poset, scale, query,
+                           False)
+
+
 def _awkward_instances():
     small = AWKWARD[:8]
     covers8 = [[small[0], small[1]], [small[1], small[2]], [small[0], small[3]],
@@ -68,7 +89,8 @@ def _awkward_instances():
                    {"labels": labels16, "covers": covers16}, scale, query, True)
 
 
-INSTANCES = list(_grid_instances()) + list(_awkward_instances())
+INSTANCES = (list(_grid_instances()) + list(_large_grid_instances())
+             + list(_awkward_instances()))
 
 PINNED = {
     "grid3-product-id-column":
@@ -119,6 +141,54 @@ PINNED = {
         "c02f2c210904281940f02b8bf33ddf9361fdd96c4905cfad01aaded3f1a5cff2",
     "grid6-rows-pwl:0,0;0.4,0.1;1,1-other":
         "bc90a3aa8c991044607c6200f8cd643eea071e28877a7f6247a154924343aa33",
+    "grid32-product-id-column":
+        "bbfd907d99a302edafcfc0455ea534d01896d2861ede19491a689be42a82ffef",
+    "grid32-product-id-antichain":
+        "ecd5f37ea7c60a089050b06e6c4df73613c650255d0562807d081c8bb721b1e6",
+    "grid32-product-id-far-row":
+        "547f9064ad76444c21445fc7b58a79b500894fd31726f0e9aafa3b7a9aa35bc2",
+    "grid32-product-power:2-column":
+        "29583da99b978a9bcab457443110e25f1239ef1db4f3bfbac308242d23dc6ebc",
+    "grid32-product-power:2-antichain":
+        "0bcc68c1fb014d8b69962fd0cc97b0acfdf5a19103a6a8c3c5f1a7e13b442a85",
+    "grid32-product-power:2-far-row":
+        "cb26b5bb694b29bda725d5316499268d4f2ec6d26d2d5ca344da022ee89ac742",
+    "grid32-rows-id-column":
+        "c86be1f8d89f19495ae89ca302e26c1a181dfac836ca42be158d1cc6b87461b5",
+    "grid32-rows-id-antichain":
+        "6c581ea4b422774c532749db5dd7219538dbc1373283057db7c2dacbdfbf0dc4",
+    "grid32-rows-id-far-row":
+        "4accb335fc11caa33e51cc83382b2fd9a7f713f6759bb7375de926d8922425f3",
+    "grid32-rows-power:2-column":
+        "393d040c94ae0f20a27f2c11ff528761f65507b17646b466eec27b45b8b1b945",
+    "grid32-rows-power:2-antichain":
+        "a7a532a3d1e3fa57eee5657663f0c516e6d18506cbc131643b905f569ca2db5b",
+    "grid32-rows-power:2-far-row":
+        "20c373769e3023715498766d8c3efa7dfe4327a86d491f4b50d742dbb40c24ef",
+    "grid33-product-id-column":
+        "f9b28a1a1604f80cc395ba2e3bbeb447a97ffb0d9f60adbb1edcdd50c1fe7f93",
+    "grid33-product-id-antichain":
+        "97f97099b91817deb2bc4e9f9f9c8c4e82e85bff47ea531f56db6b08a545b032",
+    "grid33-product-id-far-row":
+        "18079e8b1201a41de605f5c122d5549d3331915f2c7103d25f3b1ea708fa5014",
+    "grid33-product-power:2-column":
+        "4bc98a6707e3bb634cac46b4df00ba31b41d93ec3b598bd8a4e7eabbf49894d0",
+    "grid33-product-power:2-antichain":
+        "e22ab96e06a3cea79436c9392613df6aaffa133c606e8904b362bf5aad224ccc",
+    "grid33-product-power:2-far-row":
+        "763df061452cfaa14fe07ab61711f85d09dcde96b6dea34ea54a170ae795f1c3",
+    "grid33-rows-id-column":
+        "c1d4c0e5fdf974ccf9fa4b03cd31899fc6aad778fc6f3f2492a8a8f2d692dec2",
+    "grid33-rows-id-antichain":
+        "0602c39bfcf8e8216fc5ef605f90acb13b593f3c09b7237318cd033bf9b3aa0b",
+    "grid33-rows-id-far-row":
+        "c67671d4166f582e6a3d00721b7b436308a75dfa1961afbd57e8770d52b2c6f3",
+    "grid33-rows-power:2-column":
+        "d08fdf70726b14ee52bab23c4494507d52485e7da8ea3830f2c969a5f3bba298",
+    "grid33-rows-power:2-antichain":
+        "414f1d91876cf7793770304883036e335a514f7837e0e6dd4a2639695ca27b43",
+    "grid33-rows-power:2-far-row":
+        "d7ca4f67c33866694ee8684b9c3ce699454a04db2fee12bf6d3614f8c9ca8f65",
     "awkward8":
         "cbd0ca6b7ee3cbb22837261b58a4dff06907e34a280a21986247fdc1ef83eb79",
     "awkward16-values-diag":

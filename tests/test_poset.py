@@ -331,6 +331,24 @@ class TestGridSets:
                 assert (a == tuple(b)) == (tuple(a) == tuple(b))
                 assert (tuple(a) == b) == (tuple(a) == tuple(b))
 
+    @pytest.mark.parametrize("kind", ["product", "rows"])
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_first_holder_is_the_first_set_holding_each_bit(self, kind, direction):
+        rng = random.Random(19)
+        for nx in range(1, 5):
+            for ny in range(1, 5):
+                sets = _GridSets(nx, ny, kind, direction)
+                n = nx * ny
+                readings = [[]] + [[e] for e in range(n)]
+                readings += [list(pair) for pair in itertools.permutations(range(n), 2)]
+                readings += [rng.sample(range(n), rng.randint(3, n)) for _ in range(20)
+                             if n >= 3]
+                for reading in readings:
+                    want = [next((k for k, q in enumerate(reading) if sets[q] >> e & 1),
+                                 len(reading)) for e in range(n)]
+                    assert sets.first_holder(reading).tolist() == want, (
+                        nx, ny, reading)
+
     def test_indexing(self):
         g = grid_poset(3, "product")
         assert len(g.down) == 9

@@ -522,10 +522,8 @@ class TestWitnessBySort:
                                 assert got == want, (nx, ny, labels, perm, mode)
 
     @pytest.mark.parametrize("kind", ["product", "rows"])
-    def test_small_grids_with_arrays(self, kind, monkeypatch):
-        # Grids from solver._GRID_ARRAYS_MIN elements up are built with
-        # numpy; forced on here, that path must give the heap's ranks too.
-        monkeypatch.setattr(solver, "_GRID_ARRAYS_MIN", 0)
+    def test_small_grids_with_arrays(self, kind):
+        # Every grid witness is built with numpy, the 5 x 5 grids included.
         rng = random.Random(18)
         for nx in range(1, 6):
             for ny in range(1, 6):
@@ -539,13 +537,16 @@ class TestWitnessBySort:
                             assert got == heap_witness_ranks(g, q, perm, mode)
 
     @pytest.mark.parametrize("kind", ["product", "rows"])
-    def test_grids_above_the_array_threshold(self, kind, no_heap):
+    def test_grids_of_a_thousand_elements(self, kind, no_heap):
         rng = random.Random(19)
         g = _grid_poset(40, 30, kind)
-        assert g.n >= solver._GRID_ARRAYS_MIN
         scale = ValueScale(range(1, g.n + 1))
-        for size in (1, 3, 5):
-            q = QuerySet(g, rng.sample(g.labels, size))
+        queries = [rng.sample(g.labels, size) for size in (1, 3, 5)]
+        # The far row: under the product order a chain whose min-mode
+        # blocks are columns, under the rows order an antichain.
+        queries.append([(40, j) for j in range(1, 31, 1 if kind == "product" else 6)])
+        for labels in queries:
+            q = QuerySet(g, labels)
             perm = solve_min(g, scale, q).witness_perm
             for mode in ("min", "max"):
                 got = build_witness(g, scale, q, perm, mode).ranks
