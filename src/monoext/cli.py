@@ -222,15 +222,21 @@ def load_query(path: str, poset: Poset) -> QuerySet:
 
 
 def load_samples(path: str) -> EmpiricalRV:
+    """The samples of a text file holding one number per line; blank lines
+    are skipped and the samples may come in any order."""
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            text = fh.read()
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"cannot decode {path}: {e}") from e
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
     try:
-        return EmpiricalRV.from_samples(float(ln) for ln in lines)
+        samples = list(map(float, lines))
     except ValueError as e:
         raise ValidationError(f"{path}: non-numeric sample line ({e})") from e
+    return EmpiricalRV.from_samples(samples)
 
 
 class _JSONText(str):
@@ -429,6 +435,34 @@ def _cmd_cont_bound(args, config, stdout) -> int:
     return 0
 
 
+def _write_surface_csv(fh, coords, grid) -> None:
+    """Write ``grid[i, j]``, the value at (coords[i], coords[j]), as the
+    CSV lines ``x,y,value`` under a header, row by row.
+
+    A line is ``x`` followed by the cell text ``,y,value\\n``, so row i is
+    ``x + x.join(cells)``.  The surface takes one value per level region,
+    O(grid) distinct values in all, each formatted once; unique bit
+    patterns, so that values equal as floats but printed differently (0.0,
+    -0.0) keep their own text.  Each row's cell texts are carried down
+    from the row above, and only the cells whose value changed are built
+    again: past t(1) the rows repeat, and before it a row changes only on
+    its constant stretch.
+    """
+    bits, index = np.unique(grid.view(np.int64), return_inverse=True)
+    index = index.reshape(grid.shape)
+    texts = np.array([repr(v) + "\n" for v in bits.view(np.float64).tolist()],
+                     dtype=object)
+    tails = np.array([f",{y}," for y in coords], dtype=object)
+    cells = tails + texts[index[0]]
+    above = index[0]
+    fh.write("x,y,value\n")
+    for x, row in zip(coords, index):
+        js = np.flatnonzero(row != above)
+        cells[js] = tails[js] + texts[row[js]]
+        above = row
+        fh.write(x + x.join(cells.tolist()))
+
+
 def _cmd_cont_extremal(args, config, stdout) -> int:
     if not 2 <= args.grid <= MAX_SURFACE_GRID:
         raise ValidationError(f"--grid must be between 2 and {MAX_SURFACE_GRID}")
@@ -437,20 +471,11 @@ def _cmd_cont_extremal(args, config, stdout) -> int:
     centers = (np.arange(args.grid) + 0.5) / args.grid
     grid = _surface_grid(m, t, centers, centers)
     coords = [repr(c) for c in centers.tolist()]
-    # The surface takes one value per level region, O(grid) distinct values
-    # in all: format each once.  Unique bit patterns, so that values equal
-    # as floats but printed differently (0.0, -0.0) keep their own text.
-    bits, index = np.unique(grid.view(np.int64), return_inverse=True)
-    texts = [repr(v) for v in bits.view(np.float64).tolist()]
     try:
-        fh = open(args.out, "w")
+        with open(args.out, "w") as fh:
+            _write_surface_csv(fh, coords, grid)
     except OSError as e:
         raise ValidationError(f"cannot write {args.out}: {e}") from e
-    with fh:
-        fh.write("x,y,value\n")
-        for x, row in zip(coords, index.reshape(grid.shape)):
-            fh.write("".join([f"{x},{y},{texts[k]}\n"
-                              for y, k in zip(coords, row.tolist())]))
     report = verify_membership(m, t, args.grid, surface=grid)
     _emit(
         {

@@ -31,8 +31,8 @@ from .solver import chain_bounds, scale_from_m
 
 # The largest grid side the membership checks accept.  They hold several
 # grid x grid float arrays, so memory grows with the square of the side: at
-# the maximum, cont-extremal peaks at about 219 MB resident, for a piecewise
-# linear m as for the identity (in-process ru_maxrss).
+# the maximum, cont-extremal peaks at about 223 MB resident, for a piecewise
+# linear m as for the identity (in-process ru_maxrss; Python 3.11, numpy 2.4).
 MAX_SURFACE_GRID = 2000
 
 

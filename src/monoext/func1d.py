@@ -13,6 +13,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import le
 from typing import Iterable
 
 import numpy as np
@@ -310,20 +311,20 @@ class EmpiricalRV:
     samples: tuple
 
     def __post_init__(self):
-        xs = tuple(float(x) for x in self.samples)
+        xs = tuple(map(float, self.samples))
         if not xs:
             raise ValidationError("need at least one sample")
-        for x in xs:
-            if not 0.0 <= x <= 1.0:
-                raise OutOfDomain(f"sample {x} outside [0, 1]")
-        for a, b in zip(xs, xs[1:]):
-            if a > b:
-                raise ValidationError("samples must be sorted ascending")
+        # A NaN fails every comparison, so it falls through to the loops.
+        if not (xs[0] >= 0.0 and xs[-1] <= 1.0 and all(map(le, xs, xs[1:]))):
+            for x in xs:
+                if not 0.0 <= x <= 1.0:
+                    raise OutOfDomain(f"sample {x} outside [0, 1]")
+            raise ValidationError("samples must be sorted ascending")
         object.__setattr__(self, "samples", xs)
 
     @classmethod
     def from_samples(cls, xs: Iterable[float]) -> "EmpiricalRV":
-        return cls(tuple(sorted(float(x) for x in xs)))
+        return cls(sorted(map(float, xs)))
 
     @classmethod
     def constant(cls, alpha: float, m: int = 1) -> "EmpiricalRV":

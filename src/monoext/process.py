@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -63,7 +64,7 @@ def simplified_bound(tau: EmpiricalRV) -> Fraction:
     """
     m_count = tau.m
     nums, den = _integer_ratios(reversed(tau.samples))
-    num = sum((2 * i + 1) * n for i, n in enumerate(nums))
+    num = sum(map(mul, range(1, 2 * m_count, 2), nums))
     return Fraction(num, 2 * m_count * m_count * den)
 
 

@@ -46,17 +46,33 @@ def _validate_ordering(poset: Poset, query: QuerySet, perm) -> None:
     n = len(query)
     if tuple(sorted(perm)) != tuple(range(n)):
         raise InvalidPermutation(f"{perm!r} is not a permutation of 0..{n - 1}")
-    idxs = query.indices
+    inversion = _first_inversion(poset, query.indices, perm)
+    if inversion is not None:
+        p, earlier = inversion
+        raise InvalidPermutation(
+            f"{query.labels[p]!r} lies below "
+            f"{query.labels[earlier]!r} but is ordered after it"
+        )
+
+
+def _first_inversion(poset: Poset, idxs, perm):
+    """``(p, q)``, positions into ``idxs``: p the first in ``perm`` whose
+    element lies below that of an earlier one, and q the first earlier one
+    whose element lies above it; None if the ordering is admissible."""
+    if isinstance(poset.down, _GridSets):
+        # Admissible iff the first down-set holding each element is its
+        # own; a grid answers that by arithmetic and builds no mask.
+        reading = [idxs[p] for p in perm]
+        first = poset.down.first_holder(reading)[reading]
+        late = np.flatnonzero(first < np.arange(len(perm)))
+        return (perm[late[0]], perm[first[late[0]]]) if late.size else None
     placed = 0
     for later, p in enumerate(perm):
         i = idxs[p]
         if poset.up[i] & placed:
-            earlier = next(q for q in perm[:later] if poset.leq_idx(i, idxs[q]))
-            raise InvalidPermutation(
-                f"{query.labels[p]!r} lies below "
-                f"{query.labels[earlier]!r} but is ordered after it"
-            )
+            return p, next(q for q in perm[:later] if poset.leq_idx(i, idxs[q]))
         placed |= 1 << i
+    return None
 
 
 def _orientation(poset: Poset, mode: str):

@@ -1,7 +1,7 @@
 """References for the tests.
 
 The brute-force ones are written from the definitions: each filters all
-permutations, so it shares no code with the solver's ordering search, the
+permutations or compares all pairs, so it shares no code with the solver's ordering search, the
 oracle's enumeration or the witness builder, and is meant for posets of a
 few elements only.  :func:`eval_extremal_process` is the one-point case of
 the process grid evaluator, which no program path needs.
@@ -29,6 +29,19 @@ def admissible_orderings(poset, query):
             for later in seq[k + 1:]
         ):
             yield perm
+
+
+def ordering_violation(poset, query, perm):
+    """The message that rejects the ordering ``perm`` of ``query``, or None
+    if it is admissible: it names the element at the first position that
+    lies below an element placed before it, and the first such element."""
+    seq = [query.indices[p] for p in perm]
+    for k, i in enumerate(seq):
+        for q, j in zip(perm, seq[:k]):
+            if poset.leq_idx(i, j):
+                return (f"{query.labels[perm[k]]!r} lies below "
+                        f"{query.labels[q]!r} but is ordered after it")
+    return None
 
 
 def linear_extensions(poset):

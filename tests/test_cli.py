@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -264,6 +265,17 @@ class TestContinuous:
         assert error["type"] == "ValidationError"
         assert error["message"].startswith("cannot write")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_cont_extremal_failed_write(self):
+        code, out, err = run_cli(
+            ["cont-extremal", "--m", "id", "--t", "id", "--grid", "50",
+             "--out", "/dev/full"]
+        )
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"].startswith("cannot write /dev/full: ")
+
     def test_grid_exp_n_limit(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("grid_experiment ran")
@@ -334,6 +346,74 @@ def test_cont_extremal_csv_matches_per_cell_writer(m, t, grid):
     assert len(got) == len(want)
     # First differing line only: a diff of the whole file is slow to build.
     assert next((pair for pair in zip(got, want) if pair[0] != pair[1]), None) is None
+
+
+def _per_cell_csv(coords, grid) -> str:
+    return "x,y,value\n" + "".join(
+        f"{x},{y},{v!r}\n"
+        for x, row in zip(coords, grid.tolist()) for y, v in zip(coords, row)
+    )
+
+
+def _written_csv(coords, grid) -> str:
+    fh = io.StringIO()
+    cli._write_surface_csv(fh, coords, grid)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["every-cell-changes", "constant", "signed-zeros",
+                                  "two-by-two"])
+def test_surface_writer_matches_per_cell_writer(kind):
+    rng = np.random.default_rng(7)
+    n = 2 if kind == "two-by-two" else 37
+    coords = [repr((i + 0.5) / n) for i in range(n)]
+    if kind == "constant":
+        grid = np.full((n, n), 0.375)
+    elif kind == "signed-zeros":
+        # 0.0 and -0.0 compare equal but print differently, side by side
+        # along both axes.
+        grid = np.where(rng.random((n, n)) < 0.5, 0.0, -0.0)
+        grid[::3] = 1 / 3
+    else:
+        # Strictly increasing along both axes, so every cell differs from
+        # the one above it.
+        grid = np.cumsum(np.cumsum(rng.random((n, n)) + 1e-3, axis=0), axis=1)
+    assert _written_csv(coords, grid) == _per_cell_csv(coords, grid)
+
+
+class TestSampleFile:
+    def _bound(self, tmp_path, data: bytes):
+        tau = tmp_path / "tau.csv"
+        tau.write_bytes(data)
+        return run_cli(["proc-bound", "--m", "id", "--tau", str(tau), "--simplified"])
+
+    @pytest.mark.parametrize("data", [b"0.5\n\n   \n0.25\n\t\n",
+                                      b"0.5\r\n0.25\r\n\r\n", b"  0.25 \n0.5"],
+                             ids=["blank-lines", "crlf", "padded"])
+    def test_blank_lines_and_line_ends(self, tmp_path, data):
+        assert self._bound(tmp_path, data) == self._bound(tmp_path, b"0.25\n0.5\n")
+
+    def test_any_order(self, tmp_path):
+        want = self._bound(tmp_path, b"0.1\n0.5\n0.9\n")
+        assert want[0] == 0
+        assert self._bound(tmp_path, b"0.9\n0.1\n0.5\n") == want
+
+    @pytest.mark.parametrize("data, kind, message", [
+        (b"0.5\n abc \n", "ValidationError",
+         "non-numeric sample line (could not convert string to float: 'abc')"),
+        (b"0.1 0.2\n", "ValidationError",
+         "non-numeric sample line (could not convert string to float: '0.1 0.2')"),
+        (b"0.5\nnan\n", "OutOfDomain", "sample nan outside [0, 1]"),
+        (b"", "ValidationError", "need at least one sample"),
+        (b" \n\n", "ValidationError", "need at least one sample"),
+        (b"0.5\n\xff\n", "ValidationError", "cannot decode "),
+    ], ids=["word", "two-per-line", "nan", "empty", "blank", "not-utf8"])
+    def test_bad_files(self, tmp_path, data, kind, message):
+        code, out, err = self._bound(tmp_path, data)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == kind
+        assert message in error["message"]
 
 
 class TestProcess:

@@ -492,6 +492,23 @@ class TestEmpiricalRV:
         with pytest.raises(ValidationError):
             EmpiricalRV((0.5, 0.2))
 
+    @pytest.mark.parametrize("samples, error, message", [
+        ((0.5, 0.2, 1.5), OutOfDomain, "sample 1.5 outside"),
+        ((0.5, 0.2), ValidationError, "must be sorted ascending"),
+        ((0.2, float("nan"), 0.1), OutOfDomain, "sample nan outside"),
+        ((-0.0, -0.1), OutOfDomain, "sample -0.1 outside"),
+    ])
+    def test_domain_before_order(self, samples, error, message):
+        with pytest.raises(error, match=message) as info:
+            EmpiricalRV(samples)
+        if error is ValidationError:
+            assert not isinstance(info.value, OutOfDomain)
+
+    def test_samples_become_floats(self):
+        rv = EmpiricalRV(("0.25", 0.5, 1))
+        assert rv.samples == (0.25, 0.5, 1.0)
+        assert all(type(x) is float for x in rv.samples)
+
     def test_from_samples_sorts(self):
         rv = EmpiricalRV.from_samples([0.5, 0.2])
         assert rv.samples == (0.2, 0.5)

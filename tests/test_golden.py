@@ -1,4 +1,5 @@
-"""Pinned stdout of ``solve`` and ``oracle``.
+"""Pinned stdout of ``solve`` and ``oracle``, and pinned CSVs of
+``cont-extremal``.
 
 Each instance runs ``solve --mode min|max|both``, with and without
 ``--witness``, and ``oracle`` with and without ``--witness`` where the
@@ -225,3 +226,26 @@ def _digest(tmp_path, poset, scale, query, oracle) -> str:
                          ids=[inst[0] for inst in INSTANCES])
 def test_stdout_is_pinned(tmp_path, name, poset, scale, query, oracle):
     assert _digest(tmp_path, poset, scale, query, oracle) == PINNED[name]
+
+
+# The surfaces the benchmark writes: (m, t, grid) and the sha256 of the CSV.
+SURFACES = {
+    "id-id": (
+        "id", "id", 400,
+        "58a4502696c17a7cf2c27522119325906edcdde97598cc224e0d1c5febf7915a"),
+    "power2-const": (
+        "power:2", "const:0.5", 400,
+        "13ca82f7894b70ddf39aca7fb571a5c539e7efe7d8065c84d6999bf711e2ec5a"),
+    "power2-pwlflat": (
+        "power:2", "pwl:0,0;0.3,0.3;0.6,0.3;1,1", 200,
+        "89ea8efe48aa25db11f7b9551d61b14eca13b9fdf47b7af6e8278358a4ffc96a"),
+}
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_surface_csv_is_pinned(tmp_path, name):
+    m, t, grid, digest = SURFACES[name]
+    out = tmp_path / "surface.csv"
+    argv = ["cont-extremal", "--m", m, "--t", t, "--grid", str(grid), "--out", str(out)]
+    assert main(argv, stdout=io.StringIO()) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

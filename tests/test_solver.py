@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -38,7 +38,7 @@ from monoext.errors import (
 from monoext import solver
 from monoext.poset import _cover_succs, _first_extension, _grid_poset
 from monoext.solver import _orientation
-from reference import admissible_orderings, reversed_instance
+from reference import admissible_orderings, ordering_violation, reversed_instance
 
 
 def chain3():
@@ -169,6 +169,54 @@ class TestConditionalValues:
         for check in (conditional_min, conditional_max, build_witness):
             with pytest.raises(InvalidPermutation, match=message):
                 check(p, s, q, (1, 2, 0, 4, 3))
+
+
+def _grid_orderings(nx, ny):
+    """Every ordering of every query on the nx x ny grid, except that
+    queries of more than five elements on grids of more than six get 24
+    seeded random orderings each."""
+    rng = random.Random(nx * 10 + ny)
+    labels = [(i, j) for i in range(1, nx + 1) for j in range(1, ny + 1)]
+    for k in range(len(labels) + 1):
+        for query in combinations(labels, k):
+            if k <= 5 or len(labels) <= 6:
+                yield from ((query, perm) for perm in permutations(range(k)))
+            else:
+                yield from ((query, tuple(rng.sample(range(k), k)))
+                            for _ in range(24))
+
+
+class TestGridOrderingCheck:
+    @pytest.mark.parametrize("order", ["product", "rows"])
+    @pytest.mark.parametrize("nx, ny", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_messages_match_the_reference(self, nx, ny, order):
+        grid = _grid_poset(nx, ny, order)
+        built = build_poset(list(grid.labels),
+                            [(grid.labels[a], grid.labels[b]) for a, b in grid.covers])
+        for poset in (grid, built):
+            for labels, perm in _grid_orderings(nx, ny):
+                query = QuerySet(poset, labels)
+                try:
+                    solver._validate_ordering(poset, query, perm)
+                    got = None
+                except InvalidPermutation as e:
+                    got = str(e)
+                assert got == ordering_violation(poset, query, perm), (labels, perm)
+
+    @pytest.mark.parametrize("order, chain", [
+        ("product", [(40, j) for j in range(1, 41)]),
+        ("rows", [(i, 1) for i in range(1, 41)]),
+    ], ids=["product", "rows"])
+    def test_min_witness_computes_no_mask(self, order, chain):
+        n = 40
+        poset = _grid_poset(n, n, order)
+        scale = ValueScale(range(1, n * n + 1))
+        query = QuerySet(poset, chain)
+        witness = build_witness(poset, scale, query, tuple(range(n)), "min")
+        assert not poset.down._cache and not poset.up._cache
+        fresh = _grid_poset(n, n, order)
+        best = solve_min(fresh, scale, QuerySet(fresh, query.labels)).objective
+        assert sum(map(witness.value, query.labels)) == best
 
 
 class TestSolve:
