@@ -1,5 +1,5 @@
-"""Pinned stdout of ``solve`` and ``oracle``, and pinned CSVs of
-``cont-extremal``.
+"""Pinned stdout of ``solve``, ``oracle`` and ``grid-exp``, and pinned CSVs
+of ``cont-extremal``.
 
 Each instance runs ``solve --mode min|max|both``, with and without
 ``--witness``, and ``oracle`` with and without ``--witness`` where the
@@ -249,3 +249,37 @@ def test_surface_csv_is_pinned(tmp_path, name):
     argv = ["cont-extremal", "--m", m, "--t", t, "--grid", str(grid), "--out", str(out)]
     assert main(argv, stdout=io.StringIO()) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# grid-exp over a sweep of n and alpha, each n with a valid --k: the
+# sha256 of every run's exit code and stdout, in sweep order, per n.
+GRID_EXP_ALPHAS = ("1e-300", "0.25", "0.5625", "0.7", "1.0", repr(0.1 + 0.2))
+GRID_EXP = {
+    2: (2,
+        "f75815192382ca1d16d30a8b713637534641c2195c52dec5af240971d558c785"),
+    3: (1,
+        "fe708dfc16d25881714115e9835b5a7cadc67546b735e0732a8cbabcf4cde971"),
+    7: (7,
+        "08f94df2cc31cdd504a118d31376c58830d62fb8ef134ca36bdd8a5fc14d8851"),
+    20: (4,
+        "6a2917751f64023cf0ba6a0e313cf0fdf6f895fd798b5a42f3822ac3935f550f"),
+    160: (32,
+        "8e04e368e5312039aefb1ab0f0a71f834d61031a72422c16f9ae1bd6228b0228"),
+    333: (9,
+        "7fd529080ed72e09a7865a9ef7cc9d54ca1b65f8460abd96c523692c90d63fcc"),
+    1000: (8,
+        "21a17f6e148fa8e6bb23d1e3bb0b990fb9506bd0e4a0a20505e1fc84417b7094"),
+}
+
+
+@pytest.mark.parametrize("n", GRID_EXP)
+def test_grid_exp_stdout_is_pinned(n):
+    k, want = GRID_EXP[n]
+    digest = hashlib.sha256()
+    for alpha in GRID_EXP_ALPHAS:
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["grid-exp", "--alpha", alpha, "--n", str(n), "--k", str(k)]
+        code = main(argv, stdout=out, stderr=err)
+        assert code == 0, (argv, err.getvalue())
+        digest.update(f"{code}\n{out.getvalue()}".encode())
+    assert digest.hexdigest() == want

@@ -650,6 +650,36 @@ class TestWitnessBySort:
         assert len(calls) == 2
 
 
+@st.composite
+def transposed_grid_queries(draw):
+    """An n x n product grid (n <= 5), a query of up to six of its labels
+    and an admissible ordering of it."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    g = grid_poset(n)
+    labels = draw(st.lists(st.sampled_from(list(g.labels)), min_size=1,
+                           max_size=min(n * n, 6), unique=True))
+    perm = draw(st.sampled_from(list(admissible_orderings(g, QuerySet(g, labels)))))
+    return n, labels, perm
+
+
+@given(transposed_grid_queries())
+@settings(max_examples=150, deadline=None)
+def test_y_major_witness_is_the_transposed_grid_witness(instance):
+    # The product order is symmetric in its two coordinates, so listing a
+    # square grid's labels y-major is transposing it: a query's witness on
+    # the y-major copy is the x-major witness of the transposed query.
+    n, labels, perm = instance
+    g = grid_poset(n)
+    y_major = build_poset([(i, j) for j in range(1, n + 1) for i in range(1, n + 1)],
+                          [(g.labels[a], g.labels[b]) for a, b in g.covers])
+    scale = ValueScale(range(1, n * n + 1))
+    transposed = [(j, i) for i, j in labels]
+    for mode in ("min", "max"):
+        got = build_witness(y_major, scale, QuerySet(y_major, labels), perm, mode)
+        want = build_witness(g, scale, QuerySet(g, transposed), perm, mode)
+        assert {(i, j): r for (j, i), r in want.items()} == dict(got.items())
+
+
 class TestChainBounds:
     def test_three_chain_endpoints(self):
         p = chain3()
