@@ -48,8 +48,9 @@ from .values import BoundResult, MonotoneBijection, ValueScale
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 CAP_EXIT = 3
-# grid-exp fills an n x n numpy table of int64 (55 MB peak resident at the
-# maximum, 30 MB of it the interpreter with numpy).
+# grid-exp fills an n x n numpy table of int64 (about 55 MB peak resident at
+# the maximum in a fresh process, 31 MB of it the interpreter with numpy;
+# ru_maxrss, Python 3.11, numpy 2.4).
 MAX_GRID_EXP_N = 1000
 # A {"grid": {"n": n}} poset holds no per-element object and computes the
 # down-set and up-set of an element only when they are read, and a from_m
@@ -149,6 +150,14 @@ def load_poset(path: str) -> Poset:
         return build_poset(labels, covers)
 
 
+def _spec_number(v) -> float:
+    """A map-spec number: a JSON number or a numeric string.  A bool is
+    refused rather than read as 1 or 0."""
+    if isinstance(v, bool):
+        raise ValidationError(f"map spec number must not be a bool, got {v!r}")
+    return float(v)
+
+
 def parse_map_spec(spec) -> MonotoneMap1D:
     if not isinstance(spec, dict):
         raise ValidationError(f"map spec must be an object, got {spec!r}")
@@ -157,13 +166,13 @@ def parse_map_spec(spec) -> MonotoneMap1D:
         if kind == "identity":
             return MonotoneMap1D.identity()
         if kind == "power":
-            return MonotoneMap1D.power(float(spec["p"]))
+            return MonotoneMap1D.power(_spec_number(spec["p"]))
         if kind == "pwl":
             return MonotoneMap1D.piecewise_linear(
-                [(float(x), float(y)) for x, y in spec["points"]]
+                [(_spec_number(x), _spec_number(y)) for x, y in spec["points"]]
             )
         if kind == "const":
-            return MonotoneMap1D.constant(float(spec["alpha"]))
+            return MonotoneMap1D.constant(_spec_number(spec["alpha"]))
     raise ValidationError(f"unknown map kind {kind!r}")
 
 

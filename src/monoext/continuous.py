@@ -13,7 +13,7 @@ level regions are the growth increments of the rectangles
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,7 @@ from .func1d import (
     _level_set_deviation,
 )
 from .poset import grid_poset, QuerySet
-from .solver import chain_bounds, scale_from_m
+from .solver import _grid_order, chain_bounds, scale_from_m
 
 
 # The largest grid side the membership checks accept.  They hold several
@@ -201,29 +201,25 @@ class GridExperiment:
     c_fit: Fraction             # abs_error * n
 
     def as_dict(self) -> dict:
+        """The fields in declaration order, each Fraction as its string."""
         return {
-            "alpha": self.alpha,
-            "n": self.n,
-            "k": self.k,
-            "column": self.column,
-            "discrete_sum": str(self.discrete_sum),
-            "discrete_bound": str(self.discrete_bound),
-            "continuous_target": str(self.continuous_target),
-            "abs_error": str(self.abs_error),
-            "c_fit": str(self.c_fit),
+            name: str(v) if isinstance(v, Fraction) else v
+            for name, v in asdict(self).items()
         }
 
 
 def grid_experiment(alpha: float, n: int, k: int) -> GridExperiment:
     """Discretize the constant-path problem on an n x n grid.
 
-    Builds the explicit column-filling bijection on the grid (values
-    1..n^2, scaled by 1/n^2): the s leftmost columns are filled row by
-    row with 1..s*n, the rest row by row with s*n+1..n^2, where s is the
-    column containing x = alpha.  Returns the observed column average at
+    The filling (values 1..n^2, scaled by 1/n^2) is the solver's min
+    witness of the column chain {(s, j)}, where s is the column containing
+    x = alpha: the witness of the transposed chain {(v, s)} on
+    :func:`grid_poset`, turned round.  It fills the s leftmost columns row
+    by row with 1..s*n, the rest row by row with s*n+1..n^2, and is checked
+    monotone along both axes.  Returns the observed column average at
     column s, the closed-form bound s(n+1)/(2n), and the distance to the
-    continuum target alpha/2.  ``k`` is the level-count of the refinement
-    scheme and must divide n.
+    continuum target alpha/2.  ``k`` must be a positive divisor of n; it is
+    validated and echoed in the record but computes nothing.
     """
     if not (math.isfinite(alpha) and 0 < alpha <= 1):
         raise InvalidGrid("alpha must lie in (0, 1]")
@@ -235,12 +231,10 @@ def grid_experiment(alpha: float, n: int, k: int) -> GridExperiment:
     s = math.ceil(fa * n)
 
     # val[i-1, j-1], i column, j row; integer values 1..n^2.
-    i = np.arange(1, n + 1)[:, None]
-    j = np.arange(1, n + 1)[None, :]
-    val = np.where(i <= s, (j - 1) * s + i, s * n + (j - 1) * (n - s) + (i - s))
-
-    if not np.array_equal(np.sort(val, axis=None), np.arange(1, n * n + 1)):
-        raise MembershipViolation("grid filling is not a bijection")
+    order = _grid_order(grid_poset(n).down, [v * n + s - 1 for v in range(n)], 1)
+    val = np.empty(n * n, dtype=np.int64)
+    val[order] = np.arange(1, n * n + 1)
+    val = val.reshape(n, n).T
     if (np.diff(val, axis=0) <= 0).any():
         raise MembershipViolation("grid filling not monotone in x")
     if (np.diff(val, axis=1) <= 0).any():

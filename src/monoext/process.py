@@ -36,15 +36,6 @@ from .solver import disjoint_bound, scale_from_m
 from .values import _integer_ratios
 
 
-def _tail_sums(tau: EmpiricalRV):
-    """(ascending samples, descending samples, suffix sums of descending)."""
-    asc = np.array(tau.samples, dtype=float)
-    dsc = asc[::-1].copy()
-    tail = np.zeros(len(dsc) + 1)
-    tail[:-1] = np.cumsum(dsc[::-1])[::-1]
-    return asc, dsc, tail
-
-
 def expectation_bound(m: MonotoneMap1D, tau: EmpiricalRV) -> float:
     """Integral over y of m^{-1}(R(y)), R(y) = tail integral of the
     rearrangement of tau: the mean of the closed-form cell means (see
@@ -99,10 +90,11 @@ class ExtremalProcess:
     def __post_init__(self):
         if not self.m.is_increasing_bijection:
             raise ValidationError("m must be an increasing bijection")
-        asc, dsc, tail = _tail_sums(self.tau)
+        # The ascending samples and their prefix sums, 0 first: the sum of
+        # the k smallest samples is _csum[k].
+        asc = np.array(self.tau.samples, dtype=float)
         object.__setattr__(self, "_asc", asc)
-        object.__setattr__(self, "_dsc", dsc)
-        object.__setattr__(self, "_tail", tail)
+        object.__setattr__(self, "_csum", np.concatenate(([0.0], np.cumsum(asc))))
 
     @property
     def sample_count(self) -> int:
@@ -110,7 +102,7 @@ class ExtremalProcess:
 
     @property
     def mean_time(self) -> float:
-        return float(self._tail[0]) / self.tau.m
+        return float(self._csum[-1]) / self.tau.m
 
     # The methods below take a float or an array of rank fractions y and
     # return a float or an array of the same shape; a y outside [0, 1] or
@@ -121,8 +113,9 @@ class ExtremalProcess:
         m_count = self.tau.m
         p = 1.0 - _unit_many(y, "y")
         i = np.clip(p * m_count, 0, m_count - 1).astype(np.int64)
-        inner = ((i + 1) / m_count - p) * self._dsc[i] + self._tail[i + 1] / m_count
-        inner = np.where(p <= 0.0, self._tail[0] / m_count, inner)
+        j = m_count - 1 - i
+        inner = ((i + 1) / m_count - p) * self._asc[j] + self._csum[j] / m_count
+        inner = np.where(p <= 0.0, self._csum[-1] / m_count, inner)
         return np.where(p >= 1.0, 0.0, inner)[()]
 
     def quantile(self, y):
@@ -173,15 +166,16 @@ def _cell_means(proc: ExtremalProcess) -> np.ndarray:
     """Mean of the lower branch m^{-1}(R(y)) over each rank cell
     [k/M, (k+1)/M], k = 0..M-1.
 
-    R is linear on cell k, from R_k = tail[M - k] / M to R_{k+1}, so the
-    mean is (G(R_{k+1}) - G(R_k)) / (R_{k+1} - R_k) with G the integral of
-    m^{-1} (:meth:`MonotoneMap1D.inverse_integral_many`).  A cell of width
+    R is linear on cell k, from R_k = csum[k] / M to R_{k+1}, with csum[k]
+    the sum of the k smallest samples, so the mean is
+    (G(R_{k+1}) - G(R_k)) / (R_{k+1} - R_k) with G the integral of m^{-1}
+    (:meth:`MonotoneMap1D.inverse_integral_many`).  A cell of width
     0, or too narrow for the difference to keep its digits, takes
     m^{-1} at its midpoint instead.  Each mean is kept within m^{-1} at its
     cell's ends, which bound it, so the means never decrease with rank.
     """
     m_count = proc.sample_count
-    edges = proc._tail[::-1] / m_count
+    edges = proc._csum / m_count
     g = proc.m.inverse_integral_many(edges)
     lo, hi = edges[:-1], edges[1:]
     dg = np.diff(g)

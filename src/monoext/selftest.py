@@ -385,7 +385,8 @@ def criterion_process_bound(
 
     bound = expectation_bound(identity, uniform)
     checks.append(abs(bound - 1 / 6) <= 2e-3)
-    checks.append(fubini_check(uniform) <= 1e-8)
+    fubini = fubini_check(uniform)
+    checks.append(fubini <= 1e-8)
 
     for alpha in (0.25, 0.5, 0.75):
         tau = EmpiricalRV.constant(alpha, 7)
@@ -421,7 +422,7 @@ def criterion_process_bound(
     return CriterionResult(
         "process expectation bound",
         all(checks) and dt < 30.0,
-        f"bound {bound:.6f} (target 1/6), fubini {fubini_check(uniform):.1e}, "
+        f"bound {bound:.6f} (target 1/6), fubini {fubini:.1e}, "
         f"closed form vs quadrature {quad_gap:.1e}, "
         f"monte carlo z={z:.2f} at {trials} trials",
         dt,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monoext
 from monoext import (
     QuerySet,
     ValueScale,
@@ -698,6 +699,49 @@ class TestMapShorthand:
         p.write_text('{"kind": "power", "p": 2.0}')
         assert load_map(str(p)).p == 2.0
 
+    # Each spec is a legal map when true is read as 1 and false as 0, and
+    # used to run as one; with numeric strings in their place it still
+    # runs.  The constant is a path, not an m.
+    BOOLEAN_SPECS = {
+        "power-p": ("--m", lambda one, zero: {"kind": "power", "p": one}),
+        "const-alpha": ("--t", lambda one, zero: {"kind": "const", "alpha": zero}),
+        "pwl-x": ("--m", lambda one, zero: {"kind": "pwl",
+                                            "points": [[zero, 0], [1, 1]]}),
+        "pwl-y": ("--m", lambda one, zero: {"kind": "pwl",
+                                            "points": [[0, 0], [1, one]]}),
+    }
+
+    @pytest.mark.parametrize("name", BOOLEAN_SPECS)
+    @pytest.mark.parametrize("one, zero, code", [(True, False, 2), ("1", "0", 0)],
+                             ids=["bool", "string"])
+    def test_boolean_map_number_is_validation_error(self, tmp_path, name,
+                                                    one, zero, code):
+        flag, spec = self.BOOLEAN_SPECS[name]
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(spec(one, zero)))
+        maps = {"--m": "id", "--t": "id", flag: str(path)}
+        got, out, err = run_cli(["cont-bound", "--m", maps["--m"], "--t", maps["--t"]])
+        assert got == code, err
+        if code:
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "ValidationError"
+            assert "must not be a bool" in error["message"]
+
+    @pytest.mark.parametrize("p, code", [(True, 2), ("2", 0)], ids=["bool", "string"])
+    def test_boolean_map_number_in_from_m_scale(self, fixtures, tmp_path, p, code):
+        scale = tmp_path / "scale.json"
+        scale.write_text(json.dumps(
+            {"from_m": {"m": {"kind": "power", "p": p}, "n": 2}}))
+        got, out, err = run_cli(
+            ["solve", "--poset", fixtures["poset"], "--scale", str(scale),
+             "--query", fixtures["query"]]
+        )
+        assert got == code, err
+        if code:
+            assert out == ""
+            assert json.loads(err)["error"]["type"] == "ValidationError"
+
 
 _NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -918,11 +962,16 @@ class TestSelftest:
 
 
 def test_console_entry_point():
+    # The child inherits no sys.path from pytest, so it is pointed at the
+    # directory that holds the package under test.
+    src = os.path.dirname(os.path.dirname(monoext.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "monoext.cli", "cont-bound", "--m", "id",
          "--t", "const:0.25"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["bound"] - 0.125) <= 1e-9

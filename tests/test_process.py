@@ -177,7 +177,7 @@ class TestDegenerateTau:
         alpha, m_count = 0.6, 10**6
         proc = make_extremal_process(m, EmpiricalRV.constant(alpha, m_count))
         means = process._cell_means(proc)
-        edges = proc._tail[::-1] / m_count
+        edges = proc._csum / m_count
         ends = m.inverse_many(edges)
         assert (ends[:-1] <= means).all() and (means <= ends[1:]).all()
         narrow = np.diff(edges) < process._CELL_SHARE * edges[1:]
@@ -584,7 +584,7 @@ def test_cell_means_lie_between_cell_ends(m, xs, repeat):
     Carlo weights never decrease with rank, ties and subnormals included."""
     proc = make_extremal_process(m, EmpiricalRV.from_samples(xs + xs[:repeat]))
     means = process._cell_means(proc)
-    ends = m.inverse_many(proc._tail[::-1] / proc.sample_count)
+    ends = m.inverse_many(proc._csum / proc.sample_count)
     assert (ends[:-1] <= means).all() and (means <= ends[1:]).all()
     assert abs(float(means.mean()) - expectation_bound(m, proc.tau)) <= 1e-15
 
