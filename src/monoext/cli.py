@@ -112,18 +112,29 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
+        # json raises RecursionError for arrays or objects nested past the
+        # interpreter's recursion limit.
         raise ValidationError(f"{path} is not valid JSON: {e}") from e
 
 
 @contextmanager
 def _malformed(what: str):
     """Report a missing key, wrong type or bad number in ``what`` as a
-    :class:`ValidationError` instead of a traceback."""
+    :class:`ValidationError` instead of a traceback; so is a label nested
+    too deep to be read."""
     try:
         yield
-    except (ArithmeticError, KeyError, TypeError, ValueError) as e:
+    except (ArithmeticError, KeyError, TypeError, ValueError, RecursionError) as e:
         raise ValidationError(f"malformed {what}: {type(e).__name__}: {e}") from e
+
+
+def _array(v, what: str) -> list:
+    """``v`` if it is a JSON array; a string or object, which would be
+    read character by character or key by key, is rejected."""
+    if not isinstance(v, list):
+        raise ValidationError(f"{what} must be an array, got {type(v).__name__}")
+    return v
 
 
 def _grid_side(n, what: str) -> int:
@@ -145,8 +156,9 @@ def load_poset(path: str) -> Poset:
             return grid_poset(n, g.get("order", "product"))
         if "labels" not in doc or "covers" not in doc:
             raise ValidationError("poset JSON needs 'labels'+'covers' or 'grid'")
-        labels = [_labelize(x) for x in doc["labels"]]
-        covers = [(_labelize(a), _labelize(b)) for a, b in doc["covers"]]
+        labels = [_labelize(x) for x in _array(doc["labels"], "labels")]
+        covers = [_array(c, "cover") for c in _array(doc["covers"], "covers")]
+        covers = [(_labelize(a), _labelize(b)) for a, b in covers]
         return build_poset(labels, covers)
 
 
@@ -159,6 +171,9 @@ def _spec_number(v) -> float:
 
 
 def parse_map_spec(spec) -> MonotoneMap1D:
+    """The map of a JSON map spec: ``{"kind": "identity"}``, ``{"kind":
+    "power", "p": p}``, ``{"kind": "const", "alpha": a}`` or ``{"kind":
+    "pwl", "points": [[x, y], ...]}``."""
     if not isinstance(spec, dict):
         raise ValidationError(f"map spec must be an object, got {spec!r}")
     kind = spec.get("kind")
@@ -168,31 +183,39 @@ def parse_map_spec(spec) -> MonotoneMap1D:
         if kind == "power":
             return MonotoneMap1D.power(_spec_number(spec["p"]))
         if kind == "pwl":
+            points = [_array(pt, "pwl point")
+                      for pt in _array(spec["points"], "pwl points")]
             return MonotoneMap1D.piecewise_linear(
-                [(_spec_number(x), _spec_number(y)) for x, y in spec["points"]]
+                [(_spec_number(x), _spec_number(y)) for x, y in points]
             )
         if kind == "const":
             return MonotoneMap1D.constant(_spec_number(spec["alpha"]))
     raise ValidationError(f"unknown map kind {kind!r}")
 
 
-def load_map(arg: str) -> MonotoneMap1D:
-    """Shorthand ("id", "power:2", "const:0.5", "pwl:x,y;x,y;...") or a
-    path to a map-spec JSON file."""
+def load_map(arg) -> MonotoneMap1D:
+    """A map spec object, a shorthand ("id", "power:2", "const:0.5",
+    "pwl:x,y;x,y;...") or a path to a map-spec JSON file.
+
+    A shorthand is a spelling of the JSON spec: "power:2" is read as
+    {"kind": "power", "p": "2"} and "pwl:0,0;1,1" as {"kind": "pwl",
+    "points": [["0", "0"], ["1", "1"]]}, and every spec goes through
+    :func:`parse_map_spec`.
+    """
+    if not isinstance(arg, str):
+        return parse_map_spec(arg)
+    kind, colon, rest = arg.partition(":")
     if arg in ("id", "identity"):
-        return MonotoneMap1D.identity()
-    with _malformed(f"map {arg!r}"):
-        if arg.startswith("power:"):
-            return MonotoneMap1D.power(float(arg.split(":", 1)[1]))
-        if arg.startswith("const:"):
-            return MonotoneMap1D.constant(float(arg.split(":", 1)[1]))
-        if arg.startswith("pwl:"):
-            pts = []
-            for chunk in arg.split(":", 1)[1].split(";"):
-                x, y = chunk.split(",")
-                pts.append((float(x), float(y)))
-            return MonotoneMap1D.piecewise_linear(pts)
-    return parse_map_spec(_load_json(arg))
+        spec = {"kind": "identity"}
+    elif colon and kind == "power":
+        spec = {"kind": kind, "p": rest}
+    elif colon and kind == "const":
+        spec = {"kind": kind, "alpha": rest}
+    elif colon and kind == "pwl":
+        spec = {"kind": kind, "points": [c.split(",") for c in rest.split(";")]}
+    else:
+        spec = _load_json(arg)
+    return parse_map_spec(spec)
 
 
 def load_scale(path: str, size: int | None = None) -> ValueScale:
@@ -203,7 +226,7 @@ def load_scale(path: str, size: int | None = None) -> ValueScale:
     with _malformed(f"scale {path}"):
         if "values" in doc:
             vals = []
-            for v in doc["values"]:
+            for v in _array(doc["values"], "values"):
                 vals.append(Fraction(v) if isinstance(v, str) else v)
             return ValueScale(vals)
         if "from_m" in doc:
@@ -213,12 +236,7 @@ def load_scale(path: str, size: int | None = None) -> ValueScale:
                 raise ValidationError(
                     f"scale has {n * n} values for a poset of {size} elements"
                 )
-            m = (
-                load_map(sub["m"])
-                if isinstance(sub["m"], str)
-                else parse_map_spec(sub["m"])
-            )
-            return scale_from_m(m, n)
+            return scale_from_m(load_map(sub["m"]), n)
     raise ValidationError("scale JSON needs 'values' or 'from_m'")
 
 
@@ -227,7 +245,7 @@ def load_query(path: str, poset: Poset) -> QuerySet:
     with _malformed(f"query {path}"):
         if "query" not in doc:
             raise ValidationError("query JSON needs a 'query' list")
-        return QuerySet(poset, [_labelize(x) for x in doc["query"]])
+        return QuerySet(poset, [_labelize(x) for x in _array(doc["query"], "query")])
 
 
 def load_samples(path: str) -> EmpiricalRV:

@@ -19,12 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidGrid, MembershipViolation, OutOfDomain
-from .func1d import (
-    MonotoneMap1D,
-    _clamp_unit,
-    _integrate_nodes,
-    _level_set_deviation,
-)
+from .func1d import MonotoneMap1D, _clamp_unit, _integrate_nodes
 from .poset import grid_poset, QuerySet
 from .solver import _grid_order, chain_bounds, scale_from_m
 
@@ -87,6 +82,40 @@ class MembershipReport:
         )
 
 
+def _check_rising(values, axis: int, point, message: str) -> None:
+    """Raise :class:`MembershipViolation` with ``message`` unless the 2-D
+    array ``values`` never decreases along ``axis``.  The witness is the
+    first decreasing cell (i, j) in row-major order and its successor
+    along the axis, each as (*point(i, j), value)."""
+    falls = np.diff(values, axis=axis) < 0
+    if falls.any():
+        i, j = map(int, np.argwhere(falls)[0])
+        k, l = (i + 1, j) if axis == 0 else (i, j + 1)
+        raise MembershipViolation(message, witness=(
+            (*point(i, j), values[i, j]), (*point(k, l), values[k, l])))
+
+
+def _check_levels(values, m, level_count: int, budget: float, message: str):
+    """(worst, level): the largest |F(m^{-1}(u)) - u| over ``level_count``
+    levels u spread evenly over [0, 1], F the empirical distribution
+    function of ``values``, and the first level attaining it.  Raises
+    :class:`MembershipViolation` with ``message``, formatted with worst,
+    level and budget, and the witness (level, worst) when worst exceeds
+    ``budget``."""
+    levels = np.linspace(0.0, 1.0, level_count)
+    flat = np.sort(values, axis=None)
+    below = np.searchsorted(flat, m.inverse_many(levels), side="right")
+    dev = np.abs(below / flat.size - levels)
+    k = int(np.argmax(dev))
+    worst, level = float(dev[k]), float(levels[k])
+    if worst > budget:
+        raise MembershipViolation(
+            message.format(worst=worst, level=level, budget=budget),
+            witness=(level, worst),
+        )
+    return worst, level
+
+
 def _surface_values(m, t, x, y) -> np.ndarray:
     """Surface values at the points (x, y) of [0, 1]^2, x and y broadcast
     against each other.
@@ -146,29 +175,16 @@ def verify_membership(
                 f"surface array has shape {grid.shape}, want {(grid_n, grid_n)}"
             )
 
-    dx = np.diff(grid, axis=0)
-    if (dx < 0).any():
-        i, j = map(int, np.argwhere(dx < 0)[0])
-        raise MembershipViolation(
-            "surface decreases in x",
-            witness=((xs[i], ys[j], grid[i, j]), (xs[i + 1], ys[j], grid[i + 1, j])),
-        )
-    dy = np.diff(grid, axis=1)
-    if (dy < 0).any():
-        i, j = map(int, np.argwhere(dy < 0)[0])
-        raise MembershipViolation(
-            "surface decreases in y",
-            witness=((xs[i], ys[j], grid[i, j]), (xs[i], ys[j + 1], grid[i, j + 1])),
-        )
+    def point(i, j):
+        return xs[i], ys[j]
 
+    _check_rising(grid, 0, point, "surface decreases in x")
+    _check_rising(grid, 1, point, "surface decreases in y")
     budget = 2.0 / grid_n + 1e-9
-    worst, worst_u = _level_set_deviation(grid, m, np.linspace(0.0, 1.0, u_count))
-    if worst > budget:
-        raise MembershipViolation(
-            f"distribution deviation {worst:.3g} at u={worst_u} "
-            f"exceeds budget {budget:.3g}",
-            witness=(worst_u, worst),
-        )
+    worst, worst_u = _check_levels(
+        grid, m, u_count, budget,
+        "distribution deviation {worst:.3g} at u={level} exceeds budget {budget:.3g}",
+    )
     return MembershipReport(grid_n, True, worst, worst_u, budget)
 
 

@@ -352,17 +352,6 @@ class EmpiricalRV:
         )
 
 
-def _level_set_deviation(values: np.ndarray, m: MonotoneMap1D, levels: np.ndarray):
-    """(worst, level): the largest |F(m^{-1}(u)) - u| over ``levels``, with F
-    the empirical distribution function of ``values``, and the first level
-    attaining it."""
-    flat = np.sort(values, axis=None)
-    below = np.searchsorted(flat, m.inverse_many(levels), side="right")
-    dev = np.abs(below / flat.size - levels)
-    k = int(np.argmax(dev))
-    return float(dev[k]), float(levels[k])
-
-
 # Per-level tolerance decay.  1/sqrt(2) instead of the textbook 1/2 so that
 # integrands with sqrt-type endpoint singularities (local Simpson error
 # ~ h^1.5) still converge within the depth cap.
@@ -403,7 +392,7 @@ def _integrate_nodes(g_many, a: float, b: float, tol: float) -> float:
     # one a recursive refinement would report.
     depth = MAX_QUAD_DEPTH
     pending = [(a, b, fa, fm, fb, _simpson(a, b, fa, fm, fb), tol, depth, 1)]
-    pieces = []
+    pieces = {}  # path -> value of an accepted interval
     while pending:
         batch = pending[-_QUAD_BATCH:][::-1]
         del pending[-_QUAD_BATCH:]
@@ -420,8 +409,7 @@ def _integrate_nodes(g_many, a: float, b: float, tol: float) -> float:
             right = _simpson(m, b, fm, frm, fb)
             delta = left + right - whole
             if abs(delta) <= 15.0 * tol:
-                # path << depth orders disjoint intervals left to right.
-                pieces.append((path << depth, depth, left + right + delta / 15.0))
+                pieces[path] = left + right + delta / 15.0
             elif depth > 0:
                 tol *= _TOL_DECAY
                 children += ((a, m, fa, flm, fm, left, tol, depth - 1, 2 * path),
@@ -433,13 +421,12 @@ def _integrate_nodes(g_many, a: float, b: float, tol: float) -> float:
         pending += reversed(children)
     # Add the pieces up as a recursive refinement would: each refined
     # interval's value is its left half's plus its right half's.
-    stack = []  # (depth left, value) of completed subtrees, left to right
-    for _, depth, value in sorted(pieces):
-        while stack and stack[-1][0] == depth:
-            value = stack.pop()[1] + value
-            depth += 1
-        stack.append((depth, value))
-    return stack[0][1]
+    def value(path):
+        if path in pieces:
+            return pieces[path]
+        return value(2 * path) + value(2 * path + 1)
+
+    return value(1)
 
 
 def integrate(g, a=0.0, b=1.0, tol: float = 1e-9):

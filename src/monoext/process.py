@@ -18,19 +18,9 @@ from operator import mul
 
 import numpy as np
 
-from .continuous import MAX_SURFACE_GRID
-from .errors import (
-    InvalidGrid,
-    MembershipViolation,
-    ValidationError,
-)
-from .func1d import (
-    EmpiricalRV,
-    MonotoneMap1D,
-    _integrate_nodes,
-    _level_set_deviation,
-    _unit_many,
-)
+from .continuous import MAX_SURFACE_GRID, _check_levels, _check_rising
+from .errors import InvalidGrid, ValidationError
+from .func1d import EmpiricalRV, MonotoneMap1D, _integrate_nodes, _unit_many
 from .poset import QuerySet, grid_poset
 from .solver import disjoint_bound, scale_from_m
 from .values import _integer_ratios
@@ -284,27 +274,13 @@ def verify_process_membership(
                 f"values array has shape {values.shape}, want {(grid_y, grid_t)}"
             )
 
-    steps = np.diff(values, axis=1)
-    if (steps < 0).any():
-        j, a = map(int, np.argwhere(steps < 0)[0])
-        raise MembershipViolation(
-            "trajectory decreases in t",
-            witness=(
-                (t_centers[a], y_centers[j], values[j, a]),
-                (t_centers[a + 1], y_centers[j], values[j, a + 1]),
-            ),
-        )
-
+    _check_rising(values, 1, lambda j, a: (t_centers[a], y_centers[j]),
+                  "trajectory decreases in t")
     budget = 2.0 * (1.0 / grid_t + 1.0 / grid_y) + 1.0 / proc.sample_count + 1e-9
-    worst, worst_level = _level_set_deviation(
-        values, proc.m, np.linspace(0.0, 1.0, s_count)
+    worst, worst_level = _check_levels(
+        values, proc.m, s_count, budget,
+        "level-set deviation {worst:.3g} at s={level} exceeds budget {budget:.3g}",
     )
-    if worst > budget:
-        raise MembershipViolation(
-            f"level-set deviation {worst:.3g} at s={worst_level} exceeds "
-            f"budget {budget:.3g}",
-            witness=(worst_level, worst),
-        )
     return ProcessMembershipReport(grid_t, grid_y, True, worst, worst_level, budget)
 
 

@@ -557,23 +557,61 @@ class TestErrorsAndConfig:
         )
 
     @pytest.mark.parametrize(
-        "doc",
+        "name, doc",
         [
-            '{"labels": ["a", "b", "c"], "covers": [["a", "b", "c"]]}',
-            '{"grid": {}}',
-            json.dumps({"grid": {"n": MAX_POSET_GRID + 1}}),
+            ("poset", '{"labels": ["a", "b", "c"], "covers": [["a", "b", "c"]]}'),
+            ("poset", '{"grid": {}}'),
+            ("poset", json.dumps({"grid": {"n": MAX_POSET_GRID + 1}})),
+            # A string or object where an array belongs used to be read
+            # character by character or key by key ("ab" as the cover
+            # a < b, the point "00" as (0, 0)) and exit 0.
+            ("poset", '{"labels": "abc", "covers": []}'),
+            ("poset", '{"labels": ["a", "b"], "covers": ["ab"]}'),
+            ("scale", '{"values": "1234"}'),
+            ("query", '{"query": {"a": 1, "c": 2}}'),
+            ("m", '{"kind": "pwl", "points": ["00", "11"]}'),
+            # Within json's nesting limit, but too deep to turn into a tuple.
+            ("poset", '{"labels": [%s1%s], "covers": []}' % ("[" * 800, "]" * 800)),
         ],
-        ids=["cover-not-a-pair", "grid-without-n", "grid-over-limit"],
+        ids=["cover-not-a-pair", "grid-without-n", "grid-over-limit",
+             "labels-string", "cover-string", "values-string", "query-object",
+             "pwl-points-strings", "label-nested-too-deep"],
     )
-    def test_malformed_poset_is_validation_error(self, fixtures, tmp_path, doc):
-        bad = tmp_path / "poset.json"
+    def test_malformed_poset_is_validation_error(self, fixtures, tmp_path, name,
+                                                 doc):
+        """A malformed poset document, or (``name``) scale, query or
+        ``cont-bound`` map document."""
+        bad = tmp_path / "bad.json"
         bad.write_text(doc)
-        code, _, err = run_cli(
-            ["solve", "--poset", str(bad), "--scale", fixtures["scale"],
-             "--query", fixtures["query"]]
-        )
-        assert code == 2
+        if name == "m":
+            argv = ["cont-bound", "--m", str(bad), "--t", "id"]
+        else:
+            files = {**fixtures, name: str(bad)}
+            argv = ["solve", "--poset", files["poset"], "--scale", files["scale"],
+                    "--query", files["query"]]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
         assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("flag", ["--poset", "--scale", "--query", "--m",
+                                      "--config"])
+    def test_deeply_nested_json_is_validation_error(self, fixtures, tmp_path, flag):
+        # Nested past the recursion limit, json raises RecursionError.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = ["solve", "--poset", fixtures["poset"], "--scale", fixtures["scale"],
+                "--query", fixtures["query"]]
+        if flag == "--m":
+            argv = ["cont-bound", "--m", str(deep), "--t", "id"]
+        elif flag == "--config":
+            argv = ["--config", str(deep), *argv]
+        else:
+            argv[argv.index(flag) + 1] = str(deep)
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"].startswith(f"{deep} is not valid JSON")
 
     @pytest.mark.parametrize("values", [[True, 2, 3, 4], [0, 1, 2, False]],
                              ids=["true", "false"])
@@ -692,6 +730,25 @@ class TestMapShorthand:
 
         assert abs(load_map(spec).eval(x) - expected) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "shorthand, spec",
+        [
+            ("id", {"kind": "identity"}),
+            ("identity", {"kind": "identity"}),
+            ("power:2", {"kind": "power", "p": 2}),
+            ("power:0.37", {"kind": "power", "p": 0.37}),
+            ("const:0.5", {"kind": "const", "alpha": 0.5}),
+            ("pwl:0,0;0.5,0.25;1,1",
+             {"kind": "pwl", "points": [[0, 0], [0.5, 0.25], [1, 1]]}),
+            ("pwl:0,0.2;0.5,0.2;0.75,0.6;1,0.6",
+             {"kind": "pwl", "points": [[0, 0.2], [0.5, 0.2], [0.75, 0.6], [1, 0.6]]}),
+        ],
+        ids=["id", "identity", "power", "power-fraction", "const", "pwl",
+             "pwl-flat"],
+    )
+    def test_shorthand_is_its_json_spec(self, shorthand, spec):
+        assert load_map(shorthand) == cli.parse_map_spec(spec)
+
     def test_map_json_file(self, tmp_path):
         from monoext.cli import load_map
 
@@ -786,18 +843,23 @@ _JSON_SCALARS = st.one_of(
 _JSON = st.recursive(
     _JSON_SCALARS,
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["n", "order", "m", "kind", "p"]), inner,
-                      max_size=2),
+    | st.dictionaries(st.sampled_from(["n", "order", "m", "kind", "p", "points"]),
+                      inner, max_size=2),
     max_leaves=6,
 )
 _LABELS = st.one_of(
     st.integers(0, 5), st.sampled_from(["a", "b", "c"]),
     st.lists(st.integers(1, 3), min_size=2, max_size=2),
 )
+# Strings and objects where arrays belong, which must not be read
+# character by character or key by key.
+_NOT_ARRAYS = st.text(alphabet="abc0123", max_size=4) | st.dictionaries(
+    st.sampled_from(["a", "b", "c"]), st.integers(0, 3), max_size=3)
 _POSET_DOCS = st.one_of(
     st.fixed_dictionaries({
-        "labels": st.lists(_LABELS, max_size=6),
-        "covers": st.lists(st.lists(_LABELS, min_size=1, max_size=3), max_size=6),
+        "labels": st.lists(_LABELS, max_size=6) | _NOT_ARRAYS,
+        "covers": st.lists(st.lists(_LABELS, min_size=1, max_size=3) | _NOT_ARRAYS,
+                           max_size=6) | _NOT_ARRAYS,
     }),
     st.fixed_dictionaries({"grid": st.fixed_dictionaries({
         "n": st.one_of(st.integers(-1, 3), _JSON_SCALARS),
@@ -811,7 +873,7 @@ _SCALE_DOCS = st.one_of(
         st.one_of(st.integers(-9, 9), st.fractions(max_denominator=5).map(str),
                   _JSON_SCALARS),
         max_size=9,
-    )}),
+    ) | _NOT_ARRAYS}),
     st.fixed_dictionaries({"from_m": st.fixed_dictionaries({
         "m": st.one_of(st.sampled_from(["id", "power:2", "const:0.5"]), _JSON),
         "n": st.one_of(st.integers(-1, 9), _JSON_SCALARS),
@@ -820,7 +882,7 @@ _SCALE_DOCS = st.one_of(
     _JSON,
 )
 _QUERY_DOCS = st.one_of(
-    st.fixed_dictionaries({"query": st.lists(_LABELS, max_size=6)}),
+    st.fixed_dictionaries({"query": st.lists(_LABELS, max_size=6) | _NOT_ARRAYS}),
     st.dictionaries(st.sampled_from(["query"]), _JSON, max_size=1),
     _JSON,
 )

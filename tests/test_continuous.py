@@ -15,6 +15,7 @@ from monoext import (
     line_integral_on_surface,
     verify_membership,
 )
+from monoext.cli import load_map
 from monoext.continuous import MAX_SURFACE_GRID, _surface_grid, _surface_values
 from monoext.errors import InvalidGrid, MembershipViolation, OutOfDomain
 from monoext.func1d import _integrate_nodes
@@ -103,6 +104,35 @@ class TestSharpness:
         b = line_integral_on_surface(m, t)
         assert abs(a - b) <= 2e-9
 
+    # float.hex of (bound at tol 1e-9, surface integral at 1e-9, bound at
+    # 1e-12, surface integral at 1e-12).  The accepted quadrature pieces
+    # are added as a recursive refinement adds them, left half plus right
+    # half; any other grouping of the same additions would move the last
+    # bits.
+    PINNED = {
+        ("id", "const:0.25"): ("0x1.0000000000000p-3",) * 4,
+        ("id", "const:0.5"): ("0x1.0000000000000p-2",) * 4,
+        ("id", "const:0.75"): ("0x1.8000000000000p-2",) * 4,
+        ("id", "id"): ("0x1.5555555555555p-2",) * 4,
+        ("power:2", "const:0.25"): ("0x1.55555554ed686p-2",) * 2
+        + ("0x1.5555555555529p-2",) * 2,
+        ("power:2", "const:0.5"): ("0x1.e2b7dddf8dafbp-2",) * 2
+        + ("0x1.e2b7dddfefa3ep-2",) * 2,
+        ("power:2", "const:0.75"): ("0x1.279a7458d82a2p-1",) * 2
+        + ("0x1.279a745903308p-1",) * 2,
+        ("power:2", "id"): ("0x1.0000000000000p-1",) * 4,
+    }
+
+    @pytest.mark.parametrize("m,t", PINNED)
+    def test_quadrature_is_bit_stable(self, m, t):
+        mm, tt = load_map(m), load_map(t)
+        got = tuple(
+            f(mm, tt, tol).hex()
+            for tol in (1e-9, 1e-12)
+            for f in (line_integral_bound, line_integral_on_surface)
+        )
+        assert got == self.PINNED[m, t]
+
     def test_constant_path_sharp_value(self):
         got = line_integral_on_surface(ID, MonotoneMap1D.constant(0.5))
         assert abs(got - 0.25) <= 1e-9
@@ -128,6 +158,40 @@ class TestMembership:
         corrupted[0, 0], corrupted[-1, -1] = corrupted[-1, -1], corrupted[0, 0]
         with pytest.raises(MembershipViolation):
             verify_membership(ID, t, 20, surface=corrupted)
+
+    CENTERS = (np.arange(3) + 0.5) / 3
+
+    @pytest.mark.parametrize(
+        "surface, message, witness",
+        [
+            # Decreasing in x at (0, 2) and (1, 0): the first cell in
+            # row-major order is reported.
+            ([[0.1, 0.2, 0.9], [0.3, 0.4, 0.5], [0.2, 0.6, 0.7]],
+             "surface decreases in x", ((0, 2, 0.9), (1, 2, 0.5))),
+            # Monotone in x, decreasing in y at (0, 1) and (1, 0).
+            ([[0.1, 0.3, 0.2], [0.4, 0.3, 0.5], [0.5, 0.6, 0.7]],
+             "surface decreases in y", ((0, 1, 0.3), (0, 2, 0.2))),
+            # Decreasing along both axes: x is checked first.
+            ([[0.5, 0.1, 0.9], [0.4, 0.6, 0.7], [0.8, 0.9, 1.0]],
+             "surface decreases in x", ((0, 0, 0.5), (1, 0, 0.4))),
+        ],
+        ids=["x", "y", "x-before-y"],
+    )
+    def test_decrease_witness(self, surface, message, witness):
+        with pytest.raises(MembershipViolation) as e:
+            verify_membership(ID, ID, 3, surface=surface)
+        assert str(e.value) == message
+        c = self.CENTERS
+        assert e.value.witness == tuple((c[i], c[j], v) for i, j, v in witness)
+
+    def test_level_budget_witness(self):
+        # Monotone, but every cell holds 0.5: F(u) jumps from 0 to 1 at 0.5.
+        with pytest.raises(MembershipViolation) as e:
+            verify_membership(ID, ID, 8, surface=np.full((8, 8), 0.5))
+        assert str(e.value) == (
+            "distribution deviation 0.5 at u=0.5 exceeds budget 0.25"
+        )
+        assert e.value.witness == (0.5, 0.5)
 
     def test_grid_too_small(self):
         with pytest.raises(InvalidGrid):

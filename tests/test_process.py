@@ -511,6 +511,27 @@ class TestProcessMembership:
         with pytest.raises(MembershipViolation):
             verify_process_membership(proc, 50, 50, values=corrupted)
 
+    def test_decrease_witness(self):
+        # Rows index y.  Decreasing in t at (0, 1) and (1, 0): the first
+        # cell in row-major order is reported.
+        proc = make_extremal_process(ID, UNIFORM)
+        values = [[0.1, 0.3, 0.2], [0.5, 0.4, 0.6]]
+        with pytest.raises(MembershipViolation) as e:
+            verify_process_membership(proc, 3, 2, values=values)
+        assert str(e.value) == "trajectory decreases in t"
+        t, y = (np.arange(3) + 0.5) / 3, (np.arange(2) + 0.5) / 2
+        assert e.value.witness == ((t[1], y[0], 0.3), (t[2], y[0], 0.2))
+
+    def test_level_budget_witness(self):
+        # Monotone, but every cell holds 0.5: F(s) jumps from 0 to 1 at 0.5.
+        proc = make_extremal_process(ID, UNIFORM)
+        with pytest.raises(MembershipViolation) as e:
+            verify_process_membership(proc, 40, 40, values=np.full((40, 40), 0.5))
+        assert str(e.value) == (
+            "level-set deviation 0.5 at s=0.5 exceeds budget 0.1"
+        )
+        assert e.value.witness == (0.5, 0.5)
+
     def test_grid_validation(self):
         proc = make_extremal_process(ID, UNIFORM)
         with pytest.raises(InvalidGrid):
