@@ -2,8 +2,9 @@
 
 Subcommands: solve, oracle, grid-exp, cont-bound, cont-extremal,
 proc-bound, proc-sim, selftest.  Results are printed as JSON with sorted
-keys; exact rationals are serialized as "p/q" strings.  Exit codes:
-0 success, 2 validation error, 3 enumeration cap exceeded, 64 usage error.
+keys; exact rationals are serialized as "p/q" strings (grid-exp writes
+str(Fraction), so "2" for 2/1).  Exit codes: 0 success, 2 validation
+error, 3 enumeration cap exceeded, 64 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from operator import add
 
 import numpy as np
 
-from . import selftest as _selftest
 from .continuous import (
     MAX_SURFACE_GRID,
     _surface_grid,
@@ -48,6 +48,8 @@ from .values import BoundResult, MonotoneBijection, ValueScale
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 CAP_EXIT = 3
+# Error messages are cut to this many characters.
+MAX_MESSAGE = 1000
 # grid-exp fills an n x n numpy table of int64 (about 55 MB peak resident at
 # the maximum in a fresh process, 31 MB of it the interpreter with numpy;
 # ru_maxrss, Python 3.11, numpy 2.4).
@@ -562,7 +564,9 @@ def _cmd_proc_sim(args, config, stdout) -> int:
 
 
 def _cmd_selftest(args, config, stdout) -> int:
-    results = _selftest.run_all(quick=args.quick)
+    from .selftest import run_all  # here, so that no other command loads it
+
+    results = run_all(quick=args.quick)
     for r in results:
         print(r.line(), file=stdout)
     return 0 if all(r.passed for r in results) else 1
@@ -596,7 +600,11 @@ def main(argv=None, stdout=None, stderr=None) -> int:
               stderr)
         return CAP_EXIT
     except MonoextError as e:
-        _emit({"error": {"type": type(e).__name__, "message": str(e)}}, stderr)
+        # A message may quote a rejected value, which can be any size.
+        message = str(e)
+        if len(message) > MAX_MESSAGE:
+            message = f"{message[:MAX_MESSAGE]}... ({len(message)} characters)"
+        _emit({"error": {"type": type(e).__name__, "message": message}}, stderr)
         return VALIDATION_EXIT
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidGrid, MembershipViolation, OutOfDomain
 from .func1d import MonotoneMap1D, _clamp_unit, _integrate_nodes
 from .poset import grid_poset, QuerySet
-from .solver import _grid_order, chain_bounds, scale_from_m
+from .solver import chain_bounds, scale_from_m
 
 
 # The largest grid side the membership checks accept.  They hold several
@@ -247,7 +247,8 @@ def grid_experiment(alpha: float, n: int, k: int) -> GridExperiment:
     s = math.ceil(fa * n)
 
     # val[i-1, j-1], i column, j row; integer values 1..n^2.
-    order = _grid_order(grid_poset(n).down, [v * n + s - 1 for v in range(n)], 1)
+    down = grid_poset(n).down
+    order = down.extension(down.first_holder([v * n + s - 1 for v in range(n)]))
     val = np.empty(n * n, dtype=np.int64)
     val[order] = np.arange(1, n * n + 1)
     val = val.reshape(n, n).T

@@ -5,7 +5,8 @@ Element e of the grid is ``i * ny + j`` (0-based i, j).  Its label, its
 cover pairs, the index of a label and its down-set and up-set bitmasks are
 all computed from that arithmetic when read, so a grid poset holds no
 per-element object (:func:`monoext.poset.grid_poset` puts these views
-together).
+together).  The sets also give a witness its key and its linear
+extension as array arithmetic.
 """
 
 from __future__ import annotations
@@ -185,3 +186,37 @@ class _GridSets(_GridSequence):
         if order_kind == "product":
             np.minimum.accumulate(cells, axis=1, out=cells)
         return key
+
+    def extension(self, key) -> np.ndarray:
+        """The elements in the order of the least linear extension under
+        ``(key[e], e)`` of the order read from these sets: the grid's order
+        from the bottom (down-sets) or its reversal from the top (up-sets),
+        ``key`` being a :meth:`first_holder` of these sets.
+
+        From the bottom, (key, index) is itself an extension: the stable
+        sort of the key.  From the top, the placed set is up-closed, and
+        the heap would take the available element of least row:
+        - product order: the lowest placed row does not increase with the
+          column, so that element is in the rightmost column the block has
+          left, which the heap walks down: the order is (key, -column,
+          -row);
+        - rows order: a block meets each column in a run of rows, which the
+          heap walks down one at a time, the run of lowest top row first,
+          then of lowest column: (key, top row of the run, column, -row).
+        """
+        nx, ny, order_kind, direction = self.key
+        if direction == "down":
+            return np.argsort(key, kind="stable")
+        if order_kind == "product":
+            # Column ny - 1 first, top row first.
+            columns = np.arange(nx * ny).reshape(nx, ny)[::-1, ::-1].T.ravel()
+            return columns[np.argsort(key[columns], kind="stable")]
+        # The key does not decrease down a column, so each block meets it
+        # in one run of rows.  The top row of an element's run is the first
+        # row, from the element's up, whose next row holds another key or
+        # is off the grid.
+        row, column = np.divmod(np.arange(nx * ny), ny)
+        changes = np.diff(key.reshape(nx, ny), axis=0, append=-1) != 0
+        tops = np.where(changes, row.reshape(nx, ny), nx)
+        top = np.minimum.accumulate(tops[::-1], axis=0)[::-1]
+        return np.lexsort((-row, column, top.ravel(), key))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from operator import or_
 
 import numpy as np
@@ -42,37 +43,66 @@ def _check_scale(poset: Poset, scale: ValueScale) -> None:
         )
 
 
-def _validate_ordering(poset: Poset, query: QuerySet, perm) -> None:
+def _check_instance(poset: Poset, scale: ValueScale, query: QuerySet) -> None:
+    """The scale fits the poset and the query is not empty."""
+    _check_scale(poset, scale)
+    if len(query) == 0:
+        raise EmptyQuery("query set is empty")
+
+
+def _first_holder(sets, reading):
+    """Per element e, the position in ``reading`` of the first element
+    whose set holds e, or ``len(reading)``: an array from a grid's
+    :meth:`~monoext.grid._GridSets.first_holder`, or a list from the bits
+    of each newly covered block."""
+    if isinstance(sets, _GridSets):
+        return sets.first_holder(reading)
+    key = [len(reading)] * len(sets)
+    mask = 0
+    for k, i in enumerate(reading):
+        parts = [(sets[i] & ~mask, 0)]
+        mask |= sets[i]
+        while parts:
+            part, at = parts.pop()
+            # Halving a wide part first makes each bit cost word-sized
+            # operations, not ones as wide as the poset.
+            while part.bit_length() > 64:
+                half = part.bit_length() // 2
+                parts.append((part >> half, at + half))
+                part &= (1 << half) - 1
+            while part:
+                low = part & -part
+                key[at + low.bit_length() - 1] = k
+                part ^= low
+    return key
+
+
+def _validate_ordering(poset: Poset, scale: ValueScale, query: QuerySet, perm):
+    """The key :func:`_first_holder` of the down-sets along ``perm``, once
+    the scale is checked.  The ordering is admissible iff the first
+    down-set holding each query element is its own; if not, the error names
+    the first that is not and the first earlier element above it."""
+    _check_scale(poset, scale)
     n = len(query)
     if tuple(sorted(perm)) != tuple(range(n)):
         raise InvalidPermutation(f"{perm!r} is not a permutation of 0..{n - 1}")
-    inversion = _first_inversion(poset, query.indices, perm)
-    if inversion is not None:
-        p, earlier = inversion
-        raise InvalidPermutation(
-            f"{query.labels[p]!r} lies below "
-            f"{query.labels[earlier]!r} but is ordered after it"
-        )
+    reading = [query.indices[p] for p in perm]
+    key = _first_holder(poset.down, reading)
+    for k, i in enumerate(reading):
+        if key[i] != k:
+            raise InvalidPermutation(
+                f"{query.labels[perm[k]]!r} lies below "
+                f"{query.labels[perm[key[i]]]!r} but is ordered after it"
+            )
+    return key
 
 
-def _first_inversion(poset: Poset, idxs, perm):
-    """``(p, q)``, positions into ``idxs``: p the first in ``perm`` whose
-    element lies below that of an earlier one, and q the first earlier one
-    whose element lies above it; None if the ordering is admissible."""
-    if isinstance(poset.down, _GridSets):
-        # Admissible iff the first down-set holding each element is its
-        # own; a grid answers that by arithmetic and builds no mask.
-        reading = [idxs[p] for p in perm]
-        first = poset.down.first_holder(reading)[reading]
-        late = np.flatnonzero(first < np.arange(len(perm)))
-        return (perm[late[0]], perm[first[late[0]]]) if late.size else None
-    placed = 0
-    for later, p in enumerate(perm):
-        i = idxs[p]
-        if poset.up[i] & placed:
-            return p, next(q for q in perm[:later] if poset.leq_idx(i, idxs[q]))
-        placed |= 1 << i
-    return None
+def _first_pair(query: QuerySet, offends):
+    """The labels of the first pair of query elements, in query order, whose
+    indices ``offends``; the callers know that one does."""
+    idxs, labels = query.indices, query.labels
+    return next((labels[a], labels[b]) for a, b in combinations(range(len(idxs)), 2)
+                if offends(idxs[a], idxs[b]))
 
 
 def _orientation(poset: Poset, mode: str):
@@ -113,8 +143,7 @@ def conditional_min(
     Equals the sum over positions k of the scale value whose rank is the
     size of the union of down-sets of the first k ordered query elements.
     """
-    _check_scale(poset, scale)
-    _validate_ordering(poset, query, perm)
+    _validate_ordering(poset, scale, query, perm)
     return _oriented_sum(poset, scale, query.indices, perm, "min")
 
 
@@ -127,8 +156,7 @@ def conditional_max(
     the top contributes the value of rank N + 1 - |union of the up-sets of
     the last k ordered elements|.
     """
-    _check_scale(poset, scale)
-    _validate_ordering(poset, query, perm)
+    _validate_ordering(poset, scale, query, perm)
     return _oriented_sum(poset, scale, query.indices, perm, "max")
 
 
@@ -161,9 +189,7 @@ def solve_max(
 
 
 def _solve(poset, scale, query, cap, mode) -> BoundResult:
-    _check_scale(poset, scale)
-    if len(query) == 0:
-        raise EmptyQuery("query set is empty")
+    _check_instance(poset, scale, query)
     sets, rank, sign = _orientation(poset, mode)
     xi = scale.values
     best, perm = _search(sets, query.indices, lambda k: xi[rank(k) - 1], sign, cap)
@@ -288,35 +314,22 @@ def build_witness(
     The running unions are down-closed in the order read, so the key never
     decreases along it, and:
     - on a grid, the key is an array and the extension a sort by it,
-      :func:`_grid_order`;
-    - on a built poset, the key is found by walking each block's bits;
-      if its cover pairs (i, j) all have i < j, min mode reads along them,
-      and (key, index) is itself an extension, so it is the stable sort of
-      the key; otherwise Kahn's algorithm with a heap finds it,
-      :func:`_first_extension`.
+      :meth:`~monoext.grid._GridSets.extension`;
+    - on a built poset, if its cover pairs (i, j) all have i < j, min
+      mode reads along them, and (key, index) is itself an extension, so
+      it is the stable sort of the key; otherwise Kahn's algorithm with a
+      heap finds it, :func:`_first_extension`.
     """
-    _check_scale(poset, scale)
-    _validate_ordering(poset, query, perm)
+    key = _validate_ordering(poset, scale, query, perm)
     sets, _, sign = _orientation(poset, mode)
-    reading = [query.indices[p] for p in perm[::sign]]
+    if sign < 0:  # min mode reads the ordering as the check does
+        key = _first_holder(sets, [query.indices[p] for p in perm[::-1]])
     n = poset.n
-    if isinstance(sets, _GridSets):
+    if isinstance(key, np.ndarray):
         ranks = np.empty(n, dtype=np.int64)
-        ranks[_grid_order(sets, reading, sign)] = np.arange(1, n + 1)[::sign]
+        ranks[sets.extension(key)] = np.arange(1, n + 1)[::sign]
         ranks = ranks.tolist()  # the array is freed before the check
         return MonotoneBijection(poset, scale, ranks)
-
-    # A built poset holds every set as an int already, so walking the bits
-    # of each block costs no more than building it did.
-    key = [len(perm)] * n
-    mask = 0
-    for k, i in enumerate(reading):
-        new = sets[i] & ~mask
-        mask |= new
-        while new:
-            low = new & -new
-            key[low.bit_length() - 1] = k
-            new ^= low
     if sign > 0 and poset.rising:
         order = sorted(range(n), key=key.__getitem__)
     else:
@@ -325,48 +338,6 @@ def build_witness(
     for e, r in zip(order, range(1, n + 1)[::sign]):
         ranks[e] = r
     return MonotoneBijection(poset, scale, ranks)
-
-
-def _grid_order(sets: _GridSets, reading, sign: int) -> np.ndarray:
-    """The least extension under ``(key[e], e)`` of the grid whose sets
-    are ``sets``, read along its cover pairs (``sign`` +1, min mode) or
-    against them (-1, max mode).  ``key[e]`` is the position in
-    ``reading`` of the first set holding e,
-    :meth:`~monoext.grid._GridSets.first_holder`, and element
-    ``i * ny + j`` lies in row i and column j (0-based).
-
-    Read along the pairs, (key, index) is itself an extension, so it is
-    the stable sort of the key.  Read against them, the heap would take,
-    of the available elements of the current block, the one of least
-    index, which is the one of least row; the placed set is up-closed.
-    - Product order: the lowest placed row does not increase with the
-      column, so the available elements lie in distinct rows, and the one
-      of least row is in the rightmost column the block has left.  The
-      heap walks that column down, so the order is by (key, -column,
-      -row): the stable sort of the key over the columns listed right to
-      left, each from its top row down.
-    - Rows order: the chains are the columns, and a block meets each in a
-      run of rows.  The heap walks one run down at a time, taking next the
-      run with the lowest top row, then the lowest column, so the order is
-      by (key, top row of the element's run, column, -row).
-    """
-    key = sets.first_holder(reading)
-    if sign > 0:
-        return np.argsort(key, kind="stable")
-    nx, ny, order_kind, _ = sets.key
-    if order_kind == "product":
-        # Column ny - 1 first, top row first.
-        columns = np.arange(nx * ny).reshape(nx, ny)[::-1, ::-1].T.ravel()
-        return columns[np.argsort(key[columns], kind="stable")]
-    # The key does not decrease down a column, so each block meets it in
-    # one run of rows.  The top row of an element's run is the first row,
-    # from the element's up, whose next row holds another key or is off
-    # the grid.
-    row, column = np.divmod(np.arange(nx * ny), ny)
-    changes = np.diff(key.reshape(nx, ny), axis=0, append=-1) != 0
-    tops = np.where(changes, row.reshape(nx, ny), nx)
-    top = np.minimum.accumulate(tops[::-1], axis=0)[::-1]
-    return np.lexsort((-row, column, top.ravel(), key))
 
 
 def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):
@@ -381,18 +352,12 @@ def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):
     Only when one fails are the pairs scanned, to name the first
     incomparable pair in query order.
     """
-    _check_scale(poset, scale)
-    if len(query) == 0:
-        raise EmptyQuery("query set is empty")
+    _check_instance(poset, scale, query)
     idxs = query.indices
     order = sorted(range(len(idxs)), key=lambda p: poset.down[idxs[p]].bit_count())
     if not all(poset.leq_idx(idxs[a], idxs[b]) for a, b in zip(order, order[1:])):
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                if not poset.comparable_idx(idxs[a], idxs[b]):
-                    raise NotAChain(
-                        f"{query.labels[a]!r} and {query.labels[b]!r} are incomparable"
-                    )
+        a, b = _first_pair(query, lambda i, j: not poset.comparable_idx(i, j))
+        raise NotAChain(f"{a!r} and {b!r} are incomparable")
     return (
         _oriented_sum(poset, scale, idxs, order, "min"),
         _oriented_sum(poset, scale, idxs, order, "max"),
@@ -413,22 +378,14 @@ def disjoint_bound(
     pass.  Only when it is smaller are the pairs scanned, to name the first
     intersecting pair in query order.
     """
-    _check_scale(poset, scale)
-    if len(query) == 0:
-        raise EmptyQuery("query set is empty")
+    _check_instance(poset, scale, query)
     sets, _, sign = _orientation(poset, mode)
     idxs = query.indices
     sizes = [sets[i].bit_count() for i in idxs]
     if reduce(or_, (sets[i] for i in idxs)).bit_count() != sum(sizes):
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                if sets[idxs[a]] & sets[idxs[b]]:
-                    kind = "down-sets" if mode == "min" else "up-sets"
-                    raise PreconditionViolated(
-                        f"{kind} of {query.labels[a]!r} and "
-                        f"{query.labels[b]!r} intersect",
-                        pair=(query.labels[a], query.labels[b]),
-                    )
+        a, b = _first_pair(query, lambda i, j: sets[i] & sets[j])
+        kind = "down-sets" if mode == "min" else "up-sets"
+        raise PreconditionViolated(f"{kind} of {a!r} and {b!r} intersect", pair=(a, b))
     # perm[::sign] is the reading order: smallest set first.
     perm = sorted(range(len(idxs)), key=lambda p: sign * sizes[p])
     return _oriented_sum(poset, scale, idxs, perm, mode)

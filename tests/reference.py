@@ -1,7 +1,8 @@
 """References for the tests.
 
 The brute-force ones are written from the definitions: each filters all
-permutations or compares all pairs, so it shares no code with the solver's ordering search, the
+permutations or compares all pairs, so it shares no code with the
+solver's ordering search, its precondition checks, the
 oracle's enumeration or the witness builder, and is meant for posets of a
 few elements only.  :func:`eval_extremal_process` is the one-point case of
 the process grid evaluator, which no program path needs.
@@ -41,6 +42,18 @@ def ordering_violation(poset, query, perm):
             if poset.leq_idx(i, j):
                 return (f"{query.labels[perm[k]]!r} lies below "
                         f"{query.labels[q]!r} but is ordered after it")
+    return None
+
+
+def first_offending_pair(query, offends):
+    """The labels ``(a, b)`` of the first pair of query elements, a listed
+    before b, for which ``offends(a, b)`` holds, pairs taken by a and then
+    by b in query order; None if no pair offends."""
+    labels = query.labels
+    for k, a in enumerate(labels):
+        for b in labels[k + 1:]:
+            if offends(a, b):
+                return a, b
     return None
 
 

@@ -6,6 +6,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ class TestContinuous:
         assert code == 0
         payload = json.loads(out)
         assert payload["membership"]["ok"] is True
-        lines = open(out_path).read().splitlines()
+        lines = Path(out_path).read_text().splitlines()
         assert lines[0] == "x,y,value"
         assert len(lines) == 1 + 20 * 20
 
@@ -238,7 +239,7 @@ class TestContinuous:
         )
         assert code == 0
         mm, tt = load_map(m), load_map(t)
-        rows = open(out_path).read().splitlines()[1:]
+        rows = Path(out_path).read_text().splitlines()[1:]
         for k, line in enumerate(rows):
             x, y, value = map(float, line.split(","))
             assert (x, y) == ((k // 20 + 0.5) / 20, (k % 20 + 0.5) / 20)
@@ -557,28 +558,39 @@ class TestErrorsAndConfig:
         )
 
     @pytest.mark.parametrize(
-        "name, doc",
+        "name, doc, error",
         [
-            ("poset", '{"labels": ["a", "b", "c"], "covers": [["a", "b", "c"]]}'),
-            ("poset", '{"grid": {}}'),
-            ("poset", json.dumps({"grid": {"n": MAX_POSET_GRID + 1}})),
+            ("poset", '{"labels": ["a", "b", "c"], "covers": [["a", "b", "c"]]}',
+             "ValidationError"),
+            ("poset", '{"grid": {}}', "ValidationError"),
+            ("poset", json.dumps({"grid": {"n": MAX_POSET_GRID + 1}}), "ValidationError"),
             # A string or object where an array belongs used to be read
             # character by character or key by key ("ab" as the cover
             # a < b, the point "00" as (0, 0)) and exit 0.
-            ("poset", '{"labels": "abc", "covers": []}'),
-            ("poset", '{"labels": ["a", "b"], "covers": ["ab"]}'),
-            ("scale", '{"values": "1234"}'),
-            ("query", '{"query": {"a": 1, "c": 2}}'),
-            ("m", '{"kind": "pwl", "points": ["00", "11"]}'),
+            ("poset", '{"labels": "abc", "covers": []}', "ValidationError"),
+            ("poset", '{"labels": ["a", "b"], "covers": ["ab"]}', "ValidationError"),
+            ("scale", '{"values": "1234"}', "ValidationError"),
+            ("query", '{"query": {"a": 1, "c": 2}}', "ValidationError"),
+            ("m", '{"kind": "pwl", "points": ["00", "11"]}', "ValidationError"),
             # Within json's nesting limit, but too deep to turn into a tuple.
-            ("poset", '{"labels": [%s1%s], "covers": []}' % ("[" * 800, "]" * 800)),
+            ("poset", '{"labels": [%s1%s], "covers": []}' % ("[" * 800, "]" * 800),
+             "ValidationError"),
+            # The message quotes a rejected value that is a long list; it
+            # used to be written whole, 0.7 to 1.5 MB of stderr.
+            ("poset", json.dumps({"grid": {"n": list(range(100_000))}}),
+             "ValidationError"),
+            ("m", json.dumps(list(range(200_000))), "ValidationError"),
+            ("scale", json.dumps({"values": [list(range(100_000)), 2, 3, 4]}),
+             "ValidationError"),
+            ("query", json.dumps({"query": [list(range(100_000))]}), "UnknownElement"),
         ],
         ids=["cover-not-a-pair", "grid-without-n", "grid-over-limit",
              "labels-string", "cover-string", "values-string", "query-object",
-             "pwl-points-strings", "label-nested-too-deep"],
+             "pwl-points-strings", "label-nested-too-deep", "grid-n-long-list",
+             "map-long-list", "scale-value-long-list", "query-label-long-list"],
     )
     def test_malformed_poset_is_validation_error(self, fixtures, tmp_path, name,
-                                                 doc):
+                                                 doc, error):
         """A malformed poset document, or (``name``) scale, query or
         ``cont-bound`` map document."""
         bad = tmp_path / "bad.json"
@@ -591,7 +603,8 @@ class TestErrorsAndConfig:
                     "--query", files["query"]]
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
-        assert json.loads(err)["error"]["type"] == "ValidationError"
+        assert json.loads(err)["error"]["type"] == error
+        assert len(err.encode()) < 2000
 
     @pytest.mark.parametrize("flag", ["--poset", "--scale", "--query", "--m",
                                       "--config"])
@@ -1023,17 +1036,28 @@ class TestSelftest:
         assert all(ln.startswith("PASS") for ln in lines)
 
 
-def test_console_entry_point():
-    # The child inherits no sys.path from pytest, so it is pointed at the
-    # directory that holds the package under test.
+def run_child(*args):
+    """``python *args`` in a fresh interpreter.  The child inherits no
+    sys.path from pytest, so it is pointed at the directory that holds the
+    package under test."""
     src = os.path.dirname(os.path.dirname(monoext.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "monoext.cli", "cont-bound", "--m", "id",
-         "--t", "const:0.25"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point():
+    proc = run_child("-m", "monoext.cli", "cont-bound", "--m", "id",
+                     "--t", "const:0.25")
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["bound"] - 0.125) <= 1e-9
+
+
+def test_cli_import_does_not_load_selftest():
+    proc = run_child("-c", "import sys, monoext.cli; "
+                           "print('monoext.selftest' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -36,9 +36,15 @@ from monoext.errors import (
     ValidationError,
 )
 from monoext import solver
+from monoext.grid import _GridSets
 from monoext.poset import _cover_succs, _first_extension, _grid_poset
 from monoext.solver import _orientation
-from reference import admissible_orderings, ordering_violation, reversed_instance
+from reference import (
+    admissible_orderings,
+    first_offending_pair,
+    ordering_violation,
+    reversed_instance,
+)
 
 
 def chain3():
@@ -186,22 +192,49 @@ def _grid_orderings(nx, ny):
                             for _ in range(24))
 
 
+def _falling_dag(labels, seed):
+    """A random DAG on ``labels`` whose cover pairs do not all rise in
+    canonical index: pairs drawn along a shuffled order of the labels."""
+    rng = random.Random(seed)
+    while True:
+        topo = rng.sample(labels, len(labels))
+        covers = [(a, b) for k, a in enumerate(topo) for b in topo[k + 1:]
+                  if rng.random() < 0.4]
+        poset = build_poset(labels, covers)
+        if not poset.rising:
+            return poset
+
+
 class TestGridOrderingCheck:
     @pytest.mark.parametrize("order", ["product", "rows"])
     @pytest.mark.parametrize("nx, ny", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_messages_match_the_reference(self, nx, ny, order):
+        # The grid, its built copy (covers rising in index) and two random
+        # DAGs on its labels whose covers do not all rise; every check that
+        # takes an ordering rejects it with the reference's message.
         grid = _grid_poset(nx, ny, order)
-        built = build_poset(list(grid.labels),
-                            [(grid.labels[a], grid.labels[b]) for a, b in grid.covers])
-        for poset in (grid, built):
-            for labels, perm in _grid_orderings(nx, ny):
-                query = QuerySet(poset, labels)
-                try:
-                    solver._validate_ordering(poset, query, perm)
-                    got = None
-                except InvalidPermutation as e:
-                    got = str(e)
-                assert got == ordering_violation(poset, query, perm), (labels, perm)
+        labels = list(grid.labels)
+        built = build_poset(labels, [(labels[a], labels[b]) for a, b in grid.covers])
+        dags = [_falling_dag(labels, f"{nx} {ny} {order} {seed}") for seed in range(2)]
+        scale = ValueScale(range(1, grid.n + 1))
+        checks = [
+            lambda p, q, perm: solver._validate_ordering(p, scale, q, perm),
+            lambda p, q, perm: conditional_min(p, scale, q, perm),
+            lambda p, q, perm: conditional_max(p, scale, q, perm),
+            lambda p, q, perm: build_witness(p, scale, q, perm, "min"),
+            lambda p, q, perm: build_witness(p, scale, q, perm, "max"),
+        ]
+        for poset in (grid, built, *dags):
+            for query_labels, perm in _grid_orderings(nx, ny):
+                query = QuerySet(poset, query_labels)
+                want = ordering_violation(poset, query, perm)
+                for check in checks:
+                    try:
+                        check(poset, query, perm)
+                        got = None
+                    except InvalidPermutation as e:
+                        got = str(e)
+                    assert got == want, (query_labels, perm)
 
     @pytest.mark.parametrize("order, chain", [
         ("product", [(40, j) for j in range(1, 41)]),
@@ -217,6 +250,23 @@ class TestGridOrderingCheck:
         fresh = _grid_poset(n, n, order)
         best = solve_min(fresh, scale, QuerySet(fresh, query.labels)).objective
         assert sum(map(witness.value, query.labels)) == best
+
+
+    @pytest.mark.parametrize("order", ["product", "rows"])
+    def test_min_witness_computes_the_key_once(self, order, monkeypatch):
+        # The check's key is the min witness's key: one running minimum.
+        calls = []
+        first_holder = _GridSets.first_holder
+        monkeypatch.setattr(_GridSets, "first_holder",
+                            lambda sets, elements: calls.append(sets.key)
+                            or first_holder(sets, elements))
+        poset = _grid_poset(5, 4, order)
+        scale = ValueScale(range(1, poset.n + 1))
+        query = QuerySet(poset, [(2, 3), (4, 1), (5, 4)])
+        perm = solve_min(poset, scale, query).witness_perm
+        calls.clear()
+        build_witness(poset, scale, query, perm, "min")
+        assert calls == [(5, 4, order, "down")]
 
 
 class TestSolve:
@@ -635,6 +685,32 @@ class TestWitnessBySort:
                 got = build_witness(p, scale, q, perm, "min").ranks
                 assert got == heap_witness_ranks(p, q, perm, "min")
 
+    def test_blocks_wider_than_a_word(self):
+        # A block of more than 64 elements is walked in halves; keys,
+        # witnesses and ordering messages must not see the split.
+        rng = random.Random(64)
+        for n in (65, 130, 300):
+            topo = rng.sample(range(n), n)
+            posets = [
+                build_poset(range(n), [(i, i + 1) for i in range(n - 1)]),
+                build_poset(range(n), [(a, b) for k, a in enumerate(topo)
+                                       for b in topo[k + 1:k + 4] if rng.random() < 0.5]),
+            ]
+            for poset in posets:
+                scale = ValueScale(range(1, n + 1))
+                for _ in range(4):
+                    q = QuerySet(poset, rng.sample(range(n), rng.randint(1, 4)))
+                    for perm in permutations(range(len(q))):
+                        want = ordering_violation(poset, q, perm)
+                        for mode in ("min", "max"):
+                            try:
+                                got = build_witness(poset, scale, q, perm, mode).ranks
+                            except InvalidPermutation as e:
+                                assert str(e) == want
+                                continue
+                            assert want is None
+                            assert got == heap_witness_ranks(poset, q, perm, mode)
+
     def test_other_posets_keep_the_heap(self, monkeypatch):
         calls = []
         heap = solver._first_extension
@@ -769,6 +845,62 @@ class TestDisjointBound:
         p = chain3()
         with pytest.raises(ValidationError):
             disjoint_bound(p, ValueScale([1, 2, 3]), QuerySet(p, ["a"]), "avg")
+
+
+def _pair_instances():
+    """The grids of up to 3 x 3 under both orders and 40 random DAGs of up
+    to seven elements (covers along a shuffled order), each with eight
+    seeded random queries."""
+    rng = random.Random(25)
+    posets = [_grid_poset(nx, ny, kind) for nx in range(1, 4) for ny in range(1, 4)
+              for kind in ("product", "rows")]
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        topo = rng.sample(range(n), n)
+        posets.append(build_poset(range(n), [
+            (a, b) for k, a in enumerate(topo) for b in topo[k + 1:]
+            if rng.random() < 0.35
+        ]))
+    for poset in posets:
+        labels = list(poset.labels)
+        for _ in range(8):
+            yield poset, QuerySet(poset, rng.sample(labels, rng.randint(1, poset.n)))
+
+
+class TestFirstOffendingPair:
+    """The pair each fast path's precondition names is the reference's
+    first offending pair in query order."""
+
+    def test_not_a_chain(self):
+        for poset, query in _pair_instances():
+            scale = ValueScale(range(1, poset.n + 1))
+            want = first_offending_pair(
+                query, lambda a, b: not poset.leq(a, b) and not poset.leq(b, a))
+            if want is None:
+                chain_bounds(poset, scale, query)
+                continue
+            with pytest.raises(NotAChain) as exc:
+                chain_bounds(poset, scale, query)
+            assert str(exc.value) == f"{want[0]!r} and {want[1]!r} are incomparable"
+
+    @pytest.mark.parametrize("mode, kind", [("min", "down"), ("max", "up")])
+    def test_sets_intersect(self, mode, kind):
+        for poset, query in _pair_instances():
+            scale = ValueScale(range(1, poset.n + 1))
+
+            def holds(x, c):
+                return poset.leq(c, x) if mode == "min" else poset.leq(x, c)
+
+            want = first_offending_pair(query, lambda a, b: any(
+                holds(a, c) and holds(b, c) for c in poset.labels))
+            if want is None:
+                disjoint_bound(poset, scale, query, mode)
+                continue
+            with pytest.raises(PreconditionViolated) as exc:
+                disjoint_bound(poset, scale, query, mode)
+            assert str(exc.value) == (
+                f"{kind}-sets of {want[0]!r} and {want[1]!r} intersect")
+            assert exc.value.pair == want
 
 
 class TestScaleFromM:
