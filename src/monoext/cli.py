@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from operator import add
 
 import numpy as np
@@ -48,7 +49,7 @@ from .values import BoundResult, MonotoneBijection, ValueScale
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 CAP_EXIT = 3
-# Error messages are cut to this many characters.
+# Error messages are cut to this many characters of JSON text.
 MAX_MESSAGE = 1000
 # grid-exp fills an n x n numpy table of int64 (about 55 MB peak resident at
 # the maximum in a fresh process, 31 MB of it the interpreter with numpy;
@@ -416,14 +417,10 @@ def _cmd_solve(args, config, stdout) -> int:
     query = load_query(args.query, poset)
     witness = _witness_writer(poset, scale) if args.witness else None
     payload = {}
-    if args.mode in ("min", "both"):
-        payload["min"] = _bound_result_json(
-            solve_min(poset, scale, query, cap=config.cap), witness
-        )
-    if args.mode in ("max", "both"):
-        payload["max"] = _bound_result_json(
-            solve_max(poset, scale, query, cap=config.cap), witness
-        )
+    for mode, solve in (("min", solve_min), ("max", solve_max)):
+        if args.mode in (mode, "both"):
+            result = solve(poset, scale, query, cap=config.cap)
+            payload[mode] = _bound_result_json(result, witness)
     if args.mode != "both":
         payload = payload[args.mode]
     _emit(payload, stdout)
@@ -600,10 +597,13 @@ def main(argv=None, stdout=None, stderr=None) -> int:
               stderr)
         return CAP_EXIT
     except MonoextError as e:
-        # A message may quote a rejected value, which can be any size.
+        # A message may quote a rejected value, which can be any size.  It is
+        # cut on its JSON text, where a non-ASCII character takes 6 or 12.
         message = str(e)
-        if len(message) > MAX_MESSAGE:
-            message = f"{message[:MAX_MESSAGE]}... ({len(message)} characters)"
+        if len(json.dumps(message)) > MAX_MESSAGE + 2:
+            widths = accumulate(len(json.dumps(c)) - 2 for c in message)
+            cut = next(k for k, w in enumerate(widths) if w > MAX_MESSAGE)
+            message = f"{message[:cut]}... ({len(message)} characters)"
         _emit({"error": {"type": type(e).__name__, "message": message}}, stderr)
         return VALIDATION_EXIT
 

@@ -50,51 +50,52 @@ def _check_instance(poset: Poset, scale: ValueScale, query: QuerySet) -> None:
         raise EmptyQuery("query set is empty")
 
 
-def _first_holder(sets, reading):
-    """Per element e, the position in ``reading`` of the first element
-    whose set holds e, or ``len(reading)``: an array from a grid's
-    :meth:`~monoext.grid._GridSets.first_holder`, or a list from the bits
-    of each newly covered block."""
+def _first_holder(sets, reading, whole: bool):
+    """Per element e, the position in ``reading`` of the first element whose
+    set holds e, or ``len(reading)``: a grid's array, a built poset's list
+    from the bits of each newly covered block, or unless ``whole`` its dict
+    over the elements read only."""
     if isinstance(sets, _GridSets):
         return sets.first_holder(reading)
-    key = [len(reading)] * len(sets)
+    key = [len(reading)] * len(sets) if whole else {}
     mask = 0
     for k, i in enumerate(reading):
-        parts = [(sets[i] & ~mask, 0)]
-        mask |= sets[i]
-        while parts:
-            part, at = parts.pop()
-            # Halving a wide part first makes each bit cost word-sized
-            # operations, not ones as wide as the poset.
-            while part.bit_length() > 64:
-                half = part.bit_length() // 2
-                parts.append((part >> half, at + half))
-                part &= (1 << half) - 1
-            while part:
-                low = part & -part
-                key[at + low.bit_length() - 1] = k
-                part ^= low
+        new = sets[i] & ~mask
+        mask |= new
+        if not whole:
+            # Only an element that an earlier set holds is searched for.
+            key[i] = k if new >> i & 1 else next(
+                q for q, j in enumerate(reading) if sets[j] >> i & 1)
+            continue
+        while new:
+            low = new & -new
+            key[low.bit_length() - 1] = k
+            new ^= low
     return key
 
 
-def _validate_ordering(poset: Poset, scale: ValueScale, query: QuerySet, perm):
-    """The key :func:`_first_holder` of the down-sets along ``perm``, once
-    the scale is checked.  The ordering is admissible iff the first
-    down-set holding each query element is its own; if not, the error names
-    the first that is not and the first earlier element above it."""
+def _validate_ordering(poset: Poset, scale: ValueScale, query: QuerySet, perm,
+                       up: bool = False, whole: bool = False):
+    """The key :func:`_first_holder` of the down-sets along ``perm``, or
+    with ``up`` of the up-sets along it from the top, once the scale and
+    permutation are checked.  The ordering is admissible iff each query
+    element's key is its own position; if not, the error names the first
+    element below an earlier one, and the first earlier one above it."""
     _check_scale(poset, scale)
     n = len(query)
     if tuple(sorted(perm)) != tuple(range(n)):
         raise InvalidPermutation(f"{perm!r} is not a permutation of 0..{n - 1}")
-    reading = [query.indices[p] for p in perm]
-    key = _first_holder(poset.down, reading)
-    for k, i in enumerate(reading):
-        if key[i] != k:
-            raise InvalidPermutation(
-                f"{query.labels[perm[k]]!r} lies below "
-                f"{query.labels[perm[key[i]]]!r} but is ordered after it"
-            )
-    return key
+    reading = [query.indices[p] for p in (perm[::-1] if up else perm)]
+    key = _first_holder(poset.up if up else poset.down, reading, whole)
+    for late, i in enumerate(reading):
+        if key[i] != late:
+            break
+    else:
+        return key
+    if up:  # inadmissible either way; the message is worded from the bottom
+        _validate_ordering(poset, scale, query, perm)
+    below, above = (query.labels[perm[k]] for k in (late, key[reading[late]]))
+    raise InvalidPermutation(f"{below!r} lies below {above!r} but is ordered after it")
 
 
 def _first_pair(query: QuerySet, offends):
@@ -312,18 +313,17 @@ def build_witness(
     element, canonical index).
 
     The running unions are down-closed in the order read, so the key never
-    decreases along it, and:
+    decreases along it.  The ordering check computes it, and:
     - on a grid, the key is an array and the extension a sort by it,
       :meth:`~monoext.grid._GridSets.extension`;
-    - on a built poset, if its cover pairs (i, j) all have i < j, min
-      mode reads along them, and (key, index) is itself an extension, so
-      it is the stable sort of the key; otherwise Kahn's algorithm with a
-      heap finds it, :func:`_first_extension`.
+    - on a built poset, the key is found by walking each block's bits;
+      if its cover pairs (i, j) all have i < j, min mode reads along them,
+      and (key, index) is itself an extension, so it is the stable sort of
+      the key; otherwise Kahn's algorithm with a heap finds it,
+      :func:`_first_extension`.
     """
-    key = _validate_ordering(poset, scale, query, perm)
+    key = _validate_ordering(poset, scale, query, perm, mode == "max", True)
     sets, _, sign = _orientation(poset, mode)
-    if sign < 0:  # min mode reads the ordering as the check does
-        key = _first_holder(sets, [query.indices[p] for p in perm[::-1]])
     n = poset.n
     if isinstance(key, np.ndarray):
         ranks = np.empty(n, dtype=np.int64)

@@ -583,11 +583,14 @@ class TestErrorsAndConfig:
             ("scale", json.dumps({"values": [list(range(100_000)), 2, 3, 4]}),
              "ValidationError"),
             ("query", json.dumps({"query": [list(range(100_000))]}), "UnknownElement"),
+            # Each 'é' is written as the six characters \u00e9.
+            ("query", json.dumps({"query": ["\u00e9" * 100_000]}), "UnknownElement"),
         ],
         ids=["cover-not-a-pair", "grid-without-n", "grid-over-limit",
              "labels-string", "cover-string", "values-string", "query-object",
              "pwl-points-strings", "label-nested-too-deep", "grid-n-long-list",
-             "map-long-list", "scale-value-long-list", "query-label-long-list"],
+             "map-long-list", "scale-value-long-list", "query-label-long-list",
+             "query-label-non-ascii"],
     )
     def test_malformed_poset_is_validation_error(self, fixtures, tmp_path, name,
                                                  doc, error):

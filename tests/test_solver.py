@@ -685,32 +685,6 @@ class TestWitnessBySort:
                 got = build_witness(p, scale, q, perm, "min").ranks
                 assert got == heap_witness_ranks(p, q, perm, "min")
 
-    def test_blocks_wider_than_a_word(self):
-        # A block of more than 64 elements is walked in halves; keys,
-        # witnesses and ordering messages must not see the split.
-        rng = random.Random(64)
-        for n in (65, 130, 300):
-            topo = rng.sample(range(n), n)
-            posets = [
-                build_poset(range(n), [(i, i + 1) for i in range(n - 1)]),
-                build_poset(range(n), [(a, b) for k, a in enumerate(topo)
-                                       for b in topo[k + 1:k + 4] if rng.random() < 0.5]),
-            ]
-            for poset in posets:
-                scale = ValueScale(range(1, n + 1))
-                for _ in range(4):
-                    q = QuerySet(poset, rng.sample(range(n), rng.randint(1, 4)))
-                    for perm in permutations(range(len(q))):
-                        want = ordering_violation(poset, q, perm)
-                        for mode in ("min", "max"):
-                            try:
-                                got = build_witness(poset, scale, q, perm, mode).ranks
-                            except InvalidPermutation as e:
-                                assert str(e) == want
-                                continue
-                            assert want is None
-                            assert got == heap_witness_ranks(poset, q, perm, mode)
-
     def test_other_posets_keep_the_heap(self, monkeypatch):
         calls = []
         heap = solver._first_extension
