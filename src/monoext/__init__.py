@@ -3,14 +3,18 @@ continuous line-integral and random-process bounds they discretize."""
 
 from . import errors
 from .continuous import (
-    GridExperiment,
     MembershipReport,
-    column_chain_bound,
     eval_extremal_surface,
-    grid_experiment,
     line_integral_bound,
     line_integral_on_surface,
     verify_membership,
+)
+from .discretize import (
+    GridExperiment,
+    column_chain_bound,
+    grid_experiment,
+    rows_grid_cross_check,
+    scale_from_m,
 )
 from .func1d import (
     EmpiricalRV,
@@ -33,7 +37,6 @@ from .process import (
     expectation_bound,
     fubini_check,
     make_extremal_process,
-    rows_grid_cross_check,
     simplified_bound,
     verify_process_membership,
 )
@@ -43,7 +46,6 @@ from .solver import (
     conditional_max,
     conditional_min,
     disjoint_bound,
-    scale_from_m,
     solve_max,
     solve_min,
 )

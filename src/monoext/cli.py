@@ -25,11 +25,11 @@ import numpy as np
 from .continuous import (
     MAX_SURFACE_GRID,
     _surface_grid,
-    grid_experiment,
     line_integral_bound,
     line_integral_on_surface,
     verify_membership,
 )
+from .discretize import grid_experiment, scale_from_m
 from .errors import CapExceeded, MonoextError, ValidationError
 from .func1d import EmpiricalRV, MonotoneMap1D
 from .grid import _GridLabels
@@ -43,7 +43,7 @@ from .process import (
     simplified_bound,
     verify_process_membership,
 )
-from .solver import scale_from_m, solve_max, solve_min
+from .solver import solve_max, solve_min
 from .values import BoundResult, MonotoneBijection, ValueScale
 
 USAGE_EXIT = 64

@@ -12,16 +12,12 @@ level regions are the growth increments of the rectangles
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidGrid, MembershipViolation, OutOfDomain
 from .func1d import MonotoneMap1D, _clamp_unit, _integrate_nodes
-from .poset import grid_poset, QuerySet
-from .solver import chain_bounds, scale_from_m
 
 
 # The largest grid side the membership checks accept.  They hold several
@@ -86,8 +82,9 @@ def _check_rising(values, axis: int, point, message: str) -> None:
     """Raise :class:`MembershipViolation` with ``message`` unless the 2-D
     array ``values`` never decreases along ``axis``.  The witness is the
     first decreasing cell (i, j) in row-major order and its successor
-    along the axis, each as (*point(i, j), value)."""
-    falls = np.diff(values, axis=axis) < 0
+    along the axis, each as (*point(i, j), value).  A step to or from NaN
+    counts as a decrease, so a NaN cell is named too."""
+    falls = ~(np.diff(values, axis=axis) >= 0)
     if falls.any():
         i, j = map(int, np.argwhere(falls)[0])
         k, l = (i + 1, j) if axis == 0 else (i, j + 1)
@@ -200,88 +197,3 @@ def line_integral_on_surface(
     return _integrate_nodes(
         lambda s: _surface_values(m, t, t.eval_many(s), s), 0.0, 1.0, tol
     )
-
-
-@dataclass(frozen=True)
-class GridExperiment:
-    """Outcome of the square-grid discretization of the constant-path bound."""
-
-    alpha: float
-    n: int
-    k: int
-    column: int
-    discrete_sum: Fraction      # (1/n) * sum of column values, equals discrete_bound / n
-    discrete_bound: Fraction    # closed-form column-sum bound s(n+1)/(2n)
-    continuous_target: Fraction  # alpha / 2
-    abs_error: Fraction
-    c_fit: Fraction             # abs_error * n
-
-    def as_dict(self) -> dict:
-        """The fields in declaration order, each Fraction as its string."""
-        return {
-            name: str(v) if isinstance(v, Fraction) else v
-            for name, v in asdict(self).items()
-        }
-
-
-def grid_experiment(alpha: float, n: int, k: int) -> GridExperiment:
-    """Discretize the constant-path problem on an n x n grid.
-
-    The filling (values 1..n^2, scaled by 1/n^2) is the solver's min
-    witness of the column chain {(s, j)}, where s is the column containing
-    x = alpha: the witness of the transposed chain {(v, s)} on
-    :func:`grid_poset`, turned round.  It fills the s leftmost columns row
-    by row with 1..s*n, the rest row by row with s*n+1..n^2, and is checked
-    monotone along both axes.  Returns the observed column average at
-    column s, the closed-form bound s(n+1)/(2n), and the distance to the
-    continuum target alpha/2.  ``k`` must be a positive divisor of n; it is
-    validated and echoed in the record but computes nothing.
-    """
-    if not (math.isfinite(alpha) and 0 < alpha <= 1):
-        raise InvalidGrid("alpha must lie in (0, 1]")
-    fa = Fraction(alpha)
-    if n < 2:
-        raise InvalidGrid("n must be at least 2")
-    if k < 1 or n % k != 0:
-        raise InvalidGrid("k must be a positive divisor of n")
-    s = math.ceil(fa * n)
-
-    # val[i-1, j-1], i column, j row; integer values 1..n^2.
-    down = grid_poset(n).down
-    order = down.extension(down.first_holder([v * n + s - 1 for v in range(n)]))
-    val = np.empty(n * n, dtype=np.int64)
-    val[order] = np.arange(1, n * n + 1)
-    val = val.reshape(n, n).T
-    if (np.diff(val, axis=0) <= 0).any():
-        raise MembershipViolation("grid filling not monotone in x")
-    if (np.diff(val, axis=1) <= 0).any():
-        raise MembershipViolation("grid filling not monotone in y")
-
-    column_total = int(val[s - 1].sum())
-    discrete_sum = Fraction(column_total, n**3)
-    discrete_bound = Fraction(s * (n + 1), 2 * n)
-    target = fa / 2
-    err = abs(discrete_sum - target)
-    return GridExperiment(
-        alpha=float(alpha),
-        n=n,
-        k=k,
-        column=s,
-        discrete_sum=discrete_sum,
-        discrete_bound=discrete_bound,
-        continuous_target=target,
-        abs_error=err,
-        c_fit=err * n,
-    )
-
-
-def column_chain_bound(n: int, s: int) -> Fraction:
-    """Column-sum lower bound on the n x n product grid via the chain
-    closed form, with the identity scale i/n^2.  Ties the grid experiment
-    to the discrete solver; must equal s(n+1)/(2n) exactly.
-    """
-    poset = grid_poset(n, "product")
-    scale = scale_from_m(MonotoneMap1D.identity(), n)
-    column = QuerySet(poset, [(s, v) for v in range(1, n + 1)])
-    mn, _ = chain_bounds(poset, scale, column)
-    return mn

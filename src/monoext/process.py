@@ -21,8 +21,6 @@ import numpy as np
 from .continuous import MAX_SURFACE_GRID, _check_levels, _check_rising
 from .errors import InvalidGrid, ValidationError
 from .func1d import EmpiricalRV, MonotoneMap1D, _integrate_nodes, _unit_many
-from .poset import QuerySet, grid_poset
-from .solver import disjoint_bound, scale_from_m
 from .values import _integer_ratios
 
 
@@ -282,34 +280,3 @@ def verify_process_membership(
         "level-set deviation {worst:.3g} at s={level} exceeds budget {budget:.3g}",
     )
     return ProcessMembershipReport(grid_t, grid_y, True, worst, worst_level, budget)
-
-
-def rows_grid_cross_check(m: MonotoneMap1D, n: int, s_indices) -> dict:
-    """Row-order grid instance of the disjoint-down-set closed form.
-
-    For non-decreasing time indices 1 <= s_1 <= ... <= s_n <= n, queries
-    the nodes (s_v, v) of the n x n rows-order grid with the scale
-    m^{-1}(i/n^2).  The closed form sums m^{-1}((s_1+...+s_v)/n^2); the
-    dict reports both sides so callers can assert exact (rational) or
-    near-exact (float) agreement.
-    """
-    s_list = list(s_indices)
-    if len(s_list) != n:
-        raise ValidationError("need exactly n time indices")
-    prev = 1
-    for s in s_list:
-        if not prev <= s <= n:
-            raise ValidationError("indices must be non-decreasing within 1..n")
-        prev = s
-    poset = grid_poset(n, "rows")
-    scale = scale_from_m(m, n)
-    query = QuerySet(poset, [(s, v) for v, s in enumerate(s_list, start=1)])
-    bound = disjoint_bound(poset, scale, query, "min")
-    n2 = n * n
-    prefix = 0
-    closed = Fraction(0) if m.kind == "identity" else 0.0
-    for s in s_list:
-        prefix += s
-        closed += m.inverse(Fraction(prefix, n2))
-    return {"poset": poset, "scale": scale, "query": query,
-            "bound": bound, "closed_form": closed}

@@ -8,7 +8,6 @@ CLI do not pay for them twice.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -16,11 +15,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .continuous import (
-    column_chain_bound,
-    grid_experiment,
     line_integral_bound,
     line_integral_on_surface,
     verify_membership,
+)
+from .discretize import (
+    column_chain_bound,
+    grid_experiment,
+    rows_grid_cross_check,
 )
 from .errors import MembershipViolation, NotAChain, PreconditionViolated
 from .func1d import EmpiricalRV, MonotoneMap1D
@@ -31,14 +33,12 @@ from .process import (
     expectation_bound,
     fubini_check,
     make_extremal_process,
-    rows_grid_cross_check,
     verify_process_membership,
 )
 from .solver import (
     build_witness,
     chain_bounds,
     disjoint_bound,
-    scale_from_m,
     solve_max,
     solve_min,
 )
@@ -460,9 +460,7 @@ def criterion_rows_grid_cross_check(max_brute_n: int = 3) -> CriterionResult:
     bad = 0
     checked = 0
     for n in (2, 3, 4):
-        vectors = [
-            list(v) for v in combinations_with_replacement(range(1, n + 1), n)
-        ]
+        vectors = list(combinations_with_replacement(range(1, n + 1), n))
         for m, exact in ((MonotoneMap1D.identity(), True), (MonotoneMap1D.power(2), False)):
             for s_vec in vectors:
                 checked += 1

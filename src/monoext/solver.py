@@ -29,7 +29,6 @@ from .errors import (
     PreconditionViolated,
     ValidationError,
 )
-from .func1d import MonotoneMap1D
 from .grid import _GridSets
 from .poset import DEFAULT_CAP, Poset, QuerySet, _query_covers
 from .poset import _cover_succs, _first_extension
@@ -389,24 +388,3 @@ def disjoint_bound(
     # perm[::sign] is the reading order: smallest set first.
     perm = sorted(range(len(idxs)), key=lambda p: sign * sizes[p])
     return _oriented_sum(poset, scale, idxs, perm, mode)
-
-
-def scale_from_m(m: MonotoneMap1D, n: int) -> ValueScale:
-    """The scale of preimages m^{-1}(i / n^2), i = 1..n^2.
-
-    Identity maps produce the exact rationals i / n^2, held as the
-    numerators ``range(1, n^2 + 1)`` over n^2.  Other kinds go through one
-    :meth:`~MonotoneMap1D.inverse_many` call on the correctly rounded
-    floats i / n^2, whose results the scale then holds exactly, as
-    integers over their common power-of-two denominator.  Strict increase
-    is re-checked on the integers.
-    """
-    if n < 1:
-        raise ValidationError("n must be at least 1")
-    if not m.is_increasing_bijection:
-        raise ValidationError("map must be an increasing bijection")
-    n2 = n * n
-    if m.kind == "identity":
-        return ValueScale.over(range(1, n2 + 1), n2)
-    inverse = m.inverse_many(np.arange(1, n2 + 1) / n2).tolist()
-    return ValueScale.over(*_integer_ratios(inverse))

@@ -174,15 +174,22 @@ class TestMembership:
             # Decreasing along both axes: x is checked first.
             ([[0.5, 0.1, 0.9], [0.4, 0.6, 0.7], [0.8, 0.9, 1.0]],
              "surface decreases in x", ((0, 0, 0.5), (1, 0, 0.4))),
+            # A NaN cell compares false both ways; the step into it is named.
+            ([[0.1, 0.2, 0.3], [0.4, math.nan, 0.6], [0.7, 0.8, 0.9]],
+             "surface decreases in x", ((0, 1, 0.2), (1, 1, math.nan))),
+            ([[math.nan, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]],
+             "surface decreases in x", ((0, 0, math.nan), (1, 0, 0.4))),
         ],
-        ids=["x", "y", "x-before-y"],
+        ids=["x", "y", "x-before-y", "nan", "nan-at-origin"],
     )
     def test_decrease_witness(self, surface, message, witness):
         with pytest.raises(MembershipViolation) as e:
             verify_membership(ID, ID, 3, surface=surface)
         assert str(e.value) == message
         c = self.CENTERS
-        assert e.value.witness == tuple((c[i], c[j], v) for i, j, v in witness)
+        # assert_equal holds NaN equal to NaN, and is exact otherwise.
+        np.testing.assert_equal(e.value.witness,
+                                tuple((c[i], c[j], v) for i, j, v in witness))
 
     def test_level_budget_witness(self):
         # Monotone, but every cell holds 0.5: F(u) jumps from 0 to 1 at 0.5.

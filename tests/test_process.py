@@ -521,6 +521,18 @@ class TestProcessMembership:
         assert str(e.value) == "trajectory decreases in t"
         t, y = (np.arange(3) + 0.5) / 3, (np.arange(2) + 0.5) / 2
         assert e.value.witness == ((t[1], y[0], 0.3), (t[2], y[0], 0.2))
+        # A NaN cell compares false both ways; the step into or out of it
+        # is named.  assert_equal holds NaN equal to NaN.
+        for values, witness in (
+            ([[0.1, 0.2, 0.3], [0.4, math.nan, 0.6]],
+             ((t[0], y[1], 0.4), (t[1], y[1], math.nan))),
+            ([[math.nan, 0.2, 0.3], [0.4, 0.5, 0.6]],
+             ((t[0], y[0], math.nan), (t[1], y[0], 0.2))),
+        ):
+            with pytest.raises(MembershipViolation) as e:
+                verify_process_membership(proc, 3, 2, values=values)
+            assert str(e.value) == "trajectory decreases in t"
+            np.testing.assert_equal(e.value.witness, witness)
 
     def test_level_budget_witness(self):
         # Monotone, but every cell holds 0.5: F(s) jumps from 0 to 1 at 0.5.
