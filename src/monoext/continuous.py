@@ -92,15 +92,22 @@ def _check_rising(values, axis: int, point, message: str) -> None:
             (*point(i, j), values[i, j]), (*point(k, l), values[k, l])))
 
 
-def _check_levels(values, m, level_count: int, budget: float, message: str):
+def _check_levels(values, point, m, level_count: int, budget: float, message: str):
     """(worst, level): the largest |F(m^{-1}(u)) - u| over ``level_count``
     levels u spread evenly over [0, 1], F the empirical distribution
     function of ``values``, and the first level attaining it.  Raises
-    :class:`MembershipViolation` with ``message``, formatted with worst,
-    level and budget, and the witness (level, worst) when worst exceeds
-    ``budget``."""
-    levels = np.linspace(0.0, 1.0, level_count)
+    :class:`MembershipViolation` naming the first value in row-major order
+    outside [0, 1], the class's range, with the witness
+    (*point(i, j), value); otherwise with ``message``, formatted with
+    worst, level and budget, and the witness (level, worst) when worst
+    exceeds ``budget``."""
     flat = np.sort(values, axis=None)
+    if flat[0] < 0.0 or flat[-1] > 1.0:
+        i, j = map(int, np.argwhere((values < 0.0) | (values > 1.0))[0])
+        value = float(values[i, j])
+        raise MembershipViolation(f"value {value!r} lies outside [0, 1]",
+                                  witness=(*point(i, j), value))
+    levels = np.linspace(0.0, 1.0, level_count)
     below = np.searchsorted(flat, m.inverse_many(levels), side="right")
     dev = np.abs(below / flat.size - levels)
     k = int(np.argmax(dev))
@@ -179,7 +186,7 @@ def verify_membership(
     _check_rising(grid, 1, point, "surface decreases in y")
     budget = 2.0 / grid_n + 1e-9
     worst, worst_u = _check_levels(
-        grid, m, u_count, budget,
+        grid, point, m, u_count, budget,
         "distribution deviation {worst:.3g} at u={level} exceeds budget {budget:.3g}",
     )
     return MembershipReport(grid_n, True, worst, worst_u, budget)

@@ -272,11 +272,13 @@ def verify_process_membership(
                 f"values array has shape {values.shape}, want {(grid_y, grid_t)}"
             )
 
-    _check_rising(values, 1, lambda j, a: (t_centers[a], y_centers[j]),
-                  "trajectory decreases in t")
+    def point(j, a):
+        return t_centers[a], y_centers[j]
+
+    _check_rising(values, 1, point, "trajectory decreases in t")
     budget = 2.0 * (1.0 / grid_t + 1.0 / grid_y) + 1.0 / proc.sample_count + 1e-9
     worst, worst_level = _check_levels(
-        values, proc.m, s_count, budget,
+        values, point, proc.m, s_count, budget,
         "level-set deviation {worst:.3g} at s={level} exceeds budget {budget:.3g}",
     )
     return ProcessMembershipReport(grid_t, grid_y, True, worst, worst_level, budget)

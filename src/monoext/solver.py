@@ -3,20 +3,27 @@
 Given a poset, a strictly increasing value scale of the same size, and a
 query set B, the minimum and maximum of ``sum(f(b) for b in B)`` over all
 monotone bijections f are computed from a closed-form conditional value
-per admissible ordering of B, optimized by dynamic programming over
-the order ideals of the query.  The search adds and compares integers:
-the scale values it charges are first brought to their common
-denominator, so every result is exact.  It keeps two layers of cost
-values over that denominator, plus one choice per ideal.  Every maximum
-runs through the same code as the minimum, reading the up-sets from the
-top of the order (:func:`_orientation`); no reversed instance is built.
+per admissible ordering of B, optimized over those orderings
+(:func:`_search`).  A query whose induced order is a chain has one
+admissible ordering, found by walking its covers, and its sum is read off
+its elements' set sizes.  Any other
+query is searched by dynamic programming over the order ideals of the
+query, pruned: an ideal is kept only if the least cost of reaching it plus
+a lower bound on the cost still to come is at most the cost of a greedy
+ordering, so every ideal on an optimal path is kept and the result is
+that of the full search.  The search adds and compares integers: the
+scale values it charges are first brought to their common denominator,
+so every result is exact.  It keeps two layers of cost values over that
+denominator, plus one choice per kept ideal.  Every maximum runs through
+the same code as the minimum, reading the up-sets from the top of the
+order (:func:`_orientation`); no reversed instance is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import or_
 
 import numpy as np
@@ -32,7 +39,7 @@ from .errors import (
 from .grid import _GridSets
 from .poset import DEFAULT_CAP, Poset, QuerySet, _query_covers
 from .poset import _cover_succs, _first_extension
-from .values import BoundResult, MonotoneBijection, ValueScale, _integer_ratios
+from .values import BoundResult, MonotoneBijection, ValueScale, _integer_ratios, _Ratios
 
 
 def _check_scale(poset: Poset, scale: ValueScale) -> None:
@@ -169,7 +176,7 @@ def solve_min(
     subposet induced on the query (:func:`_search`), with the value of
     rank k charged for a prefix whose down-sets cover k elements.  The
     reported ordering is the lexicographically least optimal one, and
-    ``cap`` bounds the number of ideals (DP states).
+    ``cap`` bounds the number of ideals (DP states) the search holds.
     """
     return _solve(poset, scale, query, cap, "min")
 
@@ -191,100 +198,190 @@ def solve_max(
 def _solve(poset, scale, query, cap, mode) -> BoundResult:
     _check_instance(poset, scale, query)
     sets, rank, sign = _orientation(poset, mode)
-    xi = scale.values
-    best, perm = _search(sets, query.indices, lambda k: xi[rank(k) - 1], sign, cap)
+    best, perm = _search(sets, query.indices, scale.values, rank, sign, cap)
     perm = perm[::sign]
     witness = build_witness(poset, scale, query, perm, mode)
     per_node = tuple(witness.value(query.labels[p]) for p in perm)
     return BoundResult(best, perm, witness, per_node)
 
 
-def _search(sets, idxs, value, sign: int, cap: int):
-    """``sign`` times the least sum of ``sign * value(k)`` over the prefixes
-    of an admissible ordering of the query entries ``idxs``, k being the
-    size of the union of the prefix's sets, and the lexicographically least
-    ordering (in canonical index) attaining it, as positions into ``idxs``.
-    That is the least sum for ``sign`` +1 and the greatest for -1.
-    ``sets`` are the down-sets of the order searched: the poset's
-    down-sets, or its up-sets for the reversed order.
+def _weights(values, rank, sign: int, sizes):
+    """``(w, den)``: ``w[j]`` is ``sign`` times the value ranked
+    ``rank(sizes[j])``, as an integer over the common denominator ``den``.
+    A range of sizes is read as one slice.  A from_m scale's held
+    numerators are read without building a value."""
+    if isinstance(values, _Ratios):
+        held, den = values.nums, values.den
+    else:
+        held, den = values, None
+    if isinstance(sizes, range):
+        a, b = rank(sizes[0]) - 1, rank(sizes[-1]) - 1
+        picked = held[min(a, b):max(a, b) + 1][::sign]
+    else:
+        picked = [held[rank(k) - 1] for k in sizes]
+    if den is None:
+        picked, den = _integer_ratios(picked)
+    return [sign * num for num in picked], den
 
-    The cost still to come after placing a set of query elements depends
-    only on that set, so each order ideal of the induced subposet is solved
-    once.  A forward pass enumerates the ideals layer by layer with the
-    size of their union.  The values at the sizes reached are brought to
-    their common denominator, so the backward pass adds and compares
-    integers; it keeps the cost still to come for two layers only, plus
-    one choice per ideal: the lowest successor bit attaining the minimum.
-    Following the choices from the empty ideal rebuilds the ordering.
-    Raises :class:`CapExceeded` when there are more than ``cap`` ideals.
+
+def _freed(free: int, used: int, low: int, lower, upper) -> int:
+    """The minimal unplaced elements of the ideal ``used``, which bit
+    ``low`` has just joined, from ``free``, those of the ideal before it
+    less ``low``: placing r can make minimal only an element covering r,
+    and does once every element that one covers is placed."""
+    for c in upper[low.bit_length() - 1]:
+        if not lower[c] & ~used:
+            free |= 1 << c
+    return free
+
+
+def _search(sets, idxs, values, rank, sign: int, cap: int):
+    """``sign`` times the least sum of ``sign`` times the scale value
+    ``values[rank(k) - 1]`` over the prefixes of an admissible ordering of
+    the query entries ``idxs``, k being the size of the union of the
+    prefix's sets, and the lexicographically least ordering (in canonical
+    index) attaining it, as positions into ``idxs``.  That is the least
+    sum for ``sign`` +1 and the greatest for -1.  ``sets`` are the
+    down-sets of the order searched: the poset's down-sets, or its up-sets
+    for the reversed order.  The charges are brought to one denominator,
+    so the search adds and compares integers; ``w(u)`` below is the charge
+    of a union of u elements, and it rises with u in both modes.
+
+    A query whose induced order is a chain has one admissible ordering,
+    found by walking the covers up from its one minimal element, and the
+    union along it is the current element's set: the sum is read off the
+    k set sizes, and only their values are charged.
+
+    Otherwise the cost still to come after placing a set of query elements
+    depends only on that set, so each order ideal of the induced subposet
+    is solved once, and only the ideals that can lie on an optimal path
+    are kept.  A greedy ordering, placing next the minimal element whose
+    union grows least, costs UB.  The forward pass goes layer by layer and
+    carries g, the least cost of reaching an ideal from a kept ideal.  With
+    s the size of the ideal's union, r the placements left and ``full``
+    the size of the union of all the query's sets, each placement left
+    grows the union by at least one and the last ends at ``full``; as w
+    rises, h = W(s + r - 1) - W(s) + w(full), W the prefix sums of w, is
+    at most the cost still to come.  An ideal is kept iff g + h <= UB.
+
+    Why the result is unchanged.  Take an ideal on an optimal path whose
+    ideals before it are kept.  Its g is at most the path's cost up to
+    it, and its h at most the path's cost still to come, so g + h <= the
+    optimum <= UB and it is kept: by induction from the empty ideal, every
+    ideal on an optimal path is kept.  The backward pass runs over the
+    kept ideals only, so the cost still to come it finds through a kept
+    successor is never less than the true one, and it is the true one at
+    an ideal on an optimal path, whose optimal continuations are all
+    kept.  So at each ideal of the reported path, the successors attaining
+    the optimum are those of the unpruned search, and taking the lowest
+    bit among them returns the same optimum and the same lexicographically
+    least ordering, in both modes.
+
+    ``cap`` bounds the ideals held, which are the kept ones (k + 1 for a
+    chain).  Raises :class:`CapExceeded` past it.
     """
     n = len(idxs)
     # Bit r of an ideal stands for query position order[r], so the lowest
     # bit of a mask is the element first in canonical order.
     order = sorted(range(n), key=idxs.__getitem__)
-    ordered = [idxs[p] for p in order]
-    lower, upper = _query_covers(sets, ordered)
-    downs = [sets[i] for i in ordered]
-    minimal = {0: sum(1 << r for r in range(n) if not lower[r])}
+    lower, upper = _query_covers(sets, [idxs[p] for p in order])
+    downs = [sets[idxs[p]] for p in order]
+    first = sum(1 << r for r in range(n) if not lower[r])
+    if not first & (first - 1) and all(len(c) < 2 for c in upper):
+        # One minimal element and at most one cover above each: a chain.
+        if n + 1 > cap:
+            raise CapExceeded(cap)
+        path = [first.bit_length() - 1]
+        while upper[path[-1]]:
+            path.append(upper[path[-1]][0])
+        w, den = _weights(values, rank, sign, [downs[r].bit_count() for r in path])
+        return Fraction(sign * sum(w), den), tuple(order[r] for r in path)
 
-    # Forward: per layer, ideal -> size of the union of its down-sets; the
-    # unions themselves are kept for one layer only.  Each ideal's minimal
-    # unplaced elements are updated along the covers: placing r can make
-    # minimal only an element covering r.
-    sizes = [{0: 0}]
-    states = 1
-    layer = {0: 0}
+    full = reduce(or_, downs).bit_count()
+    w, den = _weights(values, rank, sign, range(1, full + 1))
+    w.insert(0, 0)  # the empty ideal is charged nothing
+    prefix = list(accumulate(w))
+
+    # The greedy ordering's cost, the incumbent UB.
+    ub = used = mask = 0
+    free = first
     for _ in range(n):
-        nxt = {}
-        for used, mask in layer.items():
-            a = minimal[used]
+        a = free
+        size = full + 1
+        while a:
+            low = a & -a
+            a ^= low
+            k = (mask | downs[low.bit_length() - 1]).bit_count()
+            if k < size:
+                size, pick = k, low
+        ub += w[size]
+        mask |= downs[pick.bit_length() - 1]
+        used |= pick
+        free = _freed(free ^ pick, used, pick, lower, upper)
+
+    # Forward: per layer, the kept ideals with the size of their union,
+    # and for one layer only their unions and the least g of a kept
+    # predecessor.  An ideal whose union has s elements, entered from a
+    # predecessor of cost g, passes iff g + W(s + n - j - 1) - W(s - 1) +
+    # w(full) <= UB: the cost of entering it plus its h.  Its g is the least
+    # over its kept predecessors, so it is kept iff one of them passes it,
+    # and once kept, a later predecessor can only lower its g.
+    minimal = {0: first}
+    layers = [{0: 0}]
+    kept = 1
+    room = ub - w[full]
+    reach, unions = {0: 0}, {0: 0}
+    for j in range(1, n + 1):
+        left = n - j - 1
+        sizes = layers[-1]
+        prev, unions, nxt, level = unions, {}, {}, {}
+        for used, mask in prev.items():
+            g = reach[used] + w[sizes[used]]
+            free = minimal[used]
+            a = free
             while a:
                 low = a & -a
                 a ^= low
                 t = used | low
-                if t not in nxt:
-                    r = low.bit_length() - 1
-                    nxt[t] = mask | downs[r]
-                    if states + len(nxt) > cap:
-                        raise CapExceeded(cap)
-                    m = minimal[used] ^ low
-                    for c in upper[r]:
-                        if not lower[c] & ~t:
-                            m |= 1 << c
-                    minimal[t] = m
-        states += len(nxt)
-        sizes.append({t: mask.bit_count() for t, mask in nxt.items()})
-        layer = nxt
-
-    # Integer weights over the common denominator of the values at the
-    # sizes reached; the empty ideal is charged nothing.
-    reached = set().union(*(level.values() for level in sizes[1:]))
-    nums, den = _integer_ratios([value(k) for k in reached])
-    weight = {k: sign * num for k, num in zip(reached, nums)}
-    weight[0] = 0
+                if t in nxt:
+                    if g < nxt[t]:
+                        nxt[t] = g
+                    continue
+                union = mask | downs[low.bit_length() - 1]
+                s = union.bit_count()
+                if g + prefix[s + left] - prefix[s - 1] > room:
+                    continue
+                kept += 1
+                if kept > cap:
+                    raise CapExceeded(cap)
+                nxt[t] = g
+                unions[t] = union
+                level[t] = s
+                minimal[t] = _freed(free ^ low, t, low, lower, upper)
+        reach = nxt
+        layers.append(level)
 
     # Backward: ``ahead`` holds, for the layer after the current one, the
-    # cost of entering each ideal plus the optimal cost of every later
-    # step.  Successors are scanned lowest bit first and replaced only on
-    # a strict improvement.
+    # cost of entering each kept ideal plus the optimal cost of every later
+    # step through kept ideals; an ideal with no kept successor has none.
+    # Successors are scanned lowest bit first and replaced only on a strict
+    # improvement.
     choice = {}
-    ahead = {t: weight[k] for t, k in sizes[n].items()}
-    for level in reversed(sizes[:n]):
+    ahead = {t: w[s] for t, s in layers[n].items()}
+    for level in reversed(layers[:n]):
         here = {}
-        for used, k in level.items():
+        for used, s in level.items():
             a = minimal[used]
-            pick = a & -a
-            best = ahead[used | pick]
-            a ^= pick
+            best = None
             while a:
                 low = a & -a
                 a ^= low
-                cost = ahead[used | low]
-                if cost < best:
-                    best = cost
-                    pick = low
-            here[used] = weight[k] + best
-            choice[used] = pick
+                c = ahead.get(used | low)
+                if c is not None and (best is None or c < best):
+                    best, pick = c, low
+            if best is not None:
+                here[used] = w[s] + best
+                choice[used] = pick
         ahead = here
 
     perm = []

@@ -4,10 +4,13 @@ The brute-force ones are written from the definitions: each filters all
 permutations or compares all pairs, so it shares no code with the
 solver's ordering search, its precondition checks, the
 oracle's enumeration or the witness builder, and is meant for posets of a
-few elements only.  :func:`eval_extremal_process` is the one-point case of
-the process grid evaluator, which no program path needs.
+few elements only.  :func:`bellman_extremum` solves the ordering problem
+over every order ideal of the query, unpruned, in Fraction arithmetic, for
+queries of up to a dozen elements.  :func:`eval_extremal_process` is the
+one-point case of the process grid evaluator, which no program path needs.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
 from monoext import QuerySet, ValueScale, build_poset
@@ -55,6 +58,63 @@ def first_offending_pair(query, offends):
             if offends(a, b):
                 return a, b
     return None
+
+
+def bellman_extremum(poset, scale, query, mode):
+    """``(objective, perm)``: the least (``mode="min"``) or greatest query
+    sum over monotone bijections, and the ordering the solver reports for
+    it, by a Bellman recursion over every order ideal of the query.
+
+    An ordering is read from the bottom for the minimum and from the top
+    for the maximum.  The element read j-th adds its cone (the elements
+    below it, or above it for the maximum) to a running union of u
+    elements, and is charged the scale value of rank u, or of rank
+    N + 1 - u for the maximum.  What is still to come depends only on the
+    set of query elements read, so ``best(placed)`` is the optimum over
+    the elements still unread.  Of the optimal readings, the one that
+    lists the least canonical index first, and so on, is kept; the
+    minimum reports it as read and the maximum reports it reversed."""
+    idxs = query.indices
+    n = poset.n
+    k = len(idxs)
+    if mode == "min":
+        def under(a, b):
+            return poset.leq_idx(a, b)
+
+        def rank(u):
+            return u
+    else:
+        def under(a, b):
+            return poset.leq_idx(b, a)
+
+        def rank(u):
+            return n + 1 - u
+    cones = [frozenset(e for e in range(n) if under(e, i)) for i in idxs]
+    beneath = [{q for q in range(k) if q != p and under(idxs[q], idxs[p])}
+               for p in range(k)]
+    by_index = sorted(range(k), key=idxs.__getitem__)
+    memo = {}
+
+    def best(placed, covered):
+        if len(placed) == k:
+            return Fraction(0), ()
+        if placed in memo:
+            return memo[placed]
+        found = None
+        for p in by_index:
+            if p in placed or not beneath[p] <= placed:
+                continue
+            grown = covered | cones[p]
+            rest, reading = best(placed | {p}, grown)
+            total = scale.value(rank(len(grown))) + rest
+            if (found is None or (total < found[0] if mode == "min"
+                                  else total > found[0])):
+                found = total, (p,) + reading
+        memo[placed] = found
+        return found
+
+    total, reading = best(frozenset(), frozenset())
+    return total, reading if mode == "min" else reading[::-1]
 
 
 def linear_extensions(poset):

@@ -1053,6 +1053,37 @@ def run_child(*args):
     )
 
 
+def test_wide_antidiagonal_solves_at_the_default_cap():
+    """The 22-element antidiagonal of the 22 x 22 product grid has 2**22
+    order ideals; the search keeps only those that can lie on an optimal
+    path.  The child reports the peak resident size of its own image,
+    VmHWM, after the run."""
+    n = 22
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for name, doc in (("poset", {"grid": {"n": n, "order": "product"}}),
+                          ("scale", {"from_m": {"m": "id", "n": n}}),
+                          ("query", {"query": [[i, n + 1 - i] for i in range(1, n + 1)]})):
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            files += [f"--{name}", path]
+        proc = run_child(
+            "-c",
+            "import sys\n"
+            "from monoext.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "sys.stderr.write(status.split('VmHWM:')[1].split()[0])\n"
+            "sys.exit(code)\n",
+            "solve", *files, "--mode", "both")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["min"]["objective"] == "345/44"
+    assert payload["max"]["objective"] == "625/44"
+    assert int(proc.stderr) < 200 * 1024  # in kB
+
+
 def test_console_entry_point():
     proc = run_child("-m", "monoext.cli", "cont-bound", "--m", "id",
                      "--t", "const:0.25")

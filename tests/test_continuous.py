@@ -200,6 +200,24 @@ class TestMembership:
         )
         assert e.value.witness == (0.5, 0.5)
 
+    def test_values_outside_the_unit_interval_rejected(self):
+        # Still monotone with the corners pushed out of [0, 1]; the first
+        # value in row-major order outside the range is named.
+        t = MonotoneMap1D.constant(0.5)
+        centers = (np.arange(100) + 0.5) / 100
+        surface = _surface_grid(ID, t, centers, centers)
+        assert verify_membership(ID, t, 100, surface=surface).ok
+        surface[0, 0], surface[-1, -1] = -3.0, 7.0
+        with pytest.raises(MembershipViolation) as e:
+            verify_membership(ID, t, 100, surface=surface)
+        assert str(e.value) == "value -3.0 lies outside [0, 1]"
+        assert e.value.witness == (centers[0], centers[0], -3.0)
+        surface[0, 0] = 0.0
+        with pytest.raises(MembershipViolation) as e:
+            verify_membership(ID, t, 100, surface=surface)
+        assert str(e.value) == "value 7.0 lies outside [0, 1]"
+        assert e.value.witness == (centers[-1], centers[-1], 7.0)
+
     def test_grid_too_small(self):
         with pytest.raises(InvalidGrid):
             verify_membership(ID, ID, 1)

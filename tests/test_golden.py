@@ -228,6 +228,34 @@ def test_stdout_is_pinned(tmp_path, name, poset, scale, query, oracle):
     assert _digest(tmp_path, poset, scale, query, oracle) == PINNED[name]
 
 
+# The antidiagonal of the n x n product grid under the `id` scale, an
+# n-element antichain: the sha256 of the stdout of `solve --mode both`,
+# without and with --witness, as the unpruned search wrote it.
+ANTIDIAGONALS = {
+    16: ("47123bae49f41fd942a8b6d525e3bc4d37d3e4cff13285c92766dfa30d7f4f44",
+         "346c52437ddd897e1443b55d5f592346b537fb365d4ca1f66896541e102a91ce"),
+    18: ("9437828273ddfc2a59a9be38becfee83c6d9ec2e8cb02f11a26c1826709c2f9d",
+         "bb6ec517149baf5f7bcca2e360bef86bc32dc4d790a6dbaf3e9b0a4fd7634634"),
+}
+
+
+@pytest.mark.parametrize("n", ANTIDIAGONALS)
+def test_antidiagonal_stdout_is_pinned(tmp_path, n):
+    files = []
+    for name, doc in (("poset", {"grid": {"n": n, "order": "product"}}),
+                      ("scale", {"from_m": {"m": "id", "n": n}}),
+                      ("query", {"query": [[i, n + 1 - i] for i in range(1, n + 1)]})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        files += [f"--{name}", str(path)]
+    digests = []
+    for witness in ([], ["--witness"]):
+        out = io.StringIO()
+        assert main(["solve", *files, "--mode", "both", *witness], stdout=out) == 0
+        digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
+    assert tuple(digests) == ANTIDIAGONALS[n]
+
+
 # The surfaces the benchmark writes: (m, t, grid) and the sha256 of the CSV.
 SURFACES = {
     "id-id": (

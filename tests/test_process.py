@@ -534,6 +534,21 @@ class TestProcessMembership:
             assert str(e.value) == "trajectory decreases in t"
             np.testing.assert_equal(e.value.witness, witness)
 
+    def test_values_outside_the_unit_interval_rejected(self):
+        # Rows index y; each trajectory still rises.
+        proc = make_extremal_process(ID, UNIFORM)
+        t, y = (np.arange(3) + 0.5) / 3, (np.arange(2) + 0.5) / 2
+        for values, message, witness in (
+            ([[0.1, 0.2, 1.5], [-0.25, 0.5, 0.6]],
+             "value 1.5 lies outside [0, 1]", (t[2], y[0], 1.5)),
+            ([[0.1, 0.2, 0.3], [-0.25, 0.5, 0.6]],
+             "value -0.25 lies outside [0, 1]", (t[0], y[1], -0.25)),
+        ):
+            with pytest.raises(MembershipViolation) as e:
+                verify_process_membership(proc, 3, 2, values=values)
+            assert str(e.value) == message
+            assert e.value.witness == witness
+
     def test_level_budget_witness(self):
         # Monotone, but every cell holds 0.5: F(s) jumps from 0 to 1 at 0.5.
         proc = make_extremal_process(ID, UNIFORM)

@@ -41,6 +41,7 @@ from monoext.poset import _cover_succs, _first_extension, _grid_poset
 from monoext.solver import _orientation
 from reference import (
     admissible_orderings,
+    bellman_extremum,
     first_offending_pair,
     ordering_violation,
     reversed_instance,
@@ -343,6 +344,56 @@ class TestSolve:
         with pytest.raises(CapExceeded):
             solve_max(p, s, q, cap=7)
 
+    def test_cap_counts_the_kept_ideals(self):
+        # The 16-element antidiagonal has 2**16 order ideals, of which the
+        # search keeps 2604, so it solves under a cap of 8192 with the
+        # result of the default cap.
+        n = 16
+        p = grid_poset(n)
+        s = scale_from_m(MonotoneMap1D.identity(), n)
+        q = QuerySet(p, [(i, n + 1 - i) for i in range(1, n + 1)])
+        for solve in (solve_min, solve_max):
+            res = solve(p, s, q, cap=8192)
+            want = solve(p, s, q)
+            assert (res.objective, res.witness_perm) == (want.objective, want.witness_perm)
+            assert res.witness_fn == want.witness_fn
+
+    def test_chain_counts_its_ideals(self):
+        # A k-chain query has k + 1 order ideals.
+        p = build_poset(range(6), [(i, i + 1) for i in range(5)])
+        s = ValueScale(range(1, 7))
+        q = QuerySet(p, [4, 0, 2, 1, 5])
+        for solve in (solve_min, solve_max):
+            assert solve(p, s, q, cap=6).witness_perm == (1, 3, 2, 0, 4)
+            with pytest.raises(CapExceeded):
+                solve(p, s, q, cap=5)
+
+    def test_chain_reads_only_its_sizes(self, monkeypatch):
+        # 3000 values over distinct prime denominators: a chain query
+        # brings only the values at its k sizes to one denominator.
+        n = 3000
+        sieve = bytearray([1]) * 30000
+        primes = []
+        for c in range(2, len(sieve)):
+            if sieve[c]:
+                primes.append(c)
+                sieve[c * c::c] = bytearray(len(sieve[c * c::c]))
+        p = build_poset(range(n), [(i, i + 1) for i in range(n - 1)])
+        s = ValueScale(i + Fraction(1, d) for i, d in enumerate(primes[:n], 1))
+        q = QuerySet(p, [0, 5, 1500, 2999])
+        brought = []
+        ratios = solver._integer_ratios
+
+        def counted(values):
+            brought.append(len(values))
+            return ratios(values)
+
+        monkeypatch.setattr(solver, "_integer_ratios", counted)
+        mn, mx = chain_bounds(p, s, q)
+        assert solve_min(p, s, q).objective == mn
+        assert solve_max(p, s, q).objective == mx
+        assert brought == [4, 4]
+
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
 
@@ -422,6 +473,76 @@ def test_solvers_match_first_optimal_ordering(family, data):
         assert (res.objective, res.witness_perm) == first_optimal(
             poset, scale, query, mode
         )
+
+
+WIDE_PRIMES = (2, 3, 5, 7, 11, 13, 101, 103, 997, 65537)
+
+
+def _bellman_scale(rng, family, n, grid_side):
+    """A scale of n values: ``"int"`` distinct integers from a narrow range;
+    ``"rational"`` i + a/p over irregular prime denominators p;
+    ``"from_m"`` integers over one denominator, the scale of ``id`` or
+    ``power:2`` on a square grid; ``"tie"`` the arithmetic scale 1..n,
+    under which orderings with the same union sizes in another order
+    tie."""
+    if family == "int":
+        return ValueScale(sorted(rng.sample(range(-n, 3 * n), n)))
+    if family == "rational":
+        return ValueScale(i + Fraction(rng.randrange(p), p)
+                          for i, p in enumerate(rng.choices(WIDE_PRIMES, k=n)))
+    if family == "from_m":
+        if grid_side:
+            m = rng.choice([MonotoneMap1D.identity(), MonotoneMap1D.power(2)])
+            return scale_from_m(m, grid_side)
+        return ValueScale.over(sorted(rng.sample(range(-n, 5 * n), n)),
+                               rng.randrange(1, 12))
+    return ValueScale(range(1, n + 1))
+
+
+@st.composite
+def wide_instances(draw):
+    """A query of at most 12 elements on a random DAG of up to 14 elements
+    with shuffled labels and covers, or an antichain on a product grid of
+    side up to 12 (implicit, or built with shuffled labels and covers); a
+    scale of one of the families of :func:`_bellman_scale`.  A DAG of
+    density 0 is an antichain of singletons, on which every ordering
+    ties in both modes."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    family = draw(st.sampled_from(["int", "rational", "from_m", "tie"]))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 14))
+        labels = rng.sample(range(100), n)
+        density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.3]))
+        covers = [(labels[i], labels[j]) for i, j in combinations(range(n), 2)
+                  if rng.random() < density]
+        poset = build_poset(labels, rng.sample(covers, len(covers)))
+        query = rng.sample(labels, draw(st.integers(1, min(n, 12))))
+        return poset, _bellman_scale(rng, family, n, None), QuerySet(poset, query)
+    side = draw(st.integers(2, 12))
+    k = draw(st.integers(1, min(side, 12)))
+    xs = sorted(rng.sample(range(1, side + 1), k))
+    ys = sorted(rng.sample(range(1, side + 1), k), reverse=True)
+    query = rng.sample(list(zip(xs, ys)), k)
+    if draw(st.booleans()):
+        poset = grid_poset(side)
+    else:
+        cells = [(i, j) for i in range(1, side + 1) for j in range(1, side + 1)]
+        covers = [((i, j), (i + di, j + dj)) for i, j in cells
+                  for di, dj in ((1, 0), (0, 1)) if i + di <= side and j + dj <= side]
+        poset = build_poset(rng.sample(cells, len(cells)),
+                            rng.sample(covers, len(covers)))
+    scale = _bellman_scale(rng, family, side * side, side)
+    return poset, scale, QuerySet(poset, query)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_instances())
+def test_solvers_match_the_bellman_reference(instance):
+    poset, scale, query = instance
+    for mode, solve in (("min", solve_min), ("max", solve_max)):
+        res = solve(poset, scale, query)
+        assert (res.objective, res.witness_perm) == bellman_extremum(
+            poset, scale, query, mode)
 
 
 def _primes_from(start, count):
