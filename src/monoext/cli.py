@@ -44,7 +44,7 @@ from .process import (
     verify_process_membership,
 )
 from .solver import solve_max, solve_min
-from .values import BoundResult, MonotoneBijection, ValueScale
+from .values import BoundResult, MonotoneBijection, ValueScale, _is_int
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
@@ -84,10 +84,6 @@ class RunConfig:
                 f"seed must be an integer in [0, 2**128), got {self.seed!r}"
             )
         return self
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -466,26 +462,32 @@ def _write_surface_csv(fh, coords, grid) -> None:
     CSV lines ``x,y,value`` under a header, row by row.
 
     A line is ``x`` followed by the cell text ``,y,value\\n``, so row i is
-    ``x + x.join(cells)``.  The surface takes one value per level region,
-    O(grid) distinct values in all, each formatted once; unique bit
-    patterns, so that values equal as floats but printed differently (0.0,
-    -0.0) keep their own text.  Each row's cell texts are carried down
-    from the row above, and only the cells whose value changed are built
+    ``x + x.join(cells)``.  Each row's cell texts are carried down from
+    the row above, and only the cells whose bit pattern changed are built
     again: past t(1) the rows repeat, and before it a row changes only on
-    its constant stretch.
+    its constant stretch.  Changed cells next to each other with one bit
+    pattern form a run, and only the value that starts a run is
+    formatted.  Bit patterns, not float equality, decide, so values equal
+    as floats but printed differently (0.0, -0.0) keep their own text.
+    The rows are read one at a time, so nothing grid-sized is built
+    besides the rows' text.
     """
-    bits, index = np.unique(grid.view(np.int64), return_inverse=True)
-    index = index.reshape(grid.shape)
-    texts = np.array([repr(v) + "\n" for v in bits.view(np.float64).tolist()],
-                     dtype=object)
     tails = np.array([f",{y}," for y in coords], dtype=object)
-    cells = tails + texts[index[0]]
-    above = index[0]
+    cells = np.empty(len(coords), dtype=object)
+    above = ~grid[0].view(np.int64)  # unlike the first row in every cell
     fh.write("x,y,value\n")
-    for x, row in zip(coords, index):
-        js = np.flatnonzero(row != above)
-        cells[js] = tails[js] + texts[row[js]]
-        above = row
+    for x, row in zip(coords, grid):
+        bits = row.view(np.int64)
+        js = (bits != above).nonzero()[0]
+        if js.size:
+            new = bits[js]
+            starts = np.empty(js.size, dtype=bool)
+            starts[0] = True
+            starts[1:] = (js[1:] - js[:-1] != 1) | (new[1:] != new[:-1])
+            texts = np.array([repr(v) + "\n" for v in row[js[starts]].tolist()],
+                             dtype=object)
+            cells[js] = tails[js] + texts[starts.cumsum() - 1]
+        above = bits
         fh.write(x + x.join(cells.tolist()))
 
 

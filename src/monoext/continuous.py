@@ -20,10 +20,11 @@ from .errors import InvalidGrid, MembershipViolation, OutOfDomain
 from .func1d import MonotoneMap1D, _clamp_unit, _integrate_nodes
 
 
-# The largest grid side the membership checks accept.  They hold several
-# grid x grid float arrays, so memory grows with the square of the side: at
-# the maximum, cont-extremal peaks at about 223 MB resident, for a piecewise
-# linear m as for the identity (in-process ru_maxrss; Python 3.11, numpy 2.4).
+# The largest grid side the membership checks accept.  The surface is one
+# grid x grid float array, and the checks hold one more at a time, so memory
+# grows with the square of the side: at the maximum, cont-extremal peaks at
+# about 98 MB resident, for a piecewise linear m as for the identity (fresh
+# interpreter, in-process ru_maxrss; Python 3.11, numpy 2.4).
 MAX_SURFACE_GRID = 2000
 
 
@@ -124,20 +125,40 @@ def _surface_values(m, t, x, y) -> np.ndarray:
     """Surface values at the points (x, y) of [0, 1]^2, x and y broadcast
     against each other.
 
-    The least s with t(s) >= x is taken before broadcasting, so on a grid
-    it is computed once per abscissa; the region lookup runs only where
-    x <= t(1).
+    Where x <= t(1) the value is G(max(s_low(x), y)), with
+    G(s) = m^{-1}(t(s) * s) and s_low(x) the least s with t(s) >= x;
+    elsewhere it is R(y) = m^{-1}(t(1) + (1 - t(1)) * y).  The value is
+    separable: it is G(s_low(x)) where s_low(x) >= y and G(y) otherwise.
+    So when broadcasting makes more points than x and y hold (a grid), G
+    and R are evaluated once per abscissa and once per ordinate, and the
+    points only select among those values; each point's value is the G or
+    R of the same argument as when taken alone.  Otherwise G is evaluated
+    once per point.
     """
     _require_bijection(m)
     x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     t1 = t.eval(1.0)
-    s_low, y = np.broadcast_arrays(t.lower_inverse_many(x), np.asarray(y, dtype=float))
-    left = np.broadcast_to(x <= t1, y.shape)
-    values = np.empty(y.shape)
+    s_low = t.lower_inverse_many(x)
+    right = x > t1
+
+    def g(s):
+        return m.inverse_many(t.eval_many(s) * s)
+
+    def r(y):
+        return m.inverse_many(t1 + (1.0 - t1) * y)
+
+    values = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    if x.size + y.size < values.size:
+        np.copyto(values, g(y))
+        np.copyto(values, g(s_low), where=s_low >= y)
+        np.copyto(values, r(y), where=right)
+        return values
+    s_low, y, right = np.broadcast_arrays(s_low, y, right)
+    left = ~right
     s_star = np.maximum(s_low[left], y[left])
-    values[left] = m.inverse_many(t.eval_many(s_star) * s_star)
-    right = ~left
-    values[right] = m.inverse_many(t1 + (1.0 - t1) * y[right])
+    values[left] = g(s_star)
+    values[right] = r(y[right])
     return values
 
 

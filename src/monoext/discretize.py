@@ -19,10 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidGrid, MembershipViolation, ValidationError
-from .func1d import MonotoneMap1D
+from .func1d import MonotoneMap1D, _float_ratios
 from .poset import QuerySet, grid_poset
 from .solver import chain_bounds, disjoint_bound
-from .values import ValueScale, _integer_ratios
+from .values import ValueScale
 
 
 def scale_from_m(m: MonotoneMap1D, n: int) -> ValueScale:
@@ -42,8 +42,8 @@ def scale_from_m(m: MonotoneMap1D, n: int) -> ValueScale:
     n2 = n * n
     if m.kind == "identity":
         return ValueScale.over(range(1, n2 + 1), n2)
-    inverse = m.inverse_many(np.arange(1, n2 + 1) / n2).tolist()
-    return ValueScale.over(*_integer_ratios(inverse))
+    inverse = m.inverse_many(np.arange(1, n2 + 1) / n2)
+    return ValueScale.over(*_float_ratios(inverse))
 
 
 def grid_instance(m: MonotoneMap1D, n: int, s_indices, order_kind: str):

@@ -13,7 +13,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le
+from operator import le, lshift
 from typing import Iterable
 
 import numpy as np
@@ -51,6 +51,26 @@ def _unit_many(x, what: str) -> np.ndarray:
             raise OutOfDomain(f"{what} {float(x[bad].flat[0])!r} outside [0, 1]")
         x = np.clip(x, 0.0, 1.0)
     return x
+
+
+def _float_ratios(xs: np.ndarray) -> tuple:
+    """``(nums, den)`` with ``xs[k] == nums[k] / den`` exactly, in Python
+    ints, for a 1-D array of finite floats; ``den`` is the least common
+    denominator.
+
+    Each float is odd * 2**e, and its denominator is 2**-e when e < 0,
+    so the common denominator is 2**k with k = max(0, -min e), and each
+    numerator is odd shifted left by e + k.
+    """
+    mant, exp = np.frexp(xs)
+    ints = np.ldexp(mant, 53).astype(np.int64)  # xs == ints * 2**(exp - 53)
+    low = ints & -ints  # the lowest set bit, 0 for a zero
+    zero = low == 0
+    shift = np.frexp(low)[1] - 1  # its position
+    odd = ints >> np.where(zero, 0, shift)
+    e = np.where(zero, 0, exp - 53 + shift)
+    k = -int(e.min(initial=0))
+    return list(map(lshift, odd.tolist(), (e + k).tolist())), 1 << k
 
 
 def _by_piece(u, knots, side: str, piece) -> np.ndarray:

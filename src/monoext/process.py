@@ -20,8 +20,13 @@ import numpy as np
 
 from .continuous import MAX_SURFACE_GRID, _check_levels, _check_rising
 from .errors import InvalidGrid, ValidationError
-from .func1d import EmpiricalRV, MonotoneMap1D, _integrate_nodes, _unit_many
-from .values import _integer_ratios
+from .func1d import (
+    EmpiricalRV,
+    MonotoneMap1D,
+    _float_ratios,
+    _integrate_nodes,
+    _unit_many,
+)
 
 
 def expectation_bound(m: MonotoneMap1D, tau: EmpiricalRV) -> float:
@@ -39,10 +44,11 @@ def simplified_bound(tau: EmpiricalRV) -> Fraction:
     Piecewise closed form against the step rearrangement: piece i of width
     1/M contributes its value times (2i+1)/(2M^2).  Each sample is n/d
     with d a power of two, so the sum is one integer over 2M^2 * max(d),
-    max(d) being the samples' common denominator.
+    max(d) being the samples' common denominator, read off the samples'
+    binary exponents.
     """
     m_count = tau.m
-    nums, den = _integer_ratios(reversed(tau.samples))
+    nums, den = _float_ratios(np.array(tau.samples)[::-1])
     num = sum(map(mul, range(1, 2 * m_count, 2), nums))
     return Fraction(num, 2 * m_count * m_count * den)
 

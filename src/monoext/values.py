@@ -22,12 +22,17 @@ from .poset import Poset
 Rational = Union[int, float, Fraction]
 
 
+def _is_int(v) -> bool:
+    """True for a Python int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def to_fraction(v: Rational) -> Fraction:
     """A scale value as a Fraction.  A bool is refused, as :func:`_rank`
     refuses it: ``True`` is not the value 1."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int) and not isinstance(v, bool):
+    if _is_int(v):
         return Fraction(v)
     if isinstance(v, float):
         return Fraction(v)  # exact binary expansion of the double
@@ -123,13 +128,21 @@ class ValueScale:
     def over(cls, numerators: Sequence[int], denominator: int) -> "ValueScale":
         """The scale ``numerators[k] / denominator``, k = 0, 1, ....
 
-        Only the integers are held (a ``range`` stays a ``range``), and
-        strict increase is checked on them.
+        Only the integers are held: a ``range`` stays a ``range``, any
+        other numerators become a tuple of Python ints, so sums of them
+        never wrap.  A bool or a non-integer is refused.  Strict increase
+        is checked on the integers.
         """
-        if not (isinstance(denominator, int) and denominator > 0):
+        if not (_is_int(denominator) and denominator > 0):
             raise ValidationError(
                 f"denominator must be a positive integer, got {denominator!r}"
             )
+        if not isinstance(numerators, range):
+            numerators = tuple(numerators)
+            # Exact ints, the integer form of a float scale, need no
+            # per-entry conversion.
+            if not set(map(type, numerators)) <= {int}:
+                numerators = tuple(_integer(v, "numerator") for v in numerators)
         vals = _Ratios(numerators, denominator)
         _check_increasing(vals, numerators)
         scale = cls.__new__(cls)
@@ -161,16 +174,21 @@ class ValueScale:
         return f"ValueScale({[str(v) for v in self.values]})"
 
 
-def _rank(r) -> int:
-    """A rank as an int.  Any integer but a bool is taken (``True`` is not
-    rank 1); anything else, ``1.5`` or ``"2"`` included, is a
-    :class:`ValidationError`, never truncated."""
-    if not isinstance(r, bool):
+def _integer(v, what: str) -> int:
+    """``v`` as an int.  Any integer but a bool is taken (``True`` is not
+    1); anything else, ``1.5`` or ``"2"`` included, is a
+    :class:`ValidationError` naming ``what``, never truncated."""
+    if not isinstance(v, bool):
         try:
-            return index(r)
+            return index(v)
         except TypeError:
             pass
-    raise ValidationError(f"rank {r!r} is not an integer")
+    raise ValidationError(f"{what} {v!r} is not an integer")
+
+
+def _rank(r) -> int:
+    """A rank as an int, by :func:`_integer`."""
+    return _integer(r, "rank")
 
 
 def _is_permutation(ranks, n: int) -> bool:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -364,13 +365,17 @@ def _written_csv(coords, grid) -> str:
 
 
 @pytest.mark.parametrize("kind", ["every-cell-changes", "constant", "signed-zeros",
-                                  "two-by-two"])
+                                  "two-by-two", "runs"])
 def test_surface_writer_matches_per_cell_writer(kind):
     rng = np.random.default_rng(7)
     n = 2 if kind == "two-by-two" else 37
     coords = [repr((i + 0.5) / n) for i in range(n)]
     if kind == "constant":
         grid = np.full((n, n), 0.375)
+    elif kind == "runs":
+        # Few values, so equal neighbours are common, changed from the row
+        # above or not.
+        grid = rng.integers(0, 3, (n, n)) / 4
     elif kind == "signed-zeros":
         # 0.0 and -0.0 compare equal but print differently, side by side
         # along both axes.
@@ -381,6 +386,21 @@ def test_surface_writer_matches_per_cell_writer(kind):
         # the one above it.
         grid = np.cumsum(np.cumsum(rng.random((n, n)) + 1e-3, axis=0), axis=1)
     assert _written_csv(coords, grid) == _per_cell_csv(coords, grid)
+
+
+def test_cont_extremal_memory_is_about_two_grid_arrays(tmp_path):
+    """The surface, its CSV and its membership check together never hold
+    three grid-sized float arrays."""
+    n = 400
+    argv = ["cont-extremal", "--m", "power:2", "--t", "const:0.5",
+            "--grid", str(n), "--out", str(tmp_path / "surface.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv, stdout=io.StringIO()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
 
 
 class TestSampleFile:

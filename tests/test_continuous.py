@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoext import (
     MonotoneMap1D,
@@ -312,6 +314,64 @@ def test_surface_values_broadcast_like_points():
                 for j, y in enumerate(ys):
                     assert grid[i, j] == eval_extremal_surface(m, t, x, y)
             assert (_surface_values(m, t, xs, ys[3]) == grid[:, 3]).all()
+
+
+_EXPONENTS = (0.3, 0.5, 1.5, 2.0, 3.7)
+
+
+@st.composite
+def _maps(draw, bijection: bool):
+    """The identity, a power map or a pwl map; unless ``bijection``, the
+    pwl ordinates come from a coarse set, so flat pieces and t(0) > 0 are
+    common."""
+    kind = draw(st.sampled_from(["id", "power", "pwl"]))
+    if kind == "id":
+        return ID
+    if kind == "power":
+        return MonotoneMap1D.power(draw(st.sampled_from(_EXPONENTS)))
+    k = draw(st.integers(0, 3))
+    xs = sorted(draw(st.lists(st.integers(1, 999), min_size=k, max_size=k, unique=True)))
+    if bijection:
+        inner = draw(st.lists(st.integers(1, 999), min_size=k, max_size=k, unique=True))
+        ys = [0, *sorted(inner), 1000]
+    else:
+        ys = sorted(draw(st.lists(st.integers(0, 8), min_size=k + 2, max_size=k + 2)))
+        ys = [125 * y for y in ys]
+    return MonotoneMap1D.piecewise_linear(
+        [(x / 1000, y / 1000) for x, y in zip([0, *xs, 1000], ys)])
+
+
+@given(_maps(bijection=True), _maps(bijection=False), st.integers(2, 30))
+@settings(max_examples=80, deadline=None)
+def test_surface_grid_equals_points_bit_for_bit(m, t, n):
+    """The grid, built from once-per-abscissa and once-per-ordinate map
+    values, has the bits of the one-point evaluator at every cell."""
+    xs = (np.arange(n) + 0.5) / n
+    grid = _surface_grid(m, t, xs, xs)
+    points = np.array([[eval_extremal_surface(m, t, x, y) for y in xs.tolist()]
+                       for x in xs.tolist()])
+    assert np.array_equal(grid.view(np.int64), points.view(np.int64))
+
+
+@pytest.mark.parametrize("m, t", [
+    (ID, ID),
+    (SQ, MonotoneMap1D.constant(0.5)),
+    (MonotoneMap1D.power(0.5), MonotoneMap1D.piecewise_linear([(0, 0.2), (0.4, 0.2), (1, 0.7)])),
+])
+def test_grid_evaluates_maps_per_abscissa_and_ordinate(monkeypatch, m, t):
+    """On an n x n grid the maps receive O(n) points, not n**2."""
+    n = 300
+    points = 0
+    for name in ("eval_many", "inverse_many"):
+        def counted(self, xs, _method=getattr(MonotoneMap1D, name)):
+            nonlocal points
+            points += np.size(xs)
+            return _method(self, xs)
+
+        monkeypatch.setattr(MonotoneMap1D, name, counted)
+    xs = (np.arange(n) + 0.5) / n
+    _surface_grid(m, t, xs, xs)
+    assert 0 < points <= 6 * n + 1
 
 
 class TestGridExperiment:

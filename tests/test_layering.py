@@ -14,7 +14,7 @@ BRIDGES = {"discretize", "cli", "selftest", "__init__"}
 NEUTRAL = {"errors"}
 # (importer, module, name): the only imports allowed across the two sides
 # outside the bridges.
-CROSSINGS = {("process", "values", "_integer_ratios")}
+CROSSINGS = set()
 
 
 def _imports(path):

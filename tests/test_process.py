@@ -29,6 +29,7 @@ from monoext.errors import (
     OutOfDomain,
     ValidationError,
 )
+from monoext.func1d import _float_ratios
 
 from reference import eval_extremal_process
 from test_func1d import exact_inverse_integral, recursive_simpson
@@ -238,6 +239,34 @@ def test_simplified_bound_matches_per_term_sum(xs, repeat):
         want += Fraction(v) * Fraction(2 * i + 1, 2 * m_count * m_count)
     got = simplified_bound(tau)
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def _many_binades():
+    """Samples over every binade of the doubles in [0, 1], 0.0, 1.0 and the
+    least subnormal included."""
+    return EmpiricalRV.from_samples(
+        [0.0, 1.0, 5e-324] + [math.ldexp(1.0 + k / 7, -k) for k in range(1, 1075)]
+    )
+
+
+@pytest.mark.parametrize("tau", [
+    EmpiricalRV.uniform_grid(10**4),
+    EmpiricalRV.two_point(0.2, 0.8, 10**4),
+    _many_binades(),
+], ids=["uniform", "two-point", "many-binades"])
+def test_integer_form_from_binary_exponents(tau):
+    """The integer form read off the samples' binary exponents equals the
+    one brought to the lcm of the samples' own ratios, numerators and
+    denominator alike, and the bound equals the per-term Fraction sum."""
+    ratios = [v.as_integer_ratio() for v in reversed(tau.samples)]
+    den = math.lcm(*{d for _, d in ratios})
+    want = [n * (den // d) for n, d in ratios]
+    nums, got_den = _float_ratios(np.array(tau.samples)[::-1])
+    assert got_den == den and nums == want
+    assert all(type(n) is int for n in nums)
+    m_count = tau.m
+    exact = sum(Fraction(n, den) * (2 * i + 1) for i, n in enumerate(want))
+    assert simplified_bound(tau) == exact / (2 * m_count * m_count)
 
 
 class TestFubini:

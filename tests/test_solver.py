@@ -14,6 +14,7 @@ from monoext import (
     Poset,
     QuerySet,
     ValueScale,
+    brute_min_max,
     build_poset,
     build_witness,
     chain_bounds,
@@ -77,6 +78,11 @@ class TestValueScale:
             (range(3, 0, -1), 4, NotIncreasing),
             ([1, 2], 0, ValidationError),
             ([1, 2], -4, ValidationError),
+            ([1, 2], True, ValidationError),
+            ([0, True, 2], 4, ValidationError),
+            ([1, 2.0, 3], 4, ValidationError),
+            (["1", "2"], 4, ValidationError),
+            (np.array([1.0, 2.0]), 4, ValidationError),
         ],
     )
     def test_over_rejects(self, nums, den, error):
@@ -97,6 +103,22 @@ class TestValueScale:
         assert ValueScale.over(range(-3, 9), 12) == ValueScale.over(range(-6, 18, 2), 24)
         assert ValueScale.over(range(1, 5), 4) != ValueScale.over(range(1, 5), 5)
         assert ValueScale.over(range(1, 5), 4) != ValueScale([1, 2, 3])
+
+    def test_over_holds_python_ints(self):
+        """Numpy numerators become Python ints, so the exact sums of the
+        search and the oracle do not wrap at 2**63."""
+        poset = build_poset([0, 1, 2, 3], [])
+        query = QuerySet(poset, [0, 1, 2])
+        big = [2**62 + i for i in range(4)]
+        scale = ValueScale.over(np.array(big), 3)
+        assert scale.values.nums == tuple(big)
+        assert all(type(n) is int for n in scale.values.nums)
+        want = Fraction(3 * 2**62 + 3, 3)
+        assert want == 4611686018427387905
+        assert solve_min(poset, scale, query).objective == want
+        assert solve_min(poset, ValueScale.over(big, 3), query).objective == want
+        lo, _, _ = brute_min_max(poset, scale, query)
+        assert lo.objective == want
 
     def test_equal_integers_compare_without_values(self, monkeypatch):
         from monoext.values import _Ratios
