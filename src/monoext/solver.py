@@ -5,9 +5,9 @@ query set B, the minimum and maximum of ``sum(f(b) for b in B)`` over all
 monotone bijections f are computed from a closed-form conditional value
 per admissible ordering of B, optimized over those orderings
 (:func:`_search`).  A query whose induced order is a chain has one
-admissible ordering, found by walking its covers, and its sum is read off
-its elements' set sizes.  Any other
-query is searched by dynamic programming over the order ideals of the
+admissible ordering, found by sorting it by set size (:func:`_chain`),
+and its sum is read off its elements' set sizes.  Any other query is
+searched by dynamic programming over the order ideals of the
 query, pruned: an ideal is kept only if the least cost of reaching it plus
 a lower bound on the cost still to come is at most the cost of a greedy
 ordering, so every ideal on an optimal path is kept and the result is
@@ -201,8 +201,37 @@ def _solve(poset, scale, query, cap, mode) -> BoundResult:
     best, perm = _search(sets, query.indices, scale.values, rank, sign, cap)
     perm = perm[::sign]
     witness = build_witness(poset, scale, query, perm, mode)
-    per_node = tuple(witness.value(query.labels[p]) for p in perm)
+    # Read by index: the labels need no lookup, and the ranks no bounds check.
+    ranks, idxs, values = witness.ranks, query.indices, scale.values
+    per_node = tuple(values[ranks[idxs[p]] - 1] for p in perm)
     return BoundResult(best, perm, witness, per_node)
+
+
+def _chain(sets, idxs):
+    """``(order, sizes)`` if the query entries ``idxs`` form a chain in the
+    order whose down-sets are ``sets``, else None.  ``order`` holds the
+    positions into ``idxs`` from the bottom of the chain, and ``sizes``
+    the size of each one's set, in that order.
+
+    Along a chain the sets strictly grow, so sorted by set size the
+    entries form a chain exactly when each one's set holds the entry
+    before it: k - 1 membership bits are tested.
+    """
+    held = [sets[i] for i in idxs]
+    sizes = [mask.bit_count() for mask in held]
+    order = sorted(range(len(idxs)), key=sizes.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if not held[b] >> idxs[a] & 1:
+            return None
+    return order, [sizes[p] for p in order]
+
+
+def _charged(values, rank, sizes) -> Fraction:
+    """The sum of the values ranked ``rank(k)`` for k in ``sizes``, added
+    as integers over one denominator (:func:`_weights`); no other value
+    is read."""
+    w, den = _weights(values, rank, 1, sizes)
+    return Fraction(sum(w), den)
 
 
 def _weights(values, rank, sign: int, sizes):
@@ -247,10 +276,10 @@ def _search(sets, idxs, values, rank, sign: int, cap: int):
     so the search adds and compares integers; ``w(u)`` below is the charge
     of a union of u elements, and it rises with u in both modes.
 
-    A query whose induced order is a chain has one admissible ordering,
-    found by walking the covers up from its one minimal element, and the
-    union along it is the current element's set: the sum is read off the
-    k set sizes, and only their values are charged.
+    A query whose induced order is a chain (:func:`_chain`) has one
+    admissible ordering, and the union along it is the current element's
+    set: the sum is read off the k set sizes, and only their values are
+    charged.
 
     Otherwise the cost still to come after placing a set of query elements
     depends only on that set, so each order ideal of the induced subposet
@@ -281,22 +310,19 @@ def _search(sets, idxs, values, rank, sign: int, cap: int):
     chain).  Raises :class:`CapExceeded` past it.
     """
     n = len(idxs)
+    chain = _chain(sets, idxs)
+    if chain is not None:
+        if n + 1 > cap:
+            raise CapExceeded(cap)
+        path, sizes = chain
+        return _charged(values, rank, sizes), tuple(path)
+
     # Bit r of an ideal stands for query position order[r], so the lowest
     # bit of a mask is the element first in canonical order.
     order = sorted(range(n), key=idxs.__getitem__)
     lower, upper = _query_covers(sets, [idxs[p] for p in order])
     downs = [sets[idxs[p]] for p in order]
     first = sum(1 << r for r in range(n) if not lower[r])
-    if not first & (first - 1) and all(len(c) < 2 for c in upper):
-        # One minimal element and at most one cover above each: a chain.
-        if n + 1 > cap:
-            raise CapExceeded(cap)
-        path = [first.bit_length() - 1]
-        while upper[path[-1]]:
-            path.append(upper[path[-1]][0])
-        w, den = _weights(values, rank, sign, [downs[r].bit_count() for r in path])
-        return Fraction(sign * sum(w), den), tuple(order[r] for r in path)
-
     full = reduce(or_, downs).bit_count()
     w, den = _weights(values, rank, sign, range(1, full + 1))
     w.insert(0, 0)  # the empty ideal is charged nothing
@@ -406,7 +432,10 @@ def build_witness(
     ranks 1, 2, ...; max mode reads the up-sets from the top, walks the
     cover pairs flipped, and hands out ranks N, N - 1, ....  This is the
     least linear extension under the key (first block containing the
-    element, canonical index).
+    element, canonical index).  The ranks are a permutation of 1..N by
+    construction, so they are built as one tuple and handed to
+    :meth:`~monoext.values.MonotoneBijection._of_ranks`, which does not
+    check them again.
 
     The running unions are down-closed in the order read, so the key never
     decreases along it.  The ordering check computes it, and:
@@ -424,8 +453,8 @@ def build_witness(
     if isinstance(key, np.ndarray):
         ranks = np.empty(n, dtype=np.int64)
         ranks[sets.extension(key)] = np.arange(1, n + 1)[::sign]
-        ranks = ranks.tolist()  # the array is freed before the check
-        return MonotoneBijection(poset, scale, ranks)
+        ranks = ranks.tolist()  # the array is freed before the tuple is built
+        return MonotoneBijection._of_ranks(poset, scale, tuple(ranks))
     if sign > 0 and poset.rising:
         order = sorted(range(n), key=key.__getitem__)
     else:
@@ -433,7 +462,7 @@ def build_witness(
     ranks = [0] * n
     for e, r in zip(order, range(1, n + 1)[::sign]):
         ranks[e] = r
-    return MonotoneBijection(poset, scale, ranks)
+    return MonotoneBijection._of_ranks(poset, scale, tuple(ranks))
 
 
 def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):
@@ -442,21 +471,22 @@ def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):
     A chain has one admissible ordering, and the running union along it is
     the current element's down-set (up-set, read from the top): min sums
     the values ranked by each element's down-set size, max the values
-    ranked N + 1 - |up-set|.  The query may be given in any order; it is
-    sorted along the chain once.  Sorted by down-set size, the query is a
-    chain exactly when each element lies below the next: k - 1 checks.
-    Only when one fails are the pairs scanned, to name the first
-    incomparable pair in query order.
+    ranked N + 1 - |up-set|.  The query may be given in any order, and no
+    running union is built: :func:`_chain`, which the search shares, tests
+    k - 1 membership bits, and each sum charges only its k sizes, added
+    as integers (:func:`_charged`).  Only when the test fails are the
+    pairs scanned, to name the first incomparable pair in query order.
     """
     _check_instance(poset, scale, query)
     idxs = query.indices
-    order = sorted(range(len(idxs)), key=lambda p: poset.down[idxs[p]].bit_count())
-    if not all(poset.leq_idx(idxs[a], idxs[b]) for a, b in zip(order, order[1:])):
+    chain = _chain(poset.down, idxs)
+    if chain is None:
         a, b = _first_pair(query, lambda i, j: not poset.comparable_idx(i, j))
         raise NotAChain(f"{a!r} and {b!r} are incomparable")
+    _, top_rank, _ = _orientation(poset, "max")
     return (
-        _oriented_sum(poset, scale, idxs, order, "min"),
-        _oriented_sum(poset, scale, idxs, order, "max"),
+        _charged(scale.values, lambda k: k, chain[1]),
+        _charged(scale.values, top_rank, [poset.up[i].bit_count() for i in idxs]),
     )
 
 
@@ -469,19 +499,18 @@ def disjoint_bound(
     ``mode="max"`` is the dual with up-sets.  The running union's size is
     then the running sum of the set sizes, so reading the sets smallest
     first, the k-th term is the value ranked by the k-th prefix sum (for
-    the maximum, N + 1 minus it).  The sets are disjoint exactly when
-    their union is as large as their sizes together, which takes one
-    pass.  Only when it is smaller are the pairs scanned, to name the first
-    intersecting pair in query order.
+    the maximum, N + 1 minus it), and only those k values are charged
+    (:func:`_charged`).  The sets are disjoint exactly when their union is
+    as large as their sizes together, which takes one pass.  Only when it
+    is smaller are the pairs scanned, to name the first intersecting pair
+    in query order.
     """
     _check_instance(poset, scale, query)
-    sets, _, sign = _orientation(poset, mode)
+    sets, rank, _ = _orientation(poset, mode)
     idxs = query.indices
     sizes = [sets[i].bit_count() for i in idxs]
     if reduce(or_, (sets[i] for i in idxs)).bit_count() != sum(sizes):
         a, b = _first_pair(query, lambda i, j: sets[i] & sets[j])
         kind = "down-sets" if mode == "min" else "up-sets"
         raise PreconditionViolated(f"{kind} of {a!r} and {b!r} intersect", pair=(a, b))
-    # perm[::sign] is the reading order: smallest set first.
-    perm = sorted(range(len(idxs)), key=lambda p: sign * sizes[p])
-    return _oriented_sum(poset, scale, idxs, perm, mode)
+    return _charged(scale.values, rank, list(accumulate(sorted(sizes))))

@@ -131,7 +131,9 @@ class ValueScale:
         Only the integers are held: a ``range`` stays a ``range``, any
         other numerators become a tuple of Python ints, so sums of them
         never wrap.  A bool or a non-integer is refused.  Strict increase
-        is checked on the integers.
+        is checked on the integers, except for a non-empty ``range`` with
+        a positive step, which increases by its construction and is not
+        scanned.
         """
         if not (_is_int(denominator) and denominator > 0):
             raise ValidationError(
@@ -144,7 +146,8 @@ class ValueScale:
             if not set(map(type, numerators)) <= {int}:
                 numerators = tuple(_integer(v, "numerator") for v in numerators)
         vals = _Ratios(numerators, denominator)
-        _check_increasing(vals, numerators)
+        if not (isinstance(numerators, range) and numerators and numerators.step > 0):
+            _check_increasing(vals, numerators)
         scale = cls.__new__(cls)
         scale.values = vals
         return scale
@@ -202,7 +205,9 @@ class MonotoneBijection:
 
     Stored as element -> rank with ranks a permutation of 1..N; the value
     of an element is the rank-th scale entry.  The constructor enforces
-    bijectivity only; order preservation is the checker's concern.
+    bijectivity only; order preservation is the checker's concern.  The
+    solver, whose witness ranks are a permutation by construction, hands
+    them over through :meth:`_of_ranks`, which checks nothing.
     """
 
     __slots__ = ("poset", "scale", "ranks")
@@ -230,6 +235,15 @@ class MonotoneBijection:
         self.poset = poset
         self.scale = scale
         self.ranks = tuple(seq)
+
+    @classmethod
+    def _of_ranks(cls, poset: Poset, scale: ValueScale, ranks: tuple) -> "MonotoneBijection":
+        """The bijection whose ranks are ``ranks``, taken as they are: a
+        tuple of Python ints that the caller built as a permutation of
+        1..N, for a scale of N values.  Nothing is checked or copied."""
+        fn = cls.__new__(cls)
+        fn.poset, fn.scale, fn.ranks = poset, scale, ranks
+        return fn
 
     def rank(self, label) -> int:
         return self.ranks[self.poset.index(label)]

@@ -406,22 +406,41 @@ class TestGridExperiment:
             assert column_chain_bound(n, rec.column) == rec.discrete_bound
 
     def test_column_chain_reads_few_scale_values(self, monkeypatch):
-        """The chain closed form reads O(n) of the n^2 scale values."""
+        """The chain closed form reads O(n) of the n^2 scale values: the
+        held numerators are read one by one, and no value is built."""
+        from monoext import discretize
         from monoext.values import _Ratios
 
         reads = []
-        getitem = _Ratios.__getitem__
-
-        def counted(self, k):
-            reads.append(k)
-            return getitem(self, k)
 
         def whole(self, *args):
             raise AssertionError("the whole scale was read")
 
-        monkeypatch.setattr(_Ratios, "__getitem__", counted)
-        for name in ("__iter__", "__reversed__", "ratios"):
+        class Counted:
+            __iter__ = whole
+
+            def __init__(self, nums):
+                self.nums = nums
+
+            def __len__(self):
+                return len(self.nums)
+
+            def __getitem__(self, k):
+                if isinstance(k, slice):
+                    raise AssertionError("a slice of the scale was read")
+                reads.append(k)
+                return self.nums[k]
+
+        for name in ("__getitem__", "__iter__", "__reversed__", "ratios"):
             monkeypatch.setattr(_Ratios, name, whole)
+        scale_from_m = discretize.scale_from_m
+
+        def counted_scale(m, n):
+            scale = scale_from_m(m, n)
+            scale.values.nums = Counted(scale.values.nums)
+            return scale
+
+        monkeypatch.setattr(discretize, "scale_from_m", counted_scale)
         n = 160
         assert column_chain_bound(n, 7) == Fraction(7 * (n + 1), 2 * n)
         assert 0 < len(reads) <= 2 * n

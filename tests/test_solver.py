@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from monoext import (
     MonotoneBijection,
     MonotoneMap1D,
-    Poset,
     QuerySet,
     ValueScale,
     brute_min_max,
     build_poset,
     build_witness,
     chain_bounds,
+    check_monotone_bijection,
     column_chain_bound,
     conditional_max,
     conditional_min,
@@ -88,6 +88,31 @@ class TestValueScale:
     def test_over_rejects(self, nums, den, error):
         with pytest.raises(error):
             ValueScale.over(nums, den)
+
+    @pytest.mark.parametrize("nums, error, message", [
+        (range(1, 1), ValidationError, "scale must be nonempty"),
+        (range(5, 5, -1), ValidationError, "scale must be nonempty"),
+        (range(3, 0, -1), NotIncreasing, "scale values not strictly increasing: 3/4 >= 1/2"),
+    ])
+    def test_over_range_errors(self, nums, error, message):
+        # An empty range, or a step that is not positive, is checked as
+        # any other numerators are.
+        with pytest.raises(error) as exc:
+            ValueScale.over(nums, 4)
+        assert str(exc.value) == message
+
+    def test_over_takes_a_rising_range_unscanned(self, monkeypatch):
+        from monoext import values
+
+        def scanned(*args):
+            raise AssertionError("the range was scanned")
+
+        monkeypatch.setattr(values, "_check_increasing", scanned)
+        big = range(-10**15, 10**15, 3)
+        assert ValueScale.over(big, 3).values.nums is big
+        # One value needs no order, whatever the step; it is still checked.
+        with pytest.raises(AssertionError):
+            ValueScale.over(range(2, 1, -1), 3)
 
     def test_over_error_names_the_values(self):
         with pytest.raises(NotIncreasing, match="3/4 >= 1/2"):
@@ -392,7 +417,8 @@ class TestSolve:
 
     def test_chain_reads_only_its_sizes(self, monkeypatch):
         # 3000 values over distinct prime denominators: a chain query
-        # brings only the values at its k sizes to one denominator.
+        # brings only the values at its k sizes to one denominator, in
+        # each of chain_bounds' two sums and in each solve.
         n = 3000
         sieve = bytearray([1]) * 30000
         primes = []
@@ -414,7 +440,7 @@ class TestSolve:
         mn, mx = chain_bounds(p, s, q)
         assert solve_min(p, s, q).objective == mn
         assert solve_max(p, s, q).objective == mx
-        assert brought == [4, 4]
+        assert brought == [4] * 4
 
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
@@ -651,6 +677,28 @@ class TestBuildWitness:
         q = QuerySet(p, ["a", "c"])
         with pytest.raises(InvalidPermutation):
             build_witness(p, s, q, (1, 0), "min")
+
+    @pytest.mark.parametrize("poset", [
+        grid_poset(12), grid_poset(12, "rows"),
+        build_poset(range(6), [(0, 2), (1, 2), (2, 4), (3, 4), (4, 5)]),
+        build_poset(range(6), [(5, 3), (4, 3), (3, 1), (2, 1), (1, 0)]),
+    ], ids=["product-grid", "rows-grid", "rising", "falling"])
+    def test_solver_witness_is_handed_over_unchecked(self, poset, monkeypatch):
+        # The solver's ranks are a permutation by construction: its witness
+        # runs no bijection check, and the oracle's check accepts it.
+        from monoext import values
+
+        def checked(*args):
+            raise AssertionError("the witness ranks were checked again")
+
+        monkeypatch.setattr(values, "_is_permutation", checked)
+        s = ValueScale(range(1, poset.n + 1))
+        q = QuerySet(poset, [poset.labels[e] for e in (0, poset.n // 2, poset.n - 1)])
+        for solve in (solve_min, solve_max):
+            w = solve(poset, s, q).witness_fn
+            assert type(w.ranks) is tuple
+            assert {type(r) for r in w.ranks} == {int}
+            assert check_monotone_bijection(poset, s, w).ok
 
     def test_bad_mode(self):
         p = chain3()
@@ -890,6 +938,10 @@ class TestChainBounds:
                 mn, _ = chain_bounds(p, scale, q)
                 assert mn == Fraction(s * (n + 1), 2 * n)
 
+    @pytest.mark.parametrize("s", [1, 106, 213, 320])
+    def test_column_chain_bound_at_320(self, s):
+        assert column_chain_bound(320, s) == Fraction(s * 321, 640)
+
     def test_singleton(self):
         p = chain3()
         s = ValueScale([1, 2, 3])
@@ -917,12 +969,33 @@ class TestChainBounds:
         assert str(exc.value) == "(2, 2) and (1, 3) are incomparable"
 
     def test_chain_checked_in_k_minus_one_steps(self, monkeypatch):
-        calls = []
-        leq = Poset.leq_idx
-        monkeypatch.setattr(Poset, "leq_idx",
-                            lambda self, i, j: calls.append(1) or leq(self, i, j))
+        # The chain test that chain_bounds and the search share tests one
+        # membership bit per neighbouring pair: counted as shifts of the
+        # masks it reads.
+        tested = []
+
+        class Mask(int):
+            def __rshift__(self, i):
+                tested.append(i)
+                return int(self) >> i
+
+        class Counted:
+            def __init__(self, sets):
+                self.sets = sets
+
+            def __getitem__(self, i):
+                return Mask(self.sets[i])
+
+        chain = solver._chain
+        monkeypatch.setattr(solver, "_chain", lambda sets, idxs: chain(Counted(sets), idxs))
         assert column_chain_bound(40, 7) == Fraction(7 * 41, 80)
-        assert len(calls) == 39
+        assert len(tested) == 39
+        p = grid_poset(40)
+        q = QuerySet(p, [(7, j) for j in range(1, 41)])
+        s = scale_from_m(MonotoneMap1D.identity(), 40)
+        tested.clear()
+        assert solve_min(p, s, q).objective == Fraction(7 * 41, 80)
+        assert len(tested) == 39
 
 
 class TestDisjointBound:
@@ -1106,6 +1179,18 @@ class TestMonotoneBijection:
             MonotoneBijection(p, s, [1, 1, 2])
         with pytest.raises(ValidationError):
             MonotoneBijection(p, s, [1, 2])
+
+    def test_constructor_checks_what_the_solver_skips(self):
+        # A witness's ranks with one rank repeated are refused when they
+        # come from outside the solver.
+        p = grid_poset(8)
+        s = scale_from_m(MonotoneMap1D.identity(), 8)
+        ranks = list(solve_min(p, s, QuerySet(p, [(3, 4)])).witness_fn.ranks)
+        assert MonotoneBijection(p, s, ranks).ranks == tuple(ranks)
+        ranks[0] = ranks[1]
+        for given in (ranks, np.array(ranks), dict(zip(p.labels, ranks))):
+            with pytest.raises(ValidationError, match="not a bijection"):
+                MonotoneBijection(p, s, given)
 
     @pytest.mark.parametrize("ranks, message", [
         ([1, 1, 2], "not a bijection"),
