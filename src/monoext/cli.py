@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -24,7 +24,7 @@ import numpy as np
 
 from .continuous import (
     MAX_SURFACE_GRID,
-    _surface_grid,
+    _surface_rows,
     line_integral_bound,
     line_integral_on_surface,
     verify_membership,
@@ -457,38 +457,33 @@ def _cmd_cont_bound(args, config, stdout) -> int:
     return 0
 
 
-def _write_surface_csv(fh, coords, grid) -> None:
-    """Write ``grid[i, j]``, the value at (coords[i], coords[j]), as the
-    CSV lines ``x,y,value`` under a header, row by row.
+def _write_surface_csv(fh, coords, rows) -> None:
+    """Write the surface held as rows (``continuous._SurfaceRows``), with
+    ``coords`` the text of each abscissa and ordinate, as the CSV lines
+    ``x,y,value`` under a header, row by row.
 
-    A line is ``x`` followed by the cell text ``,y,value\\n``, so row i is
-    ``x + x.join(cells)``.  Each row's cell texts are carried down from
-    the row above, and only the cells whose bit pattern changed are built
-    again: past t(1) the rows repeat, and before it a row changes only on
-    its constant stretch.  Changed cells next to each other with one bit
-    pattern form a run, and only the value that starts a run is
-    formatted.  Bit patterns, not float equality, decide, so values equal
-    as floats but printed differently (0.0, -0.0) keep their own text.
-    The rows are read one at a time, so nothing grid-sized is built
-    besides the rows' text.
+    Each column's cell text, ``,y,G(y)\\n`` and ``,y,R(y)\\n``, is
+    formatted once, and a line is ``x`` followed by a cell text.  A row
+    right of t(1) is ``x + x.join(R cells)``.  Any other row is its
+    constant stretch, ``x,y,T\\n`` over its first ``cut`` ordinates with T
+    its one value formatted once, then ``x + x.join(G cells past the
+    cut)``.  So a row takes at most two ``str.join`` calls, and no Python
+    work is done per cell.  Each value is written as ``repr`` writes it,
+    so 0.0 and -0.0 keep their own text.
     """
-    tails = np.array([f",{y}," for y in coords], dtype=object)
-    cells = np.empty(len(coords), dtype=object)
-    above = ~grid[0].view(np.int64)  # unlike the first row in every cell
+    tail = [f",{y},{v!r}\n" for y, v in zip(coords, rows.tail.tolist())]
+    right_row = [f",{y},{v!r}\n" for y, v in zip(coords, rows.right_row.tolist())]
     fh.write("x,y,value\n")
-    for x, row in zip(coords, grid):
-        bits = row.view(np.int64)
-        js = (bits != above).nonzero()[0]
-        if js.size:
-            new = bits[js]
-            starts = np.empty(js.size, dtype=bool)
-            starts[0] = True
-            starts[1:] = (js[1:] - js[:-1] != 1) | (new[1:] != new[:-1])
-            texts = np.array([repr(v) + "\n" for v in row[js[starts]].tolist()],
-                             dtype=object)
-            cells[js] = tails[js] + texts[starts.cumsum() - 1]
-        above = bits
-        fh.write(x + x.join(cells.tolist()))
+    for x, value, cut, right in zip(coords, rows.stretch.tolist(),
+                                    rows.cut.tolist(), rows.right.tolist()):
+        if right:
+            fh.write(x + x.join(right_row))
+            continue
+        if cut:
+            end = f",{value!r}\n"
+            fh.write(x + "," + (end + x + ",").join(coords[:cut]) + end)
+        if cut < len(tail):
+            fh.write(x + x.join(tail[cut:]))
 
 
 def _cmd_cont_extremal(args, config, stdout) -> int:
@@ -497,14 +492,14 @@ def _cmd_cont_extremal(args, config, stdout) -> int:
     m = load_map(args.m)
     t = load_map(args.t)
     centers = (np.arange(args.grid) + 0.5) / args.grid
-    grid = _surface_grid(m, t, centers, centers)
+    rows = _surface_rows(m, t, centers, centers)
     coords = [repr(c) for c in centers.tolist()]
     try:
         with open(args.out, "w") as fh:
-            _write_surface_csv(fh, coords, grid)
+            _write_surface_csv(fh, coords, rows)
     except OSError as e:
         raise ValidationError(f"cannot write {args.out}: {e}") from e
-    report = verify_membership(m, t, args.grid, surface=grid)
+    report = verify_membership(m, t, args.grid, surface=rows.grid())
     _emit(
         {
             "out": args.out,
@@ -588,7 +583,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr or sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes usage errors and --help to sys.stderr and sys.stdout.
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else USAGE_EXIT
     try:

@@ -123,48 +123,77 @@ def _check_levels(values, point, m, level_count: int, budget: float, message: st
 
 def _surface_values(m, t, x, y) -> np.ndarray:
     """Surface values at the points (x, y) of [0, 1]^2, x and y broadcast
-    against each other.
+    against each other, point by point.
 
     Where x <= t(1) the value is G(max(s_low(x), y)), with
     G(s) = m^{-1}(t(s) * s) and s_low(x) the least s with t(s) >= x;
-    elsewhere it is R(y) = m^{-1}(t(1) + (1 - t(1)) * y).  The value is
-    separable: it is G(s_low(x)) where s_low(x) >= y and G(y) otherwise.
-    So when broadcasting makes more points than x and y hold (a grid), G
-    and R are evaluated once per abscissa and once per ordinate, and the
-    points only select among those values; each point's value is the G or
-    R of the same argument as when taken alone.  Otherwise G is evaluated
-    once per point.
+    elsewhere it is R(y) = m^{-1}(t(1) + (1 - t(1)) * y).  G is evaluated
+    once per point.  A grid goes through :func:`_surface_rows` instead,
+    which evaluates G and R once per abscissa and once per ordinate; each
+    of its cells is the G or R of the same argument as here.
     """
     _require_bijection(m)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     t1 = t.eval(1.0)
-    s_low = t.lower_inverse_many(x)
-    right = x > t1
+    s_low, y, right = np.broadcast_arrays(t.lower_inverse_many(x), y, x > t1)
+    left = ~right
+    values = np.empty(right.shape)
+    s_star = np.maximum(s_low[left], y[left])
+    values[left] = m.inverse_many(t.eval_many(s_star) * s_star)
+    values[right] = m.inverse_many(t1 + (1.0 - t1) * y[right])
+    return values
+
+
+@dataclass(frozen=True)
+class _SurfaceRows:
+    """The surface on a grid xs x ys with ys ascending, as rows (rows index
+    x): row i is ``right_row`` where ``right[i]`` (x > t(1)); otherwise it
+    is ``stretch[i]`` = G(s_low(x)) on its first ``cut[i]`` cells, the
+    ordinates y <= s_low(x), and ``tail`` = G(y) on the rest.
+    ``right_row`` is R(y).  Each cell is G(max(s_low(x), y)) or R(y), as
+    at the one point (:func:`_surface_values`)."""
+
+    tail: np.ndarray
+    right_row: np.ndarray
+    stretch: np.ndarray
+    right: np.ndarray
+    cut: np.ndarray
+
+    def grid(self) -> np.ndarray:
+        """The rows as one float array."""
+        values = np.empty((self.stretch.size, self.tail.size))
+        np.copyto(values, self.tail)
+        np.copyto(values, self.stretch[:, None],
+                  where=np.arange(self.tail.size) < self.cut[:, None])
+        np.copyto(values, self.right_row, where=self.right[:, None])
+        return values
+
+
+def _surface_rows(m, t, xs, ys) -> _SurfaceRows:
+    """The surface on the grid xs x ys, ys ascending, from G and R once per
+    ordinate and G(s_low(x)) once per abscissa: O(len(xs) + len(ys)) map
+    values."""
+    _require_bijection(m)
+    t1 = t.eval(1.0)
+    s_low = t.lower_inverse_many(xs)
 
     def g(s):
         return m.inverse_many(t.eval_many(s) * s)
 
-    def r(y):
-        return m.inverse_many(t1 + (1.0 - t1) * y)
-
-    values = np.empty(np.broadcast_shapes(x.shape, y.shape))
-    if x.size + y.size < values.size:
-        np.copyto(values, g(y))
-        np.copyto(values, g(s_low), where=s_low >= y)
-        np.copyto(values, r(y), where=right)
-        return values
-    s_low, y, right = np.broadcast_arrays(s_low, y, right)
-    left = ~right
-    s_star = np.maximum(s_low[left], y[left])
-    values[left] = g(s_star)
-    values[right] = r(y[right])
-    return values
+    return _SurfaceRows(
+        tail=g(ys),
+        right_row=m.inverse_many(t1 + (1.0 - t1) * ys),
+        stretch=g(s_low),
+        right=xs > t1,
+        cut=np.searchsorted(ys, s_low, side="right"),
+    )
 
 
 def _surface_grid(m, t, xs, ys) -> np.ndarray:
-    """Surface values at the grid xs x ys; rows index x, columns index y."""
-    return _surface_values(m, t, xs[:, None], ys[None, :])
+    """Surface values at the grid xs x ys, ys ascending; rows index x,
+    columns index y.  The row form (:func:`_surface_rows`) materialized."""
+    return _surface_rows(m, t, xs, ys).grid()
 
 
 def verify_membership(

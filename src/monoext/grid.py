@@ -2,11 +2,11 @@
 computed from (i, j) arithmetic.
 
 Element e of the grid is ``i * ny + j`` (0-based i, j).  Its label, its
-cover pairs, the index of a label and its down-set and up-set bitmasks are
-all computed from that arithmetic when read, so a grid poset holds no
-per-element object (:func:`monoext.poset.grid_poset` puts these views
-together).  The sets also give a witness its key and its linear
-extension as array arithmetic.
+cover pairs, the index of a label, its down-set and up-set bitmasks, and
+those sets' sizes and members are all computed from that arithmetic when
+read, so a grid poset holds no per-element object
+(:func:`monoext.poset.grid_poset` puts these views together).  The sets
+also give a witness its key and its linear extension as array arithmetic.
 """
 
 from __future__ import annotations
@@ -163,6 +163,27 @@ class _GridSets(_GridSequence):
                 lo, hi = j, (ny if whole else j + 1)
             mask = self._cache[e] = (rows << hi) - (rows << lo)
         return mask
+
+    def size(self, e: int) -> int:
+        """The number of elements in element e's set, read off its
+        rectangle: for e = (i, j), 0-based, (i + 1)(j + 1) elements below
+        and (nx - i)(ny - j) above under the product order, i + 1 and
+        nx - i under the rows order.  No mask is built."""
+        nx, ny, order_kind, direction = self.key
+        i, j = divmod(e, ny)
+        rows, columns = (i + 1, j + 1) if direction == "down" else (nx - i, ny - j)
+        return rows if order_kind == "rows" else rows * columns
+
+    def holds(self, e: int, f: int) -> bool:
+        """Whether element e's set holds element f, by their coordinates:
+        f's row is at most e's (down-sets) or at least e's (up-sets), and
+        so is f's column under the product order; under the rows order f
+        lies in e's column.  No mask is built."""
+        nx, ny, order_kind, direction = self.key
+        (i, j), (k, l) = divmod(e, ny), divmod(f, ny)
+        if direction == "up":
+            (i, j), (k, l) = (k, l), (i, j)
+        return k <= i and (l == j if order_kind == "rows" else l <= j)
 
     def first_holder(self, elements) -> np.ndarray:
         """Per element e, the position in ``elements`` (distinct elements)

@@ -215,15 +215,24 @@ def _chain(sets, idxs):
 
     Along a chain the sets strictly grow, so sorted by set size the
     entries form a chain exactly when each one's set holds the entry
-    before it: k - 1 membership bits are tested.
+    before it: k - 1 membership tests are made (:func:`_set_reader`).
     """
-    held = [sets[i] for i in idxs]
-    sizes = [mask.bit_count() for mask in held]
+    size, holds = _set_reader(sets)
+    sizes = [size(i) for i in idxs]
     order = sorted(range(len(idxs)), key=sizes.__getitem__)
     for a, b in zip(order, order[1:]):
-        if not held[b] >> idxs[a] & 1:
+        if not holds(idxs[b], idxs[a]):
             return None
     return order, [sizes[p] for p in order]
+
+
+def _set_reader(sets):
+    """``(size, holds)``: the size of element e's set, and whether e's set
+    holds element f.  A grid's come from (i, j) arithmetic and build no
+    mask; a built poset's read the bits of its masks."""
+    if isinstance(sets, _GridSets):
+        return sets.size, sets.holds
+    return (lambda e: sets[e].bit_count()), (lambda e, f: sets[e] >> f & 1)
 
 
 def _charged(values, rank, sizes) -> Fraction:
@@ -472,9 +481,10 @@ def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):
     the current element's down-set (up-set, read from the top): min sums
     the values ranked by each element's down-set size, max the values
     ranked N + 1 - |up-set|.  The query may be given in any order, and no
-    running union is built: :func:`_chain`, which the search shares, tests
-    k - 1 membership bits, and each sum charges only its k sizes, added
-    as integers (:func:`_charged`).  Only when the test fails are the
+    running union is built: :func:`_chain`, which the search shares, makes
+    k - 1 membership tests, and each sum charges only its k sizes, added
+    as integers (:func:`_charged`).  On a grid the sizes and the tests are
+    (i, j) arithmetic, so no set is built.  Only when the test fails are the
     pairs scanned, to name the first incomparable pair in query order.
     """
     _check_instance(poset, scale, query)
@@ -484,9 +494,10 @@ def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):
         a, b = _first_pair(query, lambda i, j: not poset.comparable_idx(i, j))
         raise NotAChain(f"{a!r} and {b!r} are incomparable")
     _, top_rank, _ = _orientation(poset, "max")
+    up_size, _ = _set_reader(poset.up)
     return (
         _charged(scale.values, lambda k: k, chain[1]),
-        _charged(scale.values, top_rank, [poset.up[i].bit_count() for i in idxs]),
+        _charged(scale.values, top_rank, [up_size(i) for i in idxs]),
     )
 
 

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from monoext.cli import (
     load_map,
     main,
 )
-from monoext.continuous import _surface_grid
+from monoext.continuous import _surface_grid, _SurfaceRows
 from monoext.poset import _grid_poset
 from monoext.process import MAX_TRIALS
 
@@ -358,34 +359,53 @@ def _per_cell_csv(coords, grid) -> str:
     )
 
 
-def _written_csv(coords, grid) -> str:
+def _written_csv(coords, rows) -> str:
     fh = io.StringIO()
-    cli._write_surface_csv(fh, coords, grid)
+    cli._write_surface_csv(fh, coords, rows)
     return fh.getvalue()
+
+
+def _row_forms(kind):
+    """Synthetic row forms, not surfaces: any cuts, values and rows right
+    of t(1), with cut 0 and cut n among the cuts."""
+    rng = np.random.default_rng(7)
+    if kind == "two-by-two":
+        # Every cut and side of t(1) for each of the two rows.
+        for c0, c1, r0, r1 in product(range(3), range(3), (False, True), (False, True)):
+            yield _SurfaceRows(tail=np.array([0.25, 0.5]), right_row=np.array([0.75, 1.0]),
+                               stretch=np.array([0.125, 0.375]), right=np.array([r0, r1]),
+                               cut=np.array([c0, c1]))
+        return
+    n = 37
+    pool = {
+        "every-cell-changes": rng.random(4 * n),
+        "constant": np.array([0.375]),
+        # Few values, so equal neighbours are common.
+        "runs": np.arange(3) / 4,
+        # 0.0 and -0.0 compare equal but print differently: both appear in
+        # the stretches, the tail and the right row, side by side.
+        "signed-zeros": np.array([0.0, -0.0]),
+    }[kind]
+    cut = rng.integers(0, n + 1, n)
+    cut[:2] = 0, n
+    right = rng.random(n) < 0.3
+    right[:2] = False
+    yield _SurfaceRows(tail=pool[rng.integers(0, pool.size, n)],
+                       right_row=pool[rng.integers(0, pool.size, n)],
+                       stretch=pool[rng.integers(0, pool.size, n)],
+                       right=right, cut=cut)
 
 
 @pytest.mark.parametrize("kind", ["every-cell-changes", "constant", "signed-zeros",
                                   "two-by-two", "runs"])
 def test_surface_writer_matches_per_cell_writer(kind):
-    rng = np.random.default_rng(7)
-    n = 2 if kind == "two-by-two" else 37
-    coords = [repr((i + 0.5) / n) for i in range(n)]
-    if kind == "constant":
-        grid = np.full((n, n), 0.375)
-    elif kind == "runs":
-        # Few values, so equal neighbours are common, changed from the row
-        # above or not.
-        grid = rng.integers(0, 3, (n, n)) / 4
-    elif kind == "signed-zeros":
-        # 0.0 and -0.0 compare equal but print differently, side by side
-        # along both axes.
-        grid = np.where(rng.random((n, n)) < 0.5, 0.0, -0.0)
-        grid[::3] = 1 / 3
-    else:
-        # Strictly increasing along both axes, so every cell differs from
-        # the one above it.
-        grid = np.cumsum(np.cumsum(rng.random((n, n)) + 1e-3, axis=0), axis=1)
-    assert _written_csv(coords, grid) == _per_cell_csv(coords, grid)
+    """Row by row, the writer gives the bytes of a per-cell writer over the
+    row form's materialized grid: cut 0 and cut n, rows right of t(1), and
+    signed zeros in the stretches and the tails."""
+    for rows in _row_forms(kind):
+        n = rows.tail.size
+        coords = [repr((i + 0.5) / n) for i in range(n)]
+        assert _written_csv(coords, rows) == _per_cell_csv(coords, rows.grid())
 
 
 def test_cont_extremal_memory_is_about_two_grid_arrays(tmp_path):
@@ -532,6 +552,18 @@ class TestErrorsAndConfig:
     def test_missing_subcommand_is_usage_error(self):
         code, _, _ = run_cli([])
         assert code == 64
+
+    @pytest.mark.parametrize("argv, code, stream", [
+        (["solve", "--bogus"], 64, "err"),
+        (["--help"], 0, "out"),
+        (["cont-extremal", "--help"], 0, "out"),
+    ], ids=["usage-error", "help", "subcommand-help"])
+    def test_usage_and_help_go_to_the_given_streams(self, capsys, argv, code, stream):
+        got = dict(zip(("code", "out", "err"), run_cli(argv)))
+        assert got["code"] == code
+        assert got[stream].startswith("usage: monoext")
+        assert got["err" if stream == "out" else "out"] == ""
+        assert capsys.readouterr() == ("", "")
 
     def test_validation_error_exit(self, fixtures, tmp_path):
         bad = tmp_path / "bad.json"
@@ -970,7 +1002,7 @@ def test_document_fuzz(command, documents):
         assert isinstance(json.loads(err)["error"], dict)
 
 
-def test_one_parser_per_process(fixtures, capsys):
+def test_one_parser_per_process(fixtures):
     cli._build_parser.cache_clear()
     argv = ["solve", "--poset", fixtures["poset"], "--scale", fixtures["scale"],
             "--query", fixtures["query"]]
@@ -980,8 +1012,9 @@ def test_one_parser_per_process(fixtures, capsys):
     # Usage errors on the shared parser keep their exit code and message.
     errors = []
     for _ in range(2):
-        assert run_cli(["solve", "--mode", "sideways"])[0] == 64
-        errors.append(capsys.readouterr().err)
+        code, _, err = run_cli(["solve", "--mode", "sideways"])
+        assert code == 64
+        errors.append(err)
     assert errors[0] == errors[1]
     assert "invalid choice: 'sideways'" in errors[0]
     assert cli._build_parser.cache_info().misses == 1

@@ -969,10 +969,36 @@ class TestChainBounds:
         assert str(exc.value) == "(2, 2) and (1, 3) are incomparable"
 
     def test_chain_checked_in_k_minus_one_steps(self, monkeypatch):
-        # The chain test that chain_bounds and the search share tests one
-        # membership bit per neighbouring pair: counted as shifts of the
-        # masks it reads.
+        # The chain test that chain_bounds and the search share makes one
+        # membership test per neighbouring pair.  On a grid the tests and
+        # the set sizes are (i, j) arithmetic: no mask is built.
         tested = []
+        holds = _GridSets.holds
+
+        def counted(self, e, f):
+            tested.append(f)
+            return holds(self, e, f)
+
+        def refuse(self, e):
+            raise AssertionError("a grid chain built a mask")
+
+        monkeypatch.setattr(_GridSets, "holds", counted)
+        monkeypatch.setattr(_GridSets, "_at", refuse)
+        assert column_chain_bound(40, 7) == Fraction(7 * 41, 80)
+        assert len(tested) == 39
+        s = scale_from_m(MonotoneMap1D.identity(), 40)
+        for kind, chain in (("product", [(7, j) for j in range(1, 41)]),
+                            ("rows", [(i, 7) for i in range(1, 41)])):
+            p = grid_poset(40, kind)
+            q = QuerySet(p, chain)
+            bounds = chain_bounds(p, s, q)
+            for bound, solve in zip(bounds, (solve_min, solve_max)):
+                tested.clear()
+                assert solve(p, s, q).objective == bound
+                assert len(tested) == 39
+
+        # On a built poset the tests are shifts of the masks it reads.
+        tested.clear()
 
         class Mask(int):
             def __rshift__(self, i):
@@ -988,14 +1014,14 @@ class TestChainBounds:
 
         chain = solver._chain
         monkeypatch.setattr(solver, "_chain", lambda sets, idxs: chain(Counted(sets), idxs))
-        assert column_chain_bound(40, 7) == Fraction(7 * 41, 80)
-        assert len(tested) == 39
-        p = grid_poset(40)
-        q = QuerySet(p, [(7, j) for j in range(1, 41)])
-        s = scale_from_m(MonotoneMap1D.identity(), 40)
+        p = build_poset(list(range(40)), [(i, i + 1) for i in range(39)])
+        q = QuerySet(p, list(range(0, 40, 3)))
+        s = ValueScale(range(1, 41))
+        assert chain_bounds(p, s, q) == (sum(range(1, 41, 3)),) * 2
+        assert len(tested) == 13
         tested.clear()
-        assert solve_min(p, s, q).objective == Fraction(7 * 41, 80)
-        assert len(tested) == 39
+        assert solve_min(p, s, q).objective == sum(range(1, 41, 3))
+        assert len(tested) == 13
 
 
 class TestDisjointBound:
