@@ -6,7 +6,8 @@ cover pairs, the index of a label, its down-set and up-set bitmasks, and
 those sets' sizes and members are all computed from that arithmetic when
 read, so a grid poset holds no per-element object
 (:func:`monoext.poset.grid_poset` puts these views together).  The sets
-also give a witness its key and its linear extension as array arithmetic.
+read as :class:`monoext.poset._BuiltSets` do, and give a witness its key,
+its linear extension and its ranks as array arithmetic.
 """
 
 from __future__ import annotations
@@ -185,9 +186,9 @@ class _GridSets(_GridSequence):
             (i, j), (k, l) = (k, l), (i, j)
         return k <= i and (l == j if order_kind == "rows" else l <= j)
 
-    def first_holder(self, elements) -> np.ndarray:
+    def first_holder(self, elements, whole: bool = True) -> np.ndarray:
         """Per element e, the position in ``elements`` (distinct elements)
-        of the first whose set holds e, or ``len(elements)`` if none does.
+        of the first whose set holds e, or ``len(elements)``, for every e.
 
         The sets holding e are those of the elements above it (down-sets)
         or below it (up-sets), which form a rectangle, so the answer is a
@@ -241,3 +242,10 @@ class _GridSets(_GridSequence):
         tops = np.where(changes, row.reshape(nx, ny), nx)
         top = np.minimum.accumulate(tops[::-1], axis=0)[::-1]
         return np.lexsort((-row, column, top.ravel(), key))
+
+    def ranks(self, key) -> list:
+        """Ranks along :meth:`extension`: 1..N for down-sets, N..1 for up-sets."""
+        order = self.extension(key)
+        ranks = np.empty(len(self), dtype=np.int64)
+        ranks[order if self.key[3] == "down" else order[::-1]] = np.arange(1, len(self) + 1)
+        return ranks.tolist()

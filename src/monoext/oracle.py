@@ -52,18 +52,17 @@ def brute_min_max(
     for i in query.indices:
         qmask |= 1 << i
     n = poset.n
-    below = [d ^ 1 << i for i, d in enumerate(poset.down)]
     succs = _cover_succs(poset)
+    ends = {j for _, j in poset.covers}
+    # Each strict down-set is computed the first time an element is tested,
+    # so a search that hits the cap early reads few of them.
+    below = [None] * n
 
     # Forward: per layer, ideal -> [prefixes reaching it, its minimal
-    # unplaced elements].  Every prefix extends to a distinct extension,
-    # so a layer's prefix count is checked against the cap before it is
-    # built.
-    minimal = 0
-    for j, strict in enumerate(below):
-        if not strict:
-            minimal |= 1 << j
-    layers = [{0: [1, minimal]}]
+    # unplaced elements], starting from the elements no cover pair ends
+    # at.  Every prefix extends to a distinct extension, so a layer's
+    # prefix count is checked against the cap before it is built.
+    layers = [{0: [1, sum(1 << j for j in range(n) if j not in ends)]}]
     for _ in range(n):
         layer = layers[-1]
         if sum(c * a.bit_count() for c, a in layer.values()) > cap:
@@ -79,7 +78,10 @@ def brute_min_max(
                 if entry is None:
                     na = avail ^ low
                     for j in succs[low.bit_length() - 1]:
-                        if not below[j] & ~t:
+                        strict = below[j]
+                        if strict is None:
+                            strict = below[j] = poset.down[j] ^ 1 << j
+                        if not strict & ~t:
                             na |= 1 << j
                     nxt[t] = [c, na]
                 else:

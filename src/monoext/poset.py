@@ -6,12 +6,13 @@ this package (ordering search, witness construction) uses that index.
 Reachability is one Python-int bitmask per element and direction, which
 keeps down-set unions and cardinalities cheap even for posets with tens of
 thousands of elements.  :func:`build_poset` computes every mask once and
-holds its labels, covers and label index as a tuple, a tuple and a dict.
-:func:`grid_poset` holds no per-element object at all: element e of an
-``nx x ny`` grid is ``(e // ny + 1, e % ny + 1)``, so its labels, covers
-and index are the views of :mod:`monoext.grid`, computed from (i, j)
+holds its labels, covers, sets and label index as tuples, :class:`_BuiltSets`
+and a dict.  :func:`grid_poset` holds no per-element object at all: element
+e of an ``nx x ny`` grid is ``(e // ny + 1, e % ny + 1)``, so its labels,
+covers and index are the views of :mod:`monoext.grid`, computed from (i, j)
 arithmetic when read, and each down-set and up-set, a rectangle, is
-computed on first use.
+computed on first use.  Either kind of sets is a sequence of masks with
+``size``, ``holds``, ``first_holder`` and ``ranks``, all the solver reads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     InvalidGrid,
     UnknownElement,
 )
-from .grid import _GridCovers, _GridIndex, _GridLabels, _GridSequence, _GridSets
+from .grid import _GridCovers, _GridIndex, _GridLabels, _GridSets
 
 DEFAULT_CAP = 10**6
 
@@ -41,22 +42,19 @@ class Poset:
     relation is reflexive, so bit ``i`` is always set); ``up`` is the
     transpose.  ``covers`` holds the given cover pairs as canonical index
     pairs ``(i, j)`` meaning ``labels[i] < labels[j]``, without repeats and
-    in input order.  ``rising`` is True when every cover pair has i < j.
-    Instances are constructed through :func:`build_poset`, which computes
-    the closure, or :func:`grid_poset`, whose labels, covers and sets are
-    the read-only views of :mod:`monoext.grid`, kept as they are.
+    in input order.  Instances are constructed through :func:`build_poset`,
+    which computes the closure into tuples and :class:`_BuiltSets`, or
+    :func:`grid_poset`, whose labels, covers and sets are the read-only
+    views of :mod:`monoext.grid`; both kinds of sets read alike.
     """
 
-    __slots__ = ("labels", "covers", "down", "up", "rising", "_index")
+    __slots__ = ("labels", "covers", "down", "up", "_index")
 
     def __init__(self, labels, covers, down, up):
-        self.labels: Sequence = _keep(labels)
-        self.covers: Sequence[tuple] = _keep(covers)
-        self.down: Sequence[int] = _keep(down)
-        self.up: Sequence[int] = _keep(up)
-        self.rising: bool = isinstance(self.covers, _GridCovers) or all(
-            i < j for i, j in self.covers
-        )
+        self.labels: Sequence = labels
+        self.covers: Sequence[tuple] = covers
+        self.down: Sequence[int] = down
+        self.up: Sequence[int] = up
         if isinstance(self.labels, _GridLabels):
             self._index = _GridIndex(*self.labels.key)
         else:
@@ -175,7 +173,68 @@ def build_poset(labels: Sequence[Label], covers: Iterable[tuple]) -> Poset:
             m |= up[w]
         up[v] = m
 
-    return Poset(labs, edges, down, up)
+    edges = tuple(edges)
+    return Poset(tuple(labs), edges, _BuiltSets(down, edges, "down"),
+                 _BuiltSets(up, edges, "up"))
+
+
+class _BuiltSets(tuple):
+    """The down-sets (``direction`` "down") or up-sets ("up") of a built
+    poset as bitmasks, element e at bit e, with the methods of
+    :class:`~monoext.grid._GridSets`.  The order read from them has the
+    cover pairs ``covers``, flipped for up-sets."""
+
+    def __new__(cls, masks, covers, direction: str):
+        sets = super().__new__(cls, masks)
+        sets._covers, sets._down = covers, direction == "down"
+        return sets
+
+    def size(self, e: int) -> int:
+        return self[e].bit_count()
+
+    def holds(self, e: int, f: int) -> int:
+        return self[e] >> f & 1
+
+    def first_holder(self, reading, whole: bool = True):
+        """Per element e, the position in ``reading`` of the first element
+        whose set holds e, or ``len(reading)``: a list from the bits of each
+        newly covered block, or unless ``whole`` a dict over ``reading``."""
+        key = [len(reading)] * len(self) if whole else {}
+        mask = 0
+        for k, i in enumerate(reading):
+            new = self[i] & ~mask
+            mask |= new
+            if not whole:
+                # Only an element that an earlier set holds is searched for.
+                key[i] = k if new >> i & 1 else next(
+                    q for q, j in enumerate(reading) if self[j] >> i & 1)
+                continue
+            while new:
+                low = new & -new
+                key[low.bit_length() - 1] = k
+                new ^= low
+        return key
+
+    def ranks(self, key) -> list:
+        """The ranks, 1..N from the bottom (down-sets) or N..1 from the top
+        (up-sets), of the least linear extension of the order read under
+        ``(key[e], e)``, ``key`` a whole :meth:`first_holder`.  The key never
+        decreases along that order, so if its cover pairs (i, j) all have
+        i < j, the extension is the stable sort of the key; otherwise it is
+        Kahn's algorithm with a heap (:func:`_first_extension`)."""
+        n = len(self)
+        pairs = self._covers if self._down else [(j, i) for i, j in self._covers]
+        if all(i < j for i, j in pairs):
+            order = sorted(range(n), key=key.__getitem__)
+        else:
+            succs = [[] for _ in range(n)]
+            for i, j in pairs:
+                succs[i].append(j)
+            order = _first_extension(succs, key)
+        ranks = [0] * n
+        for e, r in zip(order, range(1, n + 1) if self._down else range(n, 0, -1)):
+            ranks[e] = r
+        return ranks
 
 
 def _first_extension(succs: Sequence[Sequence[int]], key: Sequence) -> list:
@@ -224,11 +283,6 @@ def _grid_poset(nx: int, ny: int, order_kind: str) -> Poset:
     )
 
 
-def _keep(seq) -> Sequence:
-    """A grid view as it is; any other sequence as a tuple."""
-    return seq if isinstance(seq, _GridSequence) else tuple(seq)
-
-
 def _query_below(downs: Sequence[int], idxs: Sequence[int]) -> list:
     """Per entry p of ``idxs``, the bitmask of entries strictly below it in
     the order whose down-sets are ``downs`` (a poset's ``down``, or its
@@ -274,12 +328,9 @@ def _query_covers(downs: Sequence[int], idxs: Sequence[int]):
     return lower, upper
 
 
-def _cover_succs(poset: Poset, sign: int = 1) -> list:
-    """Per element, the elements above it along the stored cover pairs;
-    with ``sign`` -1 each pair is flipped, giving the successors in the
-    reversed order."""
+def _cover_succs(poset: Poset) -> list:
+    """Per element, the elements above it along the stored cover pairs."""
     succs = [[] for _ in range(poset.n)]
-    pairs = poset.covers if sign > 0 else ((j, i) for i, j in poset.covers)
-    for i, j in pairs:
+    for i, j in poset.covers:
         succs[i].append(j)
     return succs

@@ -26,8 +26,6 @@ from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_
 
-import numpy as np
-
 from .errors import (
     CapExceeded,
     EmptyQuery,
@@ -36,9 +34,7 @@ from .errors import (
     PreconditionViolated,
     ValidationError,
 )
-from .grid import _GridSets
 from .poset import DEFAULT_CAP, Poset, QuerySet, _query_covers
-from .poset import _cover_succs, _first_extension
 from .values import BoundResult, MonotoneBijection, ValueScale, _integer_ratios, _Ratios
 
 
@@ -56,33 +52,9 @@ def _check_instance(poset: Poset, scale: ValueScale, query: QuerySet) -> None:
         raise EmptyQuery("query set is empty")
 
 
-def _first_holder(sets, reading, whole: bool):
-    """Per element e, the position in ``reading`` of the first element whose
-    set holds e, or ``len(reading)``: a grid's array, a built poset's list
-    from the bits of each newly covered block, or unless ``whole`` its dict
-    over the elements read only."""
-    if isinstance(sets, _GridSets):
-        return sets.first_holder(reading)
-    key = [len(reading)] * len(sets) if whole else {}
-    mask = 0
-    for k, i in enumerate(reading):
-        new = sets[i] & ~mask
-        mask |= new
-        if not whole:
-            # Only an element that an earlier set holds is searched for.
-            key[i] = k if new >> i & 1 else next(
-                q for q, j in enumerate(reading) if sets[j] >> i & 1)
-            continue
-        while new:
-            low = new & -new
-            key[low.bit_length() - 1] = k
-            new ^= low
-    return key
-
-
 def _validate_ordering(poset: Poset, scale: ValueScale, query: QuerySet, perm,
                        up: bool = False, whole: bool = False):
-    """The key :func:`_first_holder` of the down-sets along ``perm``, or
+    """The key ``first_holder`` of the down-sets along ``perm``, or
     with ``up`` of the up-sets along it from the top, once the scale and
     permutation are checked.  The ordering is admissible iff each query
     element's key is its own position; if not, the error names the first
@@ -92,7 +64,7 @@ def _validate_ordering(poset: Poset, scale: ValueScale, query: QuerySet, perm,
     if tuple(sorted(perm)) != tuple(range(n)):
         raise InvalidPermutation(f"{perm!r} is not a permutation of 0..{n - 1}")
     reading = [query.indices[p] for p in (perm[::-1] if up else perm)]
-    key = _first_holder(poset.up if up else poset.down, reading, whole)
+    key = (poset.up if up else poset.down).first_holder(reading, whole)
     for late, i in enumerate(reading):
         if key[i] != late:
             break
@@ -215,24 +187,15 @@ def _chain(sets, idxs):
 
     Along a chain the sets strictly grow, so sorted by set size the
     entries form a chain exactly when each one's set holds the entry
-    before it: k - 1 membership tests are made (:func:`_set_reader`).
+    before it: k - 1 membership tests are made (``holds``, which on a
+    grid is (i, j) arithmetic and builds no mask).
     """
-    size, holds = _set_reader(sets)
-    sizes = [size(i) for i in idxs]
+    sizes = [sets.size(i) for i in idxs]
     order = sorted(range(len(idxs)), key=sizes.__getitem__)
     for a, b in zip(order, order[1:]):
-        if not holds(idxs[b], idxs[a]):
+        if not sets.holds(idxs[b], idxs[a]):
             return None
     return order, [sizes[p] for p in order]
-
-
-def _set_reader(sets):
-    """``(size, holds)``: the size of element e's set, and whether e's set
-    holds element f.  A grid's come from (i, j) arithmetic and build no
-    mask; a built poset's read the bits of its masks."""
-    if isinstance(sets, _GridSets):
-        return sets.size, sets.holds
-    return (lambda e: sets[e].bit_count()), (lambda e, f: sets[e] >> f & 1)
 
 
 def _charged(values, rank, sizes) -> Fraction:
@@ -438,40 +401,18 @@ def build_witness(
     covered by the running union of sets once the k-th query element is
     read, filled along the lexicographically first linear extension of the
     order read.  Min mode reads the down-sets from the bottom and hands out
-    ranks 1, 2, ...; max mode reads the up-sets from the top, walks the
-    cover pairs flipped, and hands out ranks N, N - 1, ....  This is the
-    least linear extension under the key (first block containing the
-    element, canonical index).  The ranks are a permutation of 1..N by
-    construction, so they are built as one tuple and handed to
-    :meth:`~monoext.values.MonotoneBijection._of_ranks`, which does not
-    check them again.
-
-    The running unions are down-closed in the order read, so the key never
-    decreases along it.  The ordering check computes it, and:
-    - on a grid, the key is an array and the extension a sort by it,
-      :meth:`~monoext.grid._GridSets.extension`;
-    - on a built poset, the key is found by walking each block's bits;
-      if its cover pairs (i, j) all have i < j, min mode reads along them,
-      and (key, index) is itself an extension, so it is the stable sort of
-      the key; otherwise Kahn's algorithm with a heap finds it,
-      :func:`_first_extension`.
+    ranks 1, 2, ...; max mode reads the up-sets from the top and hands out
+    ranks N, N - 1, ....  This is the least linear extension under the key
+    (first block containing the element, canonical index): the ordering
+    check computes the key, and the sets' ``ranks`` hand them out, a sort
+    where the order read allows and a heap otherwise.  The ranks are a
+    permutation of 1..N by construction, so they are built as one tuple
+    and handed to :meth:`~monoext.values.MonotoneBijection._of_ranks`,
+    which does not check them again.
     """
     key = _validate_ordering(poset, scale, query, perm, mode == "max", True)
-    sets, _, sign = _orientation(poset, mode)
-    n = poset.n
-    if isinstance(key, np.ndarray):
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[sets.extension(key)] = np.arange(1, n + 1)[::sign]
-        ranks = ranks.tolist()  # the array is freed before the tuple is built
-        return MonotoneBijection._of_ranks(poset, scale, tuple(ranks))
-    if sign > 0 and poset.rising:
-        order = sorted(range(n), key=key.__getitem__)
-    else:
-        order = _first_extension(_cover_succs(poset, sign), key)
-    ranks = [0] * n
-    for e, r in zip(order, range(1, n + 1)[::sign]):
-        ranks[e] = r
-    return MonotoneBijection._of_ranks(poset, scale, tuple(ranks))
+    sets, _, _ = _orientation(poset, mode)
+    return MonotoneBijection._of_ranks(poset, scale, tuple(sets.ranks(key)))
 
 
 def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):
@@ -494,10 +435,9 @@ def chain_bounds(poset: Poset, scale: ValueScale, query: QuerySet):
         a, b = _first_pair(query, lambda i, j: not poset.comparable_idx(i, j))
         raise NotAChain(f"{a!r} and {b!r} are incomparable")
     _, top_rank, _ = _orientation(poset, "max")
-    up_size, _ = _set_reader(poset.up)
     return (
         _charged(scale.values, lambda k: k, chain[1]),
-        _charged(scale.values, top_rank, [up_size(i) for i in idxs]),
+        _charged(scale.values, top_rank, [poset.up.size(i) for i in idxs]),
     )
 
 
@@ -519,7 +459,7 @@ def disjoint_bound(
     _check_instance(poset, scale, query)
     sets, rank, _ = _orientation(poset, mode)
     idxs = query.indices
-    sizes = [sets[i].bit_count() for i in idxs]
+    sizes = [sets.size(i) for i in idxs]
     if reduce(or_, (sets[i] for i in idxs)).bit_count() != sum(sizes):
         a, b = _first_pair(query, lambda i, j: sets[i] & sets[j])
         kind = "down-sets" if mode == "min" else "up-sets"

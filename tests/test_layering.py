@@ -53,3 +53,16 @@ def test_only_the_bridges_import_from_both_sides():
             both.add(importer)
     assert "discretize" in both
     assert both <= BRIDGES, both - BRIDGES
+
+
+def test_the_solver_reads_sets_without_numpy_or_the_grid():
+    # The solver reads every poset's sets through the methods the set
+    # views share, so it needs neither the grid's arithmetic nor numpy.
+    modules = set()
+    for node in ast.walk(ast.parse((PACKAGE / "solver.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.add(node.module.split(".")[0])
+    assert "numpy" not in modules
+    assert "grid" not in {module for module, _ in _imports(PACKAGE / "solver.py")}

@@ -25,6 +25,7 @@ from monoext.errors import (
     NotIncomparable,
     ValidationError,
 )
+from monoext.grid import _GridSets
 from reference import linear_extensions, reversed_instance
 
 
@@ -104,6 +105,18 @@ class TestBruteMinMax:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_large_grid_reads_few_sets_before_the_cap(self, monkeypatch):
+        # Only the strict down-sets the forward pass tests are computed:
+        # a 120 x 120 grid hits the cap after a few layers, long before
+        # its 14400 sets would all be read.
+        calls = []
+        at = _GridSets._at
+        monkeypatch.setattr(_GridSets, "_at", lambda sets, e: calls.append(e) or at(sets, e))
+        p = grid_poset(120)
+        with pytest.raises(CapExceeded):
+            brute_min_max(p, ValueScale(range(1, p.n + 1)), QuerySet(p, [(1, 1)]))
+        assert 0 < len(calls) < 120
 
     def test_deep_chain(self):
         n = 1500

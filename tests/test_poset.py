@@ -334,34 +334,44 @@ class TestGridSets:
     @pytest.mark.parametrize("kind", ["product", "rows"])
     @pytest.mark.parametrize("direction", ["down", "up"])
     def test_first_holder_is_the_first_set_holding_each_bit(self, kind, direction):
+        # The grid's sets and those of its built copy answer alike; the
+        # query-only key holds the same entries over the reading.
         rng = random.Random(19)
         for nx in range(1, 5):
             for ny in range(1, 5):
-                sets = _GridSets(nx, ny, kind, direction)
+                grid_sets = _GridSets(nx, ny, kind, direction)
+                built_sets = getattr(built_grid(nx, ny, kind), direction)
                 n = nx * ny
                 readings = [[]] + [[e] for e in range(n)]
                 readings += [list(pair) for pair in itertools.permutations(range(n), 2)]
                 readings += [rng.sample(range(n), rng.randint(3, n)) for _ in range(20)
                              if n >= 3]
                 for reading in readings:
-                    want = [next((k for k, q in enumerate(reading) if sets[q] >> e & 1),
+                    want = [next((k for k, q in enumerate(reading) if grid_sets[q] >> e & 1),
                                  len(reading)) for e in range(n)]
-                    assert sets.first_holder(reading).tolist() == want, (
+                    assert grid_sets.first_holder(reading).tolist() == want, (
                         nx, ny, reading)
+                    assert built_sets.first_holder(reading) == want, (nx, ny, reading)
+                    for sets in (grid_sets, built_sets):
+                        part = sets.first_holder(reading, False)
+                        assert [part[i] for i in reading] == [want[i] for i in reading]
 
     @pytest.mark.parametrize("kind", ["product", "rows"])
     @pytest.mark.parametrize("direction", ["down", "up"])
     def test_size_and_holds_read_the_masks(self, kind, direction):
         # The arithmetic answers are those of the masks, on grids that are
         # not square too.
+        # The built copy's sets read their masks the same way.
         for nx in range(1, 5):
             for ny in range(1, 5):
-                sets = _GridSets(nx, ny, kind, direction)
-                masks = list(sets)
-                for e in range(nx * ny):
-                    assert sets.size(e) == masks[e].bit_count(), (nx, ny, e)
-                    for f in range(nx * ny):
-                        assert sets.holds(e, f) == bool(masks[e] >> f & 1), (nx, ny, e, f)
+                for sets in (_GridSets(nx, ny, kind, direction),
+                             getattr(built_grid(nx, ny, kind), direction)):
+                    masks = list(sets)
+                    for e in range(nx * ny):
+                        assert sets.size(e) == masks[e].bit_count(), (nx, ny, e)
+                        for f in range(nx * ny):
+                            assert sets.holds(e, f) == bool(masks[e] >> f & 1), (
+                                nx, ny, e, f)
 
     def test_indexing(self):
         g = grid_poset(3, "product")

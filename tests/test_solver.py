@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, islice, permutations
 
@@ -36,9 +37,10 @@ from monoext.errors import (
     PreconditionViolated,
     ValidationError,
 )
+from monoext import poset as poset_layer
 from monoext import solver
 from monoext.grid import _GridSets
-from monoext.poset import _cover_succs, _first_extension, _grid_poset
+from monoext.poset import _BuiltSets, _first_extension, _grid_poset
 from monoext.solver import _orientation
 from reference import (
     admissible_orderings,
@@ -249,7 +251,7 @@ def _falling_dag(labels, seed):
         covers = [(a, b) for k, a in enumerate(topo) for b in topo[k + 1:]
                   if rng.random() < 0.4]
         poset = build_poset(labels, covers)
-        if not poset.rising:
+        if not all(i < j for i, j in poset.covers):
             return poset
 
 
@@ -306,8 +308,8 @@ class TestGridOrderingCheck:
         calls = []
         first_holder = _GridSets.first_holder
         monkeypatch.setattr(_GridSets, "first_holder",
-                            lambda sets, elements: calls.append(sets.key)
-                            or first_holder(sets, elements))
+                            lambda sets, elements, whole: calls.append(sets.key)
+                            or first_holder(sets, elements, whole))
         poset = _grid_poset(5, 4, order)
         scale = ValueScale(range(1, poset.n + 1))
         query = QuerySet(poset, [(2, 3), (4, 1), (5, 4)])
@@ -767,7 +769,8 @@ def heap_witness_ranks(poset, query, perm, mode):
     """The witness ranks by the heap: the key of :func:`build_witness`
     (the first block whose union holds the element, read bit by bit) and
     the least linear extension under (key, index) that
-    :func:`_first_extension` builds along the cover pairs read."""
+    :func:`_first_extension` builds along the cover pairs read, flipped
+    in max mode."""
     sets, rank, sign = _orientation(poset, mode)
     key = [len(perm)] * poset.n
     mask = 0
@@ -777,23 +780,43 @@ def heap_witness_ranks(poset, query, perm, mode):
         for e in range(poset.n):
             if new >> e & 1:
                 key[e] = k
+    succs = [[] for _ in range(poset.n)]
+    for i, j in poset.covers:
+        if sign < 0:
+            i, j = j, i
+        succs[i].append(j)
     ranks = [0] * poset.n
-    for pos, e in enumerate(_first_extension(_cover_succs(poset, sign), key), 1):
+    for pos, e in enumerate(_first_extension(succs, key), 1):
         ranks[e] = rank(pos)
     return tuple(ranks)
 
 
 @pytest.fixture
 def no_heap(monkeypatch):
-    """Makes the heap an error inside build_witness."""
+    """A context in which the heap is an error.  ``build_poset`` orders
+    its closure with the heap too, so posets are built outside it."""
     def refuse(succs, key):
         raise AssertionError("build_witness used the heap")
-    monkeypatch.setattr(solver, "_first_extension", refuse)
+
+    @contextmanager
+    def refused():
+        with monkeypatch.context() as patch:
+            patch.setattr(poset_layer, "_first_extension", refuse)
+            yield
+    return refused
+
+
+def dag_falling_in_index(rng, n):
+    """A random DAG on 0..n-1 whose cover pairs all fall in index."""
+    covers = [(j, i) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < rng.uniform(0.1, 0.6)]
+    return build_poset(list(range(n)), rng.sample(covers, len(covers)))
 
 
 class TestWitnessBySort:
-    """Grid witnesses and min-mode witnesses of posets whose covers rise in
-    index come from a sort; each must equal the heap's."""
+    """Grid witnesses, and the witnesses of built posets whose covers in
+    the order read rise in index (min mode on covers rising, max mode on
+    covers falling), come from a sort; each must equal the heap's."""
 
     @pytest.mark.parametrize("kind", ["product", "rows"])
     def test_small_grids_exhaustively(self, kind):
@@ -838,7 +861,8 @@ class TestWitnessBySort:
             q = QuerySet(g, labels)
             perm = solve_min(g, scale, q).witness_perm
             for mode in ("min", "max"):
-                got = build_witness(g, scale, q, perm, mode).ranks
+                with no_heap():
+                    got = build_witness(g, scale, q, perm, mode).ranks
                 assert got == heap_witness_ranks(g, q, perm, mode)
 
     @pytest.mark.parametrize("kind", ["product", "rows"])
@@ -860,7 +884,8 @@ class TestWitnessBySort:
             scale = ValueScale(range(1, g.n + 1))
             q = QuerySet(g, [(2, 5), (4, 1), (6, 6)])
             for mode in ("min", "max"):
-                build_witness(g, scale, q, solve_min(g, scale, q).witness_perm, mode)
+                with no_heap():
+                    build_witness(g, scale, q, solve_min(g, scale, q).witness_perm, mode)
 
     def test_min_mode_on_rising_dags(self, no_heap):
         rng = random.Random(7)
@@ -869,24 +894,55 @@ class TestWitnessBySort:
             covers = [(i, j) for i in range(n) for j in range(i + 1, n)
                       if rng.random() < rng.uniform(0.1, 0.6)]
             p = build_poset(list(range(n)), rng.sample(covers, len(covers)))
-            assert p.rising
+            assert all(i < j for i, j in p.covers)
             scale = ValueScale(range(1, n + 1))
             q = QuerySet(p, rng.sample(range(n), rng.randint(1, n)))
             for perm in islice(admissible_orderings(p, q), 20):
-                got = build_witness(p, scale, q, perm, "min").ranks
+                with no_heap():
+                    got = build_witness(p, scale, q, perm, "min").ranks
                 assert got == heap_witness_ranks(p, q, perm, "min")
 
-    def test_other_posets_keep_the_heap(self, monkeypatch):
+    def test_max_mode_on_falling_dags(self, no_heap):
+        rng = random.Random(8)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            p = dag_falling_in_index(rng, n)
+            assert all(i > j for i, j in p.covers)
+            scale = ValueScale(range(1, n + 1))
+            q = QuerySet(p, rng.sample(range(n), rng.randint(1, n)))
+            for perm in islice(admissible_orderings(p, q), 20):
+                with no_heap():
+                    got = build_witness(p, scale, q, perm, "max").ranks
+                assert got == heap_witness_ranks(p, q, perm, "max")
+
+    def test_min_mode_on_falling_dags_keeps_the_heap(self, monkeypatch):
+        rng = random.Random(9)
+        posets = [dag_falling_in_index(rng, rng.randint(2, 8)) for _ in range(60)]
+        posets = [p for p in posets if p.covers]
+        heap = poset_layer._first_extension
         calls = []
-        heap = solver._first_extension
-        monkeypatch.setattr(solver, "_first_extension",
+        monkeypatch.setattr(poset_layer, "_first_extension",
                             lambda succs, key: calls.append(1) or heap(succs, key))
+        for p in posets:
+            scale = ValueScale(range(1, p.n + 1))
+            q = QuerySet(p, rng.sample(range(p.n), rng.randint(1, p.n)))
+            perm = next(admissible_orderings(p, q))
+            calls.clear()
+            got = build_witness(p, scale, q, perm, "min").ranks
+            assert calls == [1]
+            assert got == heap_witness_ranks(p, q, perm, "min")
+
+    def test_other_posets_keep_the_heap(self, monkeypatch):
         falling = build_poset(["c", "b", "a"], [("a", "b"), ("b", "c")])
-        assert not falling.rising
+        rising = chain3()
+        calls = []
+        heap = poset_layer._first_extension
+        monkeypatch.setattr(poset_layer, "_first_extension",
+                            lambda succs, key: calls.append(1) or heap(succs, key))
+        assert not all(i < j for i, j in falling.covers)
         scale = ValueScale([1, 2, 3])
         w = build_witness(falling, scale, QuerySet(falling, ["b"]), (0,), "min")
         assert dict(w.items()) == {"a": 1, "b": 2, "c": 3}
-        rising = chain3()
         build_witness(rising, scale, QuerySet(rising, ["b"]), (0,), "max")
         assert len(calls) == 2
 
@@ -997,23 +1053,15 @@ class TestChainBounds:
                 assert solve(p, s, q).objective == bound
                 assert len(tested) == 39
 
-        # On a built poset the tests are shifts of the masks it reads.
+        # On a built poset the tests read the bits of its masks.
         tested.clear()
+        built_holds = _BuiltSets.holds
 
-        class Mask(int):
-            def __rshift__(self, i):
-                tested.append(i)
-                return int(self) >> i
+        def built_counted(self, e, f):
+            tested.append(f)
+            return built_holds(self, e, f)
 
-        class Counted:
-            def __init__(self, sets):
-                self.sets = sets
-
-            def __getitem__(self, i):
-                return Mask(self.sets[i])
-
-        chain = solver._chain
-        monkeypatch.setattr(solver, "_chain", lambda sets, idxs: chain(Counted(sets), idxs))
+        monkeypatch.setattr(_BuiltSets, "holds", built_counted)
         p = build_poset(list(range(40)), [(i, i + 1) for i in range(39)])
         q = QuerySet(p, list(range(0, 40, 3)))
         s = ValueScale(range(1, 41))
