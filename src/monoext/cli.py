@@ -34,7 +34,7 @@ from .errors import CapExceeded, MonoextError, ValidationError
 from .func1d import EmpiricalRV, MonotoneMap1D
 from .grid import _GridLabels
 from .oracle import brute_min_max
-from .poset import DEFAULT_CAP, Poset, QuerySet, build_poset, grid_poset
+from .poset import DEFAULT_CAP, Poset, QuerySet, _is_int, build_poset, grid_poset
 from .process import (
     check_trials,
     expectation_at_tau,
@@ -44,7 +44,7 @@ from .process import (
     verify_process_membership,
 )
 from .solver import solve_max, solve_min
-from .values import BoundResult, MonotoneBijection, ValueScale, _is_int
+from .values import BoundResult, MonotoneBijection, ValueScale
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2

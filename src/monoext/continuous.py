@@ -56,8 +56,9 @@ def eval_extremal_surface(
     indexed by the least s whose rectangle [0, t(s)] x [0, s] contains it,
     i.e. s = max(y, min{s : t(s) >= x}), and the value is m^{-1}(t(s)*s).
     Right of it the surface climbs linearly in y from m^{-1}(t(1)) to 1.
-    This is the one-point case of the grid evaluator, so it returns exactly
-    the values :func:`verify_membership` checks.
+    It is the point evaluator :func:`_surface_values` at one point; the
+    grid that :func:`verify_membership` checks is the row form
+    (:func:`_surface_rows`), which gives the same values bit for bit.
     """
     x = _clamp_unit(x, "x")
     y = _clamp_unit(y, "y")
@@ -190,12 +191,6 @@ def _surface_rows(m, t, xs, ys) -> _SurfaceRows:
     )
 
 
-def _surface_grid(m, t, xs, ys) -> np.ndarray:
-    """Surface values at the grid xs x ys, ys ascending; rows index x,
-    columns index y.  The row form (:func:`_surface_rows`) materialized."""
-    return _surface_rows(m, t, xs, ys).grid()
-
-
 def verify_membership(
     m: MonotoneMap1D,
     t: MonotoneMap1D,
@@ -221,7 +216,7 @@ def verify_membership(
     xs = (np.arange(grid_n) + 0.5) / grid_n
     ys = xs
     if surface is None:
-        grid = _surface_grid(m, t, xs, ys)
+        grid = _surface_rows(m, t, xs, ys).grid()
     else:
         grid = np.asarray(surface, dtype=float)
         if grid.shape != (grid_n, grid_n):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidGrid, MembershipViolation, ValidationError
 from .func1d import MonotoneMap1D, _float_ratios
-from .poset import QuerySet, grid_poset
+from .poset import QuerySet, _is_int, grid_poset
 from .solver import chain_bounds, disjoint_bound
 from .values import ValueScale
 
@@ -115,12 +115,14 @@ def grid_experiment(alpha: float, n: int, k: int) -> GridExperiment:
     of the column chain {(s, j)}, where s is the column containing
     x = alpha.  Returns the observed column average at column s, the
     closed-form bound s(n+1)/(2n), and the distance to the continuum
-    target alpha/2.  ``k`` must be a positive divisor of n; it is
-    validated and echoed in the record but computes nothing.
+    target alpha/2.  ``k`` must be an int dividing n; it is validated
+    and echoed in the record but computes nothing.
     """
     if not (math.isfinite(alpha) and 0 < alpha <= 1):
         raise InvalidGrid("alpha must lie in (0, 1]")
     fa = Fraction(alpha)
+    if not (_is_int(n) and _is_int(k)):
+        raise InvalidGrid(f"n and k must be integers, got {n!r} and {k!r}")
     if n < 2:
         raise InvalidGrid("n must be at least 2")
     if k < 1 or n % k != 0:

@@ -1,5 +1,5 @@
 """The grid ``{(i, j) : 1 <= i <= nx, 1 <= j <= ny}`` as read-only views
-computed from (i, j) arithmetic.
+computed from (i, j) arithmetic, on one base for computed sequences.
 
 Element e of the grid is ``i * ny + j`` (0-based i, j).  Its label, its
 cover pairs, the index of a label, its down-set and up-set bitmasks, and
@@ -7,7 +7,8 @@ those sets' sizes and members are all computed from that arithmetic when
 read, so a grid poset holds no per-element object
 (:func:`monoext.poset.grid_poset` puts these views together).  The sets
 read as :class:`monoext.poset._BuiltSets` do, and give a witness its key,
-its linear extension and its ranks as array arithmetic.
+its linear extension and its ranks as array arithmetic.  Scale values
+(:mod:`monoext.values`) are a computed view on the same base.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import numpy as np
 
 
 @Sequence.register
-class _GridSequence:
-    """A read-only sequence over the ``nx x ny`` grid that computes each
-    entry when it is read.  Subclasses set ``key``, which names the grid,
-    and compute entry e, for e in ``0..len - 1``, in ``_at``.
+class _ComputedSequence:
+    """A read-only sequence that computes each entry when it is read.
+    Subclasses give ``key``, which names the sequence (a grid, or a
+    scale's integers), and ``__len__``, and compute entry e, for e in
+    ``0..len - 1``, in ``_at``; ``reversed`` reads entries by index.
 
     Views of the same class and key compare equal without computing an
     entry; any other comparison, tuples included, runs entry by entry.
@@ -45,12 +47,12 @@ class _GridSequence:
     def __eq__(self, other) -> bool:
         if type(other) is type(self) and other.key == self.key:
             return True
-        if not isinstance(other, (_GridSequence, tuple)):
+        if not isinstance(other, (_ComputedSequence, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-class _GridLabels(_GridSequence):
+class _GridLabels(_ComputedSequence):
     """The labels ``(i, j)``, 1-based, in canonical order: ``i`` major."""
 
     __slots__ = ()
@@ -98,7 +100,7 @@ class _GridIndex:
         return (i - 1) * self.ny + (j - 1)
 
 
-class _GridCovers(_GridSequence):
+class _GridCovers(_ComputedSequence):
     """The cover pairs ``(e, f)`` in the order that
     :func:`~monoext.poset.build_poset` stores them in, given the labels:
     per element, the next i (``f = e + ny``), then, under the product
@@ -129,7 +131,7 @@ class _GridCovers(_GridSequence):
         return (e, e + (1 if r % 2 else ny))
 
 
-class _GridSets(_GridSequence):
+class _GridSets(_ComputedSequence):
     """The down-sets (``direction`` "down") or up-sets ("up") of the grid,
     as bitmasks, each computed the first time it is read and cached.
 

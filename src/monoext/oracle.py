@@ -47,12 +47,14 @@ def brute_min_max(
         raise ValidationError(
             f"scale has {len(scale)} values for a poset of {poset.n} elements"
         )
+    if query.poset is not poset and query.poset != poset:
+        raise ValidationError("query is built on another poset")
     ints, den = _integer_ratios(scale.values)
     qmask = 0
     for i in query.indices:
         qmask |= 1 << i
     n = poset.n
-    succs = _cover_succs(poset)
+    succs = _cover_succs(n, poset.covers)
     ends = {j for _, j in poset.covers}
     # Each strict down-set is computed the first time an element is tested,
     # so a search that hits the cap early reads few of them.

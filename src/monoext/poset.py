@@ -12,7 +12,8 @@ e of an ``nx x ny`` grid is ``(e // ny + 1, e % ny + 1)``, so its labels,
 covers and index are the views of :mod:`monoext.grid`, computed from (i, j)
 arithmetic when read, and each down-set and up-set, a rectangle, is
 computed on first use.  Either kind of sets is a sequence of masks with
-``size``, ``holds``, ``first_holder`` and ``ranks``, all the solver reads.
+``size``, ``holds``, ``first_holder`` and ``ranks``, all the solver reads;
+the order test :meth:`Poset.leq_idx` reads ``holds`` as well.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ from .grid import _GridCovers, _GridIndex, _GridLabels, _GridSets
 DEFAULT_CAP = 10**6
 
 Label = Hashable
+
+
+def _is_int(v) -> bool:
+    """True for a Python int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class Poset:
@@ -71,8 +77,8 @@ class Poset:
             raise UnknownElement(f"{label!r} is not an element of the poset") from None
 
     def leq_idx(self, i: int, j: int) -> bool:
-        """True iff element i is below-or-equal element j."""
-        return bool(self.down[j] >> i & 1)
+        """True iff element i is below-or-equal element j (``down.holds``)."""
+        return bool(self.down.holds(j, i))
 
     def leq(self, a: Label, b: Label) -> bool:
         return self.leq_idx(self.index(a), self.index(b))
@@ -198,17 +204,14 @@ class _BuiltSets(tuple):
     def first_holder(self, reading, whole: bool = True):
         """Per element e, the position in ``reading`` of the first element
         whose set holds e, or ``len(reading)``: a list from the bits of each
-        newly covered block, or unless ``whole`` a dict over ``reading``."""
+        newly covered block, or unless ``whole`` a dict from its bits in ``reading``."""
         key = [len(reading)] * len(self) if whole else {}
+        wanted = -1 if whole else sum(1 << i for i in reading)
         mask = 0
         for k, i in enumerate(reading):
             new = self[i] & ~mask
             mask |= new
-            if not whole:
-                # Only an element that an earlier set holds is searched for.
-                key[i] = k if new >> i & 1 else next(
-                    q for q, j in enumerate(reading) if self[j] >> i & 1)
-                continue
+            new &= wanted
             while new:
                 low = new & -new
                 key[low.bit_length() - 1] = k
@@ -227,10 +230,7 @@ class _BuiltSets(tuple):
         if all(i < j for i, j in pairs):
             order = sorted(range(n), key=key.__getitem__)
         else:
-            succs = [[] for _ in range(n)]
-            for i, j in pairs:
-                succs[i].append(j)
-            order = _first_extension(succs, key)
+            order = _first_extension(_cover_succs(n, pairs), key)
         ranks = [0] * n
         for e, r in zip(order, range(1, n + 1) if self._down else range(n, 0, -1)):
             ranks[e] = r
@@ -271,6 +271,8 @@ def grid_poset(n: int, order_kind: str = "product") -> Poset:
 
 def _grid_poset(nx: int, ny: int, order_kind: str) -> Poset:
     """The ``nx x ny`` grid ``{(i, j)}`` under the orders of :func:`grid_poset`."""
+    if not (_is_int(nx) and _is_int(ny)):
+        raise InvalidGrid(f"grid size must be an integer, got {nx!r} x {ny!r}")
     if nx < 1 or ny < 1:
         raise InvalidGrid("grid size must be at least 1")
     if order_kind not in ("product", "rows"):
@@ -328,9 +330,9 @@ def _query_covers(downs: Sequence[int], idxs: Sequence[int]):
     return lower, upper
 
 
-def _cover_succs(poset: Poset) -> list:
-    """Per element, the elements above it along the stored cover pairs."""
-    succs = [[] for _ in range(poset.n)]
-    for i, j in poset.covers:
+def _cover_succs(n: int, pairs) -> list:
+    """Per element of ``0..n-1``, the elements above it along ``pairs``."""
+    succs = [[] for _ in range(n)]
+    for i, j in pairs:
         succs[i].append(j)
     return succs

@@ -38,16 +38,19 @@ from .poset import DEFAULT_CAP, Poset, QuerySet, _query_covers
 from .values import BoundResult, MonotoneBijection, ValueScale, _integer_ratios, _Ratios
 
 
-def _check_scale(poset: Poset, scale: ValueScale) -> None:
+def _check_fit(poset: Poset, scale: ValueScale, query: QuerySet) -> None:
+    """The scale fits the poset, and the query, whose indices it reads, is built on it."""
     if len(scale) != poset.n:
         raise ValidationError(
             f"scale has {len(scale)} values for a poset of {poset.n} elements"
         )
+    if query.poset is not poset and query.poset != poset:
+        raise ValidationError("query is built on another poset")
 
 
 def _check_instance(poset: Poset, scale: ValueScale, query: QuerySet) -> None:
-    """The scale fits the poset and the query is not empty."""
-    _check_scale(poset, scale)
+    """The scale and the query fit the poset and the query is not empty."""
+    _check_fit(poset, scale, query)
     if len(query) == 0:
         raise EmptyQuery("query set is empty")
 
@@ -59,7 +62,7 @@ def _validate_ordering(poset: Poset, scale: ValueScale, query: QuerySet, perm,
     permutation are checked.  The ordering is admissible iff each query
     element's key is its own position; if not, the error names the first
     element below an earlier one, and the first earlier one above it."""
-    _check_scale(poset, scale)
+    _check_fit(poset, scale, query)
     n = len(query)
     if tuple(sorted(perm)) != tuple(range(n)):
         raise InvalidPermutation(f"{perm!r} is not a permutation of 0..{n - 1}")

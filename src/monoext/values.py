@@ -4,27 +4,24 @@ Scale entries are held as exact rationals; float inputs are converted to
 their exact binary value, so sums and comparisons in the discrete solvers
 carry no rounding at all.  A scale whose values share a denominator (the
 scales derived from a map) holds only the integer numerators, and builds
-the rational of a position when it is read.
+the rational of a position when it is read: a read-only sequence on the
+base of the grid views (:class:`monoext.grid._ComputedSequence`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 from math import gcd, lcm
-from operator import eq, index, lt
+from operator import index, lt
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import NotIncreasing, ValidationError
-from .poset import Poset
+from .grid import _ComputedSequence
+from .poset import Poset, _is_int
 
 Rational = Union[int, float, Fraction]
-
-
-def _is_int(v) -> bool:
-    """True for a Python int that is not a bool."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def to_fraction(v: Rational) -> Fraction:
@@ -54,10 +51,10 @@ def _integer_ratios(values) -> tuple:
     return nums, den
 
 
-class _Ratios:
+class _Ratios(_ComputedSequence):
     """The rationals ``nums[k] / den`` as a read-only sequence that holds
     only the integers and builds the :class:`Fraction` of a position when
-    it is read.
+    it is read (:meth:`_at`), a computed view like the grid's.
 
     Sequences with equal ``nums`` and ``den`` compare equal without
     building a value; any other comparison runs value by value.
@@ -69,27 +66,15 @@ class _Ratios:
         self.nums = nums
         self.den = den
 
+    @property
+    def key(self) -> tuple:
+        return self.nums, self.den
+
     def __len__(self) -> int:
         return len(self.nums)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(Fraction, self.nums[k], repeat(self.den)))
+    def _at(self, k: int) -> Fraction:
         return Fraction(self.nums[k], self.den)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return map(Fraction, self.nums, repeat(self.den))
-
-    def __reversed__(self) -> Iterator[Fraction]:
-        return map(Fraction, reversed(self.nums), repeat(self.den))
-
-    def __eq__(self, other) -> bool:
-        same_den = isinstance(other, _Ratios) and other.den == self.den
-        if same_den and other.nums == self.nums:
-            return True
-        if not isinstance(other, (_Ratios, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
     def ratios(self) -> Iterator[tuple]:
         den = self.den

@@ -35,7 +35,7 @@ from monoext.cli import (
     load_map,
     main,
 )
-from monoext.continuous import _surface_grid, _SurfaceRows
+from monoext.continuous import _surface_rows, _SurfaceRows
 from monoext.poset import _grid_poset
 from monoext.process import MAX_TRIALS
 
@@ -339,8 +339,8 @@ def test_cont_extremal_csv_matches_per_cell_writer(m, t, grid):
         with open(out_path) as fh:
             got = fh.read()
     centers = [(i + 0.5) / grid for i in range(grid)]
-    values = _surface_grid(load_map(m), load_map(t), np.array(centers),
-                           np.array(centers)).tolist()
+    values = _surface_rows(load_map(m), load_map(t), np.array(centers),
+                           np.array(centers)).grid().tolist()
     want = ["x,y,value"] + [
         f"{x!r},{y!r},{v!r}"
         for x, row in zip(centers, values) for y, v in zip(centers, row)

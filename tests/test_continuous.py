@@ -18,7 +18,7 @@ from monoext import (
     verify_membership,
 )
 from monoext.cli import load_map
-from monoext.continuous import MAX_SURFACE_GRID, _surface_grid, _surface_values
+from monoext.continuous import MAX_SURFACE_GRID, _surface_rows, _surface_values
 from monoext.errors import InvalidGrid, MembershipViolation, OutOfDomain
 from monoext.func1d import _integrate_nodes
 from monoext.selftest import _SURFACE_PAIRS
@@ -156,7 +156,7 @@ class TestMembership:
         # The extremal surface with its lowest and highest cells swapped.
         t = MonotoneMap1D.constant(0.5)
         centers = (np.arange(20) + 0.5) / 20
-        corrupted = _surface_grid(ID, t, centers, centers)
+        corrupted = _surface_rows(ID, t, centers, centers).grid()
         corrupted[0, 0], corrupted[-1, -1] = corrupted[-1, -1], corrupted[0, 0]
         with pytest.raises(MembershipViolation):
             verify_membership(ID, t, 20, surface=corrupted)
@@ -207,7 +207,7 @@ class TestMembership:
         # value in row-major order outside the range is named.
         t = MonotoneMap1D.constant(0.5)
         centers = (np.arange(100) + 0.5) / 100
-        surface = _surface_grid(ID, t, centers, centers)
+        surface = _surface_rows(ID, t, centers, centers).grid()
         assert verify_membership(ID, t, 100, surface=surface).ok
         surface[0, 0], surface[-1, -1] = -3.0, 7.0
         with pytest.raises(MembershipViolation) as e:
@@ -347,7 +347,7 @@ def test_surface_grid_equals_points_bit_for_bit(m, t, n):
     """The grid, built from once-per-abscissa and once-per-ordinate map
     values, has the bits of the one-point evaluator at every cell."""
     xs = (np.arange(n) + 0.5) / n
-    grid = _surface_grid(m, t, xs, xs)
+    grid = _surface_rows(m, t, xs, xs).grid()
     points = np.array([[eval_extremal_surface(m, t, x, y) for y in xs.tolist()]
                        for x in xs.tolist()])
     assert np.array_equal(grid.view(np.int64), points.view(np.int64))
@@ -370,7 +370,7 @@ def test_grid_evaluates_maps_per_abscissa_and_ordinate(monkeypatch, m, t):
 
         monkeypatch.setattr(MonotoneMap1D, name, counted)
     xs = (np.arange(n) + 0.5) / n
-    _surface_grid(m, t, xs, xs)
+    _surface_rows(m, t, xs, xs).grid()
     assert 0 < points <= 6 * n + 1
 
 
@@ -399,6 +399,12 @@ class TestGridExperiment:
             grid_experiment(0.5, 1, 1)
         with pytest.raises(InvalidGrid):
             grid_experiment(0.5, 10, 3)
+
+    @pytest.mark.parametrize("n, k", [(10, 2.5), (10, 2.0), (10.0, 2), ("10", 2), (10, True)])
+    def test_sizes_must_be_integers(self, n, k):
+        # A float k can divide n, and would be echoed in the record.
+        with pytest.raises(InvalidGrid, match="must be integers"):
+            grid_experiment(0.5, n, k)
 
     def test_column_ties_to_chain_closed_form(self):
         for n in (5, 12):
@@ -431,7 +437,7 @@ class TestGridExperiment:
                 reads.append(k)
                 return self.nums[k]
 
-        for name in ("__getitem__", "__iter__", "__reversed__", "ratios"):
+        for name in ("_at", "ratios"):
             monkeypatch.setattr(_Ratios, name, whole)
         scale_from_m = discretize.scale_from_m
 

@@ -66,3 +66,10 @@ def test_the_solver_reads_sets_without_numpy_or_the_grid():
             modules.add(node.module.split(".")[0])
     assert "numpy" not in modules
     assert "grid" not in {module for module, _ in _imports(PACKAGE / "solver.py")}
+
+
+def test_values_takes_only_the_computed_sequence_base_from_the_grid():
+    # Scale values are a computed view on the grid views' base; nothing of
+    # the grid's arithmetic reaches the values layer.
+    names = {name for module, name in _imports(PACKAGE / "values.py") if module == "grid"}
+    assert names == {"_ComputedSequence"}

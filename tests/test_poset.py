@@ -26,6 +26,8 @@ from monoext.errors import (
     DuplicateLabelError,
     InvalidGrid,
     InvalidPermutation,
+    NotAChain,
+    NotIncomparable,
     UnknownElement,
 )
 from monoext.cli import main
@@ -129,6 +131,15 @@ class TestGridPoset:
             grid_poset(0, "product")
         with pytest.raises(InvalidGrid):
             grid_poset(2, "diagonal")
+
+    @pytest.mark.parametrize("side", [2.5, 3.0, "3", True])
+    def test_sizes_must_be_integers(self, side):
+        # A float or string side would reach the views' arithmetic, and
+        # True would read as a 1 x 1 grid.
+        with pytest.raises(InvalidGrid, match="must be an integer"):
+            grid_poset(side)
+        with pytest.raises(InvalidGrid, match="must be an integer"):
+            _grid_poset(2, side, "rows")
 
 
 class TestDownUpSets:
@@ -544,6 +555,34 @@ class TestNoPathForcesTheClosure:
         assert d["bound"] == d["closed_form"]
         assert len(grid_sets) == 2
         assert all(len(seq._cache) <= n for seq in grid_sets)
+
+
+def test_order_tests_read_no_grid_mask(monkeypatch):
+    """``leq_idx`` reads ``holds``, so on a grid every order test, and
+    ``comparable_idx``, ``swap_adjacent`` and the incomparable pair that
+    ``chain_bounds`` names, is (i, j) arithmetic: no mask is built, even on
+    the largest legal grid."""
+
+    def unread(self, e):
+        raise AssertionError(f"grid mask {e} of {self.key} built")
+
+    monkeypatch.setattr(_GridSets, "_at", unread)
+    n = 350
+    p = grid_poset(n)
+    low, high, right, up = (p.index(lab) for lab in [(1, 1), (n, n), (1, n), (2, 1)])
+    assert p.leq_idx(low, high) and not p.leq_idx(high, low)
+    assert p.leq((1, 1), (2, 1)) and not p.leq((2, 1), (1, n))
+    assert p.comparable_idx(low, right) and not p.comparable_idx(right, up)
+    # Canonical order is a linear extension of the product order, and
+    # (1, n), (2, 1) hold the consecutive ranks n and n + 1.
+    scale = ValueScale.over(range(1, n * n + 1), n * n)
+    f = monoext.MonotoneBijection(p, scale, range(1, n * n + 1))
+    g = monoext.swap_adjacent(f, (1, n), (2, 1))
+    assert (g.rank((1, n)), g.rank((2, 1))) == (n + 1, n)
+    with pytest.raises(NotIncomparable):
+        monoext.swap_adjacent(f, (1, 1), (1, 2))
+    with pytest.raises(NotAChain, match=r"\(1, 350\) and \(2, 1\) are incomparable"):
+        monoext.chain_bounds(p, scale, QuerySet(p, [(1, 1), (1, n), (2, 1)]))
 
 
 def test_column_chain_bound_160_stays_small():

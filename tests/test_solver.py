@@ -156,8 +156,8 @@ class TestValueScale:
         def unread(self, *args):
             raise AssertionError("a value was built")
 
-        for name in ("__getitem__", "__iter__", "__reversed__"):
-            monkeypatch.setattr(_Ratios, name, unread)
+        # ``_at`` is the one place where a value is built.
+        monkeypatch.setattr(_Ratios, "_at", unread)
         assert a == b
 
     def test_ratios_in_lowest_terms(self):
@@ -170,6 +170,12 @@ class TestValueScale:
         assert list(eager.ratios()) == [(1, 2), (2, 3), (2, 1)]
 
     def test_ratios_sequence_protocol(self):
+        from monoext.values import _Ratios
+
+        # The protocol is the computed-sequence base's, shared with the
+        # grid views; the scale adds only how one value is built.
+        own = {"__getitem__", "__iter__", "__reversed__", "__eq__"} & set(vars(_Ratios))
+        assert not own, own
         s = ValueScale.over(range(1, 7), 6)
         want = tuple(Fraction(i, 6) for i in range(1, 7))
         assert tuple(s.values) == want
@@ -350,6 +356,26 @@ class TestSolve:
             solve_min(p, s, q)
         with pytest.raises(EmptyQuery):
             solve_max(p, s, q)
+
+    def test_query_of_another_poset_rejected(self):
+        """A query's indices are read in the poset it is solved on: (2, 2)
+        of the 2 x 2 grid is index 3, which in the 3 x 3 grid is (2, 1),
+        where the minimum would be 2, not 4."""
+        p = grid_poset(3)
+        s = ValueScale(range(1, 10))
+        assert solve_min(p, s, QuerySet(p, [(2, 2)])).objective == 4
+        for q in (QuerySet(grid_poset(2), [(2, 2)]),
+                  QuerySet(build_poset(range(9), []), [3])):
+            for call in (solve_min, solve_max, chain_bounds, disjoint_bound, brute_min_max):
+                with pytest.raises(ValidationError, match="another poset"):
+                    call(p, s, q)
+            for call in (conditional_min, conditional_max, build_witness):
+                with pytest.raises(ValidationError, match="another poset"):
+                    call(p, s, q, (0,))
+        # A poset equal to the one solved on, built apart, is the same one.
+        q = QuerySet(grid_poset(3), [(2, 2)])
+        assert solve_min(p, s, q).objective == 4
+        assert brute_min_max(p, s, q)[0].objective == 4
 
     def test_scale_size_mismatch(self):
         with pytest.raises(ValidationError):
